@@ -29,10 +29,10 @@ from .config import (ScenarioConfig, config_hash, dump_config, load_config,
 from .dsl import parse_sequence_text, serialize_sequence
 from .errors import ConfigError, DDQuadError, FitError, SequenceSyntaxError, \
     SequenceSemanticError, SimulationError
-from .estimator import (bootstrap_ci, dataset_digest, extract_cell_phases,
-                        fit_fringe_mle, fit_frequency_vs_gradient,
+from .estimator import (bootstrap_ci, dataset_digest, fit_fringe_mle,
                         fit_phase_vs_time, joint_fit_campaign,
-                        theta_comparison_report, two_stage_theta)
+                        phase_difference, theta_comparison_report,
+                        two_stage_theta)
 from .sampler import (campaign_from_csv, campaign_to_csv, campaign_to_json,
                       default_phi_grid, run_campaign, run_fringe_scan)
 from .sequence import analytic_phase, initial_state
@@ -228,13 +228,11 @@ def simulate_fringe(seed, config_path, out, sets, tau_total, reference):
         fit = fit_fringe_mle(data)
         doc = {"config_hash": chash, "tau_total": tau_total,
                "n_echo": plan.n_echo,
-               "analytic_phase": analytic_phase(plan.n_echo, tau,
-                                                cfg.ion_model()),
+               "analytic_phase": analytic_phase(plan.n_echo, tau, model),
                "fit": _fringe_fit_doc(fit)}
         if ref is not None:
             rfit = fit_fringe_mle(ref)
             doc["reference_fit"] = _fringe_fit_doc(rfit)
-            from .estimator import phase_difference
             doc["phi_total"] = phase_difference(fit, rfit)
     except FitError as exc:
         _fail(exc, EXIT_FIT)

@@ -14,22 +14,22 @@ subtracted phases under
     phi = tau_total * K * dEz_dz * Theta * [3 cos^2(b_k + b0) - 1
           + eps1 sin^2(b_k + b0) cos(2 alpha)] + c_k
 
-with per-angle intercepts c_k as nuisance parameters (profiled out in
-closed form), a simplex optimizer refined by Newton steps over the 2-3
-remaining parameters, and a profile-likelihood asymmetric 95% CI on
-Theta.
+with per-angle intercepts c_k.  At fixed b0 the model is linear in
+(c_k, Theta, Theta*eps1); variable projection (Golub & Pereyra 1973)
+solves those in closed form inside a 1-D Brent search over b0, and the
+asymmetric 95% CI on Theta profiles the same search with Theta fixed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, minimize_scalar
 
-from .atommodel import ARM_RATE_PER_GRADIENT_THETA, quadrupole_geometry
+from .atommodel import ARM_RATE_PER_GRADIENT_THETA
 from .errors import (DegenerateDataError, FitConvergenceError,
                      NonIdentifiableError)
 from .sampler import CampaignDataset, FringeDataset
@@ -335,42 +335,80 @@ def unwrap_by_continuity(x, phases, anchor: float = 0.0):
 
 
 class _JointModel:
-    """Gaussian -2lnL of all phases with per-angle intercepts profiled out."""
+    """Gaussian -2lnL of all phases with per-angle intercepts profiled out
+    (none when ``angle_index`` is None)."""
 
     def __init__(self, beta_nominal, gradients, tau_total, phases, sigmas,
                  angle_index, alpha_trap, float_epsilon1):
         self.beta = np.asarray(beta_nominal, dtype=float)
-        self.grad = np.asarray(gradients, dtype=float)
-        self.tau = np.asarray(tau_total, dtype=float)
+        self.scale = (np.asarray(tau_total, dtype=float)
+                      * ARM_RATE_PER_GRADIENT_THETA
+                      * np.asarray(gradients, dtype=float))
         self.phi = np.asarray(phases, dtype=float)
         self.w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
-        self.angle = np.asarray(angle_index, dtype=int)
-        self.n_angles = int(self.angle.max()) + 1
+        self.groups = (np.zeros((0, len(self.phi))) if angle_index is None
+                       else np.eye(max(angle_index) + 1)[angle_index].T)
+        self.n_angles = len(self.groups)
+        self.wsum = self.groups @ self.w
         self.alpha_trap = alpha_trap
         self.float_epsilon1 = float_epsilon1
+        self.phi_centered = self._center(self.phi)
 
-    def predict(self, theta, beta0, eps1):
+    def _angle_means(self, v):
+        return (v * self.w) @ self.groups.T / self.wsum
+
+    def _center(self, v):
+        """``v`` (rows of per-point values) minus its weighted per-angle means."""
+        return v - self._angle_means(v) @ self.groups
+
+    def columns(self, beta0):
+        """Model phase per unit Theta and per unit Theta*eps1."""
         c = np.cos(self.beta + beta0)
         s = np.sin(self.beta + beta0)
-        geom = (3.0 * c * c - 1.0) + eps1 * s * s * math.cos(2.0 * self.alpha_trap)
-        return self.tau * ARM_RATE_PER_GRADIENT_THETA * self.grad * theta * geom
+        return self.scale * np.array([3.0 * c * c - 1.0,
+                                      s * s * math.cos(2.0 * self.alpha_trap)])
+
+    def project(self, beta0, theta=None):
+        """Variable projection at fixed beta0: chi^2 minimized over the
+        intercepts and (Theta[, Theta*eps1]) in closed form, with Theta
+        held at ``theta`` when given.  Returns (chi2, linear parameters)."""
+        cols = self._center(self.columns(beta0)[:2 if self.float_epsilon1 else 1])
+        y = self.phi_centered
+        if theta is not None:
+            y = y - theta * cols[0]
+            cols = cols[1:]
+        wcols = cols * self.w
+        try:
+            lin = np.linalg.solve(wcols @ cols.T, wcols @ y)
+        except np.linalg.LinAlgError:
+            raise NonIdentifiableError(
+                "likelihood is flat in Theta (e.g. all gradients zero)") from None
+        y = y - lin @ cols
+        return float(np.sum(self.w * y * y)), lin
 
     def chi2_and_offsets(self, params):
         theta, beta0 = params[0], params[1]
         eps1 = params[2] if self.float_epsilon1 else 0.0
-        resid = self.phi - self.predict(theta, beta0, eps1)
-        offsets = np.zeros(self.n_angles)
-        chi2 = 0.0
-        for kk in range(self.n_angles):
-            sel = self.angle == kk
-            wk = self.w[sel]
-            ck = float(np.sum(wk * resid[sel]) / np.sum(wk))
-            offsets[kk] = ck
-            chi2 += float(np.sum(wk * (resid[sel] - ck) ** 2))
-        return chi2, offsets
+        cols = self.columns(beta0)
+        resid = self.phi - theta * (cols[0] + eps1 * cols[1])
+        offsets = self._angle_means(resid)
+        resid = resid - offsets @ self.groups
+        return float(np.sum(self.w * resid ** 2)), offsets
 
     def chi2(self, params):
         return self.chi2_and_offsets(params)[0]
+
+
+def _search_beta0(model, theta=None, start=0.0):
+    """Brent search for the beta0 that minimizes ``model.project``,
+    downhill from a bracket of +-0.1 rad around ``start``."""
+    res = minimize_scalar(lambda b0: model.project(b0, theta)[0],
+                          bracket=(start - 0.1, start + 0.1), method="brent")
+    if not res.success:
+        raise FitConvergenceError("beta0 search did not converge",
+                                  {"iterations": int(res.nit),
+                                   "beta0": float(res.x)})
+    return res
 
 
 def _numeric_hessian(fun, x, rel_step=1e-5):
@@ -393,8 +431,6 @@ def _numeric_hessian(fun, x, rel_step=1e-5):
 def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
                          alpha_trap: float = math.pi / 4,
                          float_epsilon1: bool = False,
-                         theta_init: float = 3.0,
-                         beta0_init: float = 0.0,
                          compute_ci: bool = True) -> JointFitResult:
     """Joint MLE of (Theta, beta0[, eps1]) over all phase measurements.
 
@@ -411,35 +447,9 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
     model = _JointModel(beta_nominal, gradients, tau_total, phases, sigmas,
                         angle_index, alpha_trap, float_epsilon1)
 
-    # data-driven Theta start: linear in Theta at beta0 = beta0_init
-    base = model.predict(1.0, beta0_init, 0.0)
-    denom = float(np.sum(model.w * base ** 2))
-    if denom > 0:
-        theta_init = float(np.sum(model.w * base * model.phi) / denom)
-
-    x0 = [theta_init, beta0_init] + ([0.0] if float_epsilon1 else [])
-    simplex = minimize(model.chi2, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-    x = simplex.x
-    iterations = int(simplex.nit)
-
-    # Newton refinement on the smooth chi^2 surface
-    for _ in range(50):
-        hess = _numeric_hessian(model.chi2, x)
-        grad = _numeric_gradient(model.chi2, x)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        x_new = x - step
-        if model.chi2(x_new) <= model.chi2(x):
-            x = x_new
-        iterations += 1
-        if np.max(np.abs(step)) < 1e-12:
-            break
-
+    search = _search_beta0(model)
+    _, lin = model.project(search.x)
+    x = np.array([lin[0], search.x] + ([lin[1] / lin[0]] if float_epsilon1 else []))
     chi2_min, offsets = model.chi2_and_offsets(x)
     hess = _numeric_hessian(model.chi2, x)
     curvature = hess[0, 0]
@@ -451,13 +461,6 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
         theta_sigma = math.sqrt(max(cov[0, 0], 0.0))
     except np.linalg.LinAlgError:
         raise NonIdentifiableError("singular joint-fit information matrix") from None
-
-    converged = bool(simplex.success or np.max(np.abs(
-        _numeric_gradient(model.chi2, x))) < 1e-6 * max(chi2_min, 1.0))
-    if not converged:
-        raise FitConvergenceError("joint fit did not converge",
-                                  {"iterations": iterations,
-                                   "chi2": chi2_min, "x": list(x)})
 
     theta_hat = float(x[0])
     if compute_ci:
@@ -471,32 +474,18 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
         per_angle_offsets=tuple(float(c) for c in offsets),
         ci95_theta=ci, theta_sigma=theta_sigma,
         chi2=chi2_min, ndof=len(phases) - len(x) - model.n_angles,
-        fit_diagnostics={"iterations": iterations, "converged": True,
+        fit_diagnostics={"iterations": int(search.nit), "converged": True,
                          "profile_samples": profile_samples,
                          "angles": [float(a) for a in unique_angles]})
 
 
-def _numeric_gradient(fun, x, rel_step=1e-7):
-    x = np.asarray(x, dtype=float)
-    h = np.maximum(np.abs(x), 1.0) * rel_step
-    grad = np.empty_like(x)
-    for i in range(len(x)):
-        e = np.zeros_like(x); e[i] = h[i]
-        grad[i] = (fun(x + e) - fun(x - e)) / (2 * h[i])
-    return grad
-
-
 def _profile_theta_ci(model, x_hat, chi2_min, sigma):
     """Asymmetric 95% interval from the Theta profile likelihood."""
-    nuis0 = list(x_hat[1:])
+    beta0 = [x_hat[1]]
 
     def profile_chi2(theta):
-        if not nuis0:
-            return model.chi2([theta])
-        res = minimize(lambda nu: model.chi2([theta] + list(nu)), nuis0,
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 800})
-        nuis0[:] = list(res.x)   # warm start for the next profile point
+        res = _search_beta0(model, theta, start=beta0[0])
+        beta0[0] = res.x   # warm start for the next profile point
         return res.fun
 
     samples = []
@@ -531,6 +520,9 @@ def _profile_theta_ci(model, x_hat, chi2_min, sigma):
 
 @dataclass(frozen=True)
 class CellPhase:
+    """One cell's unwrapped, reference-subtracted phase.  Its fringe
+    fits carry Gaussian phase CIs (phase +- 1.96 sigma), not profile CIs."""
+
     beta_nominal: float
     dEz_dz: float
     tau_total: float
@@ -542,8 +534,7 @@ class CellPhase:
 
 
 def extract_cell_phases(campaign: CampaignDataset,
-                        zeeman2_hz: float = 0.0,
-                        compute_ci: bool = True) -> list:
+                        zeeman2_hz: float = 0.0) -> list:
     """Fringe-fit every cell, reference-subtract, and unwrap along time.
 
     ``zeeman2_hz`` is the known differential second-order Zeeman shift
@@ -552,8 +543,8 @@ def extract_cell_phases(campaign: CampaignDataset,
     """
     raw = []
     for cell in campaign.cells:
-        sig = fit_fringe_mle(cell.fringe, compute_ci=compute_ci)
-        ref = fit_fringe_mle(cell.reference_fringe, compute_ci=compute_ci)
+        sig = fit_fringe_mle(cell.fringe, compute_ci=False)
+        ref = fit_fringe_mle(cell.reference_fringe, compute_ci=False)
         phi = phase_difference(sig, ref)
         phi += 2.0 * math.pi * zeeman2_hz * cell.tau_total
         sigma = math.hypot(sig.phase_sigma, ref.phase_sigma)
@@ -582,10 +573,10 @@ def joint_fit_campaign(campaign: CampaignDataset,
                        compute_ci: bool = True) -> tuple:
     """Full chain: fringe fits -> unwrapped phases -> joint fit.
 
-    Returns (JointFitResult, list[CellPhase]).
+    ``compute_ci`` selects the profile-likelihood CI on Theta (else a
+    Gaussian one).  Returns (JointFitResult, list[CellPhase]).
     """
-    cells = extract_cell_phases(campaign, zeeman2_hz=zeeman2_hz,
-                                compute_ci=compute_ci)
+    cells = extract_cell_phases(campaign, zeeman2_hz=zeeman2_hz)
     result = joint_fit_quadrupole(
         [c.beta_nominal for c in cells], [c.dEz_dz for c in cells],
         [c.tau_total for c in cells], [c.phi_total for c in cells],
@@ -613,26 +604,20 @@ def two_stage_theta(cell_phases, alpha_trap: float = math.pi / 4) -> dict:
         fit = fit_frequency_vs_gradient(pts)
         slopes.append((beta, fit["slope"], fit["slope_sigma"]))
 
-    betas = np.array([s[0] for s in slopes])
-    y = np.array([s[1] for s in slopes])
-    w = 1.0 / np.array([s[2] for s in slopes]) ** 2
-    rate_k = ARM_RATE_PER_GRADIENT_THETA / (2.0 * math.pi)  # Hz per (V/m^2 * ea0^2)
-
-    def chi2(params):
-        theta, beta0 = params
-        pred = rate_k * theta * np.array(
-            [quadrupole_geometry(b + beta0, 0.0, alpha_trap) for b in betas])
-        return float(np.sum(w * (y - pred) ** 2))
-
-    res = minimize(chi2, [3.0, 0.0], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    hess = _numeric_hessian(chi2, res.x)
+    # slopes are Hz per unit gradient: Theta * geometry * K / (2 pi)
+    model = _JointModel([s[0] for s in slopes], np.full(len(slopes), 0.5 / math.pi),
+                        np.ones(len(slopes)), [s[1] for s in slopes],
+                        [s[2] for s in slopes], None, alpha_trap, False)
+    search = _search_beta0(model)
+    _, lin = model.project(search.x)
+    x = [lin[0], search.x]
+    hess = _numeric_hessian(model.chi2, x)
     try:
         cov = np.linalg.inv(hess / 2.0)
         sigma_theta = math.sqrt(max(cov[0, 0], 0.0))
     except np.linalg.LinAlgError:
         sigma_theta = float("nan")
-    return {"theta": float(res.x[0]), "beta0": float(res.x[1]),
+    return {"theta": float(x[0]), "beta0": float(x[1]),
             "theta_sigma": sigma_theta,
             "frequency_by_angle": freq_points, "slopes": slopes}
 
@@ -672,8 +657,6 @@ def bootstrap_ci(campaign: CampaignDataset, n_resamples: int, seed: int,
 
 def _resample_campaign(campaign: CampaignDataset,
                        rng: np.random.Generator) -> CampaignDataset:
-    from dataclasses import replace as _replace
-
     def resample_fringe(fr: FringeDataset) -> FringeDataset:
         pts = []
         for p in fr.points:
@@ -681,10 +664,10 @@ def _resample_campaign(campaign: CampaignDataset,
                 k = int(rng.binomial(p.n_shots, p.k_D / p.n_shots))
             else:
                 k = p.k_D   # exact-probability data: deterministic
-            pts.append(_replace(p, k_D=k))
+            pts.append(replace(p, k_D=k))
         return FringeDataset(tuple(pts), context=dict(fr.context))
 
-    cells = tuple(_replace(c, fringe=resample_fringe(c.fringe),
+    cells = tuple(replace(c, fringe=resample_fringe(c.fringe),
                            reference_fringe=resample_fringe(c.reference_fringe))
                   for c in campaign.cells)
     return CampaignDataset(cells, plan_snapshot=campaign.plan_snapshot,

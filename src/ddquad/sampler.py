@@ -56,6 +56,8 @@ class FringeDataset:
 
     def __post_init__(self):
         phis = [p.phi_laser for p in self.points]
+        if not all(math.isfinite(phi) for phi in phis):
+            raise ValueError("phi_laser must be finite")
         if any(p2 <= p1 for p1, p2 in zip(phis, phis[1:])):
             raise ValueError("phi_laser grid must be strictly increasing")
         for p in self.points:
@@ -116,13 +118,6 @@ def measure_population_D(state: np.ndarray,
     if detection is not None:
         p = detection.eps_bright + p * (1.0 - detection.eps_bright - detection.eps_dark)
     return p
-
-
-def sample_shot(p: float, rng: np.random.Generator) -> int:
-    """One Bernoulli detection outcome."""
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return int(rng.random() < min(max(p, 0.0), 1.0))
 
 
 def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
@@ -269,8 +264,9 @@ def campaign_from_csv(text: str) -> CampaignDataset:
     reader = csv.DictReader(io.StringIO(text))
     groups: dict = {}
     for row in reader:
-        key = (float(row["beta_nominal"]), float(row["dEz_dz"]),
-               float(row["tau_total"]), int(row["n_echo"]))
+        key = tuple(_finite(row, name)
+                    for name in ("beta_nominal", "dEz_dz", "tau_total")
+                    ) + (int(row["n_echo"]),)
         is_ref = bool(int(row["is_reference"]))
         ks = row["k_D"]
         pt = FringePoint(phi_laser=float(row["phi_laser"]),
@@ -290,6 +286,13 @@ def campaign_from_csv(text: str) -> CampaignDataset:
             fringe=FringeDataset(tuple(sig), context=dict(ctx)),
             reference_fringe=FringeDataset(tuple(ref), context=dict(ctx, tau=0.0))))
     return CampaignDataset(tuple(cells))
+
+
+def _finite(row: dict, name: str) -> float:
+    value = float(row[name])
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {row[name]!r}")
+    return value
 
 
 def campaign_to_json(campaign: CampaignDataset) -> str:

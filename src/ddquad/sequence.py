@@ -22,7 +22,8 @@ import numpy as np
 from . import constants as const
 from .atommodel import (
     BASIS_LABELS, D_INDEX, D_M_VALUES, S_INDEX, S_M_VALUES,
-    IonModel, NoiseTrajectory, quadrupole_shift, zero_trajectory,
+    IonModel, NoiseTrajectory, arm_phase_rate, quadrupole_shift,
+    zero_trajectory,
 )
 from .errors import SimulationError
 from .spincore import rotation_unitary
@@ -228,6 +229,5 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
 
 def analytic_phase(n_echo: int, tau: float, model: IonModel) -> float:
     """Closed-form total quadrupole phase 2 * n_echo * tau * arm rate (rad)."""
-    from .atommodel import arm_phase_rate
     return 2.0 * n_echo * tau * arm_phase_rate(model.trap, model.theta,
                                                model.field_cfg.beta)

@@ -132,6 +132,35 @@ def test_fit_garbage_data_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def small_campaign_csv(poison_field=None):
+    """Two-angle campaign CSV; ``poison_field`` is set to nan in one row."""
+    lines = ["beta_nominal,dEz_dz,tau_total,n_echo,phi_laser,n_shots,k_D,"
+             "is_reference"]
+    for beta in (0.0, 0.8):
+        for is_ref in (0, 1):
+            for i, phi in enumerate((0.0, 2.0, 4.0)):
+                row = {"beta_nominal": beta, "dEz_dz": 1e8, "tau_total": 1e-3,
+                       "n_echo": 8, "phi_laser": phi, "n_shots": 100,
+                       "k_D": 20 + 30 * i, "is_reference": is_ref}
+                if poison_field and (beta, is_ref, i) == (0.8, 0, 1):
+                    row[poison_field] = "nan"
+                lines.append(",".join(str(v) for v in row.values()))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field",
+                         ["phi_laser", "beta_nominal", "dEz_dz", "tau_total"])
+def test_fit_non_finite_csv_value_exits_2(runner, tmp_path, field):
+    data = tmp_path / "campaign.csv"
+    data.write_text(small_campaign_csv(field))
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_type"] == "ConfigError"
+    assert field in err["message"]
+
+
 def test_fit_missing_data_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["fit", "--data", str(tmp_path / "nope.csv"),
                                "--out", str(tmp_path / "o")])

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from ddquad import estimator as est
 from ddquad.atommodel import (FieldConfig, IonModel, IonSpecies, NoiseModel,
@@ -183,6 +184,51 @@ def test_joint_fit_single_angle_rejected():
                                  rows["phi"], rows["sigma"])
 
 
+def test_joint_fit_zero_gradients_rejected():
+    # singular normal equations surface as a typed error, not LinAlgError
+    rows = make_noiseless_cells(grads=(0.0,), offsets=(0.05, -0.1, 0.15, 0.0))
+    with pytest.raises(NonIdentifiableError):
+        est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
+                                 rows["phi"], rows["sigma"])
+
+
+@pytest.mark.parametrize("float_epsilon1", [False, True])
+def test_joint_fit_minimizes_full_chi2(float_epsilon1):
+    """The fit is the minimum of chi^2 written out in every parameter,
+    offsets included, and each CI bound lies where the nuisance-minimized
+    chi^2 has risen by the 95% threshold."""
+    sigma = 0.02
+    rows = make_noiseless_cells(offsets=(0.05, -0.1, 0.15, 0.0), sigma=sigma)
+    rng = np.random.default_rng(20160401)
+    phi = np.asarray(rows["phi"]) + rng.normal(0.0, sigma, len(rows["phi"]))
+    res = est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
+                                   phi, rows["sigma"], alpha_trap=0.0,
+                                   float_epsilon1=float_epsilon1)
+    betas = np.asarray(rows["beta"])
+    angle = np.unique(betas, return_inverse=True)[1]
+    scale = (np.asarray(rows["tau"]) * est.ARM_RATE_PER_GRADIENT_THETA
+             * np.asarray(rows["grad"]))
+
+    def chi2(theta, nuisance):
+        # nuisance = (beta0[, eps1], c_0 .. c_3)
+        eps1 = nuisance[1] if float_epsilon1 else 0.0
+        geom = np.array([quadrupole_geometry(b + nuisance[0], eps1, alpha=0.0)
+                         for b in betas])
+        model = scale * theta * geom + np.asarray(nuisance[-4:])[angle]
+        return float(np.sum((phi - model) ** 2)) / sigma ** 2
+
+    nuisance = ([res.beta0] + ([res.epsilon1] if float_epsilon1 else [])
+                + list(res.per_angle_offsets))
+    chi2_min = chi2(res.theta, nuisance)
+    assert chi2_min == pytest.approx(res.chi2, rel=1e-9)
+    full = minimize(lambda p: chi2(p[0], p[1:]), [res.theta] + nuisance,
+                    method="BFGS")
+    assert full.fun > chi2_min - 1e-9
+    for bound in res.ci95_theta:
+        prof = minimize(lambda nu: chi2(bound, nu), nuisance, method="BFGS")
+        assert prof.fun - chi2_min == pytest.approx(est.CHI2_95_1DOF, abs=1e-4)
+
+
 def test_joint_fit_float_epsilon1():
     # build phases with a nonzero trap asymmetry and refit it;
     # alpha = 0 so the epsilon1 term does not vanish (at alpha = pi/4
@@ -235,7 +281,7 @@ def test_two_stage_theta_matches_joint():
     model = IonModel()
     camp = exact_campaign(model)
     z2 = model.species.c2_quad_zeeman * model.field_cfg.B ** 2
-    cells = est.extract_cell_phases(camp, zeeman2_hz=z2, compute_ci=False)
+    cells = est.extract_cell_phases(camp, zeeman2_hz=z2)
     out = est.two_stage_theta(cells)
     assert out["theta"] == pytest.approx(2.973, rel=1e-6)
     assert out["beta0"] == pytest.approx(0.0, abs=1e-5)

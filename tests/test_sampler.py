@@ -38,6 +38,10 @@ def test_fringe_dataset_validation():
         sp.FringeDataset((sp.FringePoint(1.0, 10, 3), sp.FringePoint(0.5, 10, 4)))
     with pytest.raises(ValueError):
         sp.FringeDataset((sp.FringePoint(0.0, 10, 11),))
+    # NaN compares false, so it would slip through the ordering check
+    with pytest.raises(ValueError, match="phi_laser"):
+        sp.FringeDataset((sp.FringePoint(0.0, 10, 3),
+                          sp.FringePoint(float("nan"), 10, 4)))
 
 
 def test_plan_validation():
