@@ -206,21 +206,33 @@ class NoiseTrajectory:
     def n_shots(self):
         return None if self.values.ndim == 1 else self.values.shape[0]
 
-    def _overlap(self, t0: float, t1: float) -> np.ndarray:
-        lo = np.maximum(self.edges[:-1], t0)
-        hi = np.minimum(self.edges[1:], t1)
+    def _overlap(self, t0, t1) -> np.ndarray:
+        """Time each segment spends inside [t0, t1]: shape (K,) for scalar
+        bounds, (K, W) for arrays of W bounds."""
+        t0 = np.asarray(t0, dtype=float)
+        t1 = np.asarray(t1, dtype=float)
+        lo = np.maximum.outer(self.edges[:-1], t0)
+        hi = np.minimum.outer(self.edges[1:], t1)
         w = np.clip(hi - lo, 0.0, None)
         # extend the last segment beyond the final edge
-        if np.isfinite(self.edges[-1]) and t1 > self.edges[-1]:
-            w[-1] += t1 - max(self.edges[-1], t0)
+        last = self.edges[-1]
+        if np.isfinite(last):
+            w[-1] += np.clip(t1 - np.maximum(last, t0), 0.0, None)
         return w
 
-    def integral(self, t0: float, t1: float):
-        """Integral of the offset over [t0, t1] (tesla*seconds)."""
+    def integral(self, t0, t1):
+        """Integral of the offset over [t0, t1] (tesla*seconds).
+
+        ``t0`` and ``t1`` are scalars, or equal-length 1-D arrays of W
+        intervals; the result has shape ``values.shape[:-1]``, with a
+        trailing W axis for array bounds.
+        """
         return self.values @ self._overlap(t0, t1)
 
-    def square_integral(self, t0: float, t1: float):
-        """Integral of the squared offset over [t0, t1]."""
+    def square_integral(self, t0, t1):
+        """Integral of the squared offset over [t0, t1]; bounds and result
+        shaped as in ``integral``.  Pass every interval in one call: the
+        squared trajectory is formed once per call."""
         return (self.values ** 2) @ self._overlap(t0, t1)
 
 

@@ -380,7 +380,7 @@ def fit_cmd(seed, config_path, out, sets, data_path, zeeman2_hz):
         campaign = campaign_from_csv(csv_text)
     except OSError as exc:
         _fail(ConfigError(str(exc)), EXIT_CONFIG)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, SimulationError) as exc:
         _fail(ConfigError(f"bad campaign CSV: {exc}"), EXIT_CONFIG)
     model = cfg.ion_model()
     if zeeman2_hz is None:

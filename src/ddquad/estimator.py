@@ -133,22 +133,29 @@ def _newton_abc(x, k, n, start, fix_phase=None, max_iter=200):
         except np.linalg.LinAlgError:
             step = grad / max(np.max(np.abs(np.diag(hess))), 1.0)
         # backtrack to keep probabilities inside (0, 1) and NLL decreasing
-        scale = 1.0
+        floor = 4.0 * np.spacing(np.max(np.abs(theta)))
+        scale, accepted = 1.0, False
         for _ in range(60):
+            # a step below a few ULPs of the parameters cannot move them:
+            # the point sits at the rounding floor, so keep it
+            if scale * np.max(np.abs(step)) < floor:
+                break
             cand = theta - scale * step
             cand_nll, cand_grad, cand_hess = _nll_and_derivs(to_abc(cand), x, k, n)
             if cand_nll <= nll + 1e-15:
+                accepted = True
                 break
             scale *= 0.5
-        else:
+        if not accepted:
             break
         improvement = nll - cand_nll
         theta, nll = cand, cand_nll
         grad, hess = reduce_grad(cand_grad), reduce_hess(cand_hess)
         if np.max(np.abs(grad)) < 1e-9 * max(1.0, np.sum(n)):
             break
-        # stalled (e.g. against the probability clip): no progress left
-        if iteration > 2 and improvement < 1e-13 * (1.0 + abs(nll)):
+        # stalled (e.g. against the probability clip): no progress left,
+        # and an iteration from the same point would repeat the same step
+        if improvement < 1e-13 * (1.0 + abs(nll)):
             break
     return to_abc(theta) if fix_phase is not None else theta, nll, iteration + 1
 

@@ -9,6 +9,15 @@ exactly over a piecewise-constant field-offset trajectory.
 States are 8 complex amplitudes in the ``atommodel.BASIS_LABELS``
 ordering.  The batch executor runs many shots at once, one noise
 trajectory per row.
+
+``run_sequence`` compiles a sequence before running it.  One pass over
+the elements merges adjacent waits and drops empty ones (the paper's
+16 waits become 9), and one pair of trajectory-integral calls gives the
+offset integrals of every merged wait.  The run then updates the state
+in place: one ``free_evolve`` per merged wait (real cos/sin of the
+small per-row offset phase, times one field-free factor per level) and
+each pulse on its own columns.  Called on their own, ``free_evolve``,
+``apply_rf_pulse`` and ``apply_optical_pulse`` return a new array.
 """
 
 from __future__ import annotations
@@ -142,88 +151,155 @@ def level_coefficients(model: IonModel):
     return _level_coefficients_cached(model)
 
 
-@lru_cache(maxsize=1024)
-def _optical_block(pulse: OpticalPulse) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _phase_rates(model: IonModel) -> tuple:
+    """Each level's phase rates, for nu = nu(B0) + nu'(B0) dB + b2 dB^2
+    with dB the field offset: -2pi i nu(B0) per second of wait (8,), and
+    -2pi [nu'(B0), b2] per unit of [Int dB dt, Int dB^2 dt] (2, 8)."""
+    lin, static, b2 = level_coefficients(model)
+    b0 = model.field_cfg.B
+    field_free = -2j * math.pi * (lin * b0 + static + b2 * b0 * b0)
+    offset = -2.0 * math.pi * np.array([lin + 2.0 * b0 * b2, b2])
+    for a in (field_free, offset):
+        a.setflags(write=False)
+    return field_free, offset
+
+
+def _wait_integrals(starts, ends, trajectory: NoiseTrajectory,
+                    single_state: bool) -> np.ndarray:
+    """[Int offset dt, Int offset^2 dt] over each [start, end], shape
+    (W, ..., 2): two trajectory-integral calls cover all W waits."""
+    i1 = trajectory.integral(starts, ends)
+    i2 = trajectory.square_integral(starts, ends)
+    if single_state and i1.shape[:-1] == (1,):
+        # a one-row batched trajectory drives a single state
+        i1, i2 = i1[0], i2[0]
+    return np.stack([np.moveaxis(i1, -1, 0), np.moveaxis(i2, -1, 0)], axis=-1)
+
+
+# a sequence's laser phase is new on most scan points, so only the
+# repeated pulses are worth keeping
+@lru_cache(maxsize=128)
+def _pulse_op(pulse) -> tuple:
+    """(columns, U^T) of a pulse: it maps state[..., columns] to
+    state[..., columns] @ U^T and leaves the other amplitudes alone."""
+    if isinstance(pulse, RFPulse):
+        return D_BLOCK, rotation_unitary(2.5, pulse.area, pulse.rf_phase).T
     half = pulse.area / 2.0
     c = math.cos(half)
     s = math.sin(half)
     ph = pulse.laser_phase
-    return np.array([
+    u = np.array([
         [c, -1j * s * np.exp(-1j * ph)],
         [-1j * s * np.exp(1j * ph), c],
     ])
+    u.setflags(write=False)
+    d = D_INDEX[pulse.target_m]
+    # the columns {S:-1/2, D:m} as a basic slice, so no fancy-index copy
+    return slice(S_MINUS_HALF, d + 1, d - S_MINUS_HALF), u.T
+
+
+def _apply_pulse(state: np.ndarray, columns, u_t: np.ndarray) -> np.ndarray:
+    state[..., columns] = state[..., columns] @ u_t
+    return state
 
 
 def apply_optical_pulse(state: np.ndarray, pulse: OpticalPulse) -> np.ndarray:
     """Two-level rotation on {|S,-1/2>, |D,target_m>}; identity elsewhere."""
-    u = _optical_block(pulse)
-    idx = [S_MINUS_HALF, D_INDEX[pulse.target_m]]
-    out = state.copy()
-    out[..., idx] = state[..., idx] @ u.T
-    return out
+    return _apply_pulse(state.copy(), *_pulse_op(pulse))
 
 
 def apply_rf_pulse(state: np.ndarray, pulse: RFPulse) -> np.ndarray:
     """Spin-5/2 rotation on the six D amplitudes; identity on S."""
-    u = rotation_unitary(2.5, pulse.area, pulse.rf_phase)
-    out = state.copy()
-    out[..., D_BLOCK] = state[..., D_BLOCK] @ u.T
-    return out
+    return _apply_pulse(state.copy(), *_pulse_op(pulse))
 
 
 def free_evolve(state: np.ndarray, tau: float, model: IonModel,
                 trajectory: NoiseTrajectory | None = None,
-                t_start: float = 0.0) -> np.ndarray:
+                t_start: float = 0.0, *, integrals: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Diagonal phase evolution over a wait of length tau starting at t_start.
 
     Each amplitude picks up exp(-i 2pi Int nu_level(B(t)) dt), with the
     field B(t) = B0 + offset(t) integrated exactly per trajectory segment.
+    ``integrals`` gives the wait's [Int offset dt, Int offset^2 dt] (last
+    axis) in place of ``trajectory`` and ``t_start``; ``run_sequence``
+    computes them for all its waits at once.  ``out`` receives the result
+    and may be ``state`` itself.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    if tau == 0:
-        return state.copy()
-    if trajectory is None:
-        trajectory = zero_trajectory()
-    lin, static, b2 = level_coefficients(model)
-    b0 = model.field_cfg.B
-    i1 = trajectory.integral(t_start, t_start + tau)       # Int offset dt
-    i2 = trajectory.square_integral(t_start, t_start + tau)
-    i1 = np.asarray(i1)[..., None]
-    i2 = np.asarray(i2)[..., None]
-    integral_b = b0 * tau + i1
-    integral_b2 = b0 * b0 * tau + 2.0 * b0 * i1 + i2
-    phase = -2.0 * math.pi * (lin * integral_b + static * tau + b2 * integral_b2)
-    if state.ndim == 1 and phase.shape[0] == 1:
-        phase = phase[0]
-    return state * np.exp(1j * phase)
+    if integrals is None:
+        if tau == 0:
+            return state.copy()
+        if trajectory is None:
+            trajectory = zero_trajectory()
+        integrals = _wait_integrals([t_start], [t_start + tau], trajectory,
+                                    state.ndim == 1)[0]
+    field_free, offset = _phase_rates(model)
+    # the offset's phase differs per row but stays small; the large
+    # field-free phase is one factor per level
+    phase = integrals @ offset
+    factors = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=factors.real)
+    np.sin(phase, out=factors.imag)
+    factors *= np.exp(tau * field_free)
+    return np.multiply(state, factors, out=out)
+
+
+def _compile(elements) -> tuple:
+    """One pass over the elements: adjacent waits merged, empty ones
+    dropped.  Returns the steps (an int indexes a merged wait, a pair is a
+    ``_pulse_op``) and the merged waits' durations and [t0, t1] bounds."""
+    if not elements or not isinstance(elements[-1], Measure):
+        raise SimulationError("sequence must end with Measure")
+    steps, taus, starts, ends = [], [], [], []
+    t = 0.0
+    for element in elements[:-1]:
+        if isinstance(element, Wait):
+            if element.tau == 0:
+                continue
+            if steps and isinstance(steps[-1], int):
+                taus[-1] += element.tau
+            else:
+                steps.append(len(taus))
+                taus.append(element.tau)
+                starts.append(t)
+                ends.append(t)
+            t += element.tau
+            ends[-1] = t
+        elif isinstance(element, (RFPulse, OpticalPulse)):
+            steps.append(_pulse_op(element))
+        elif isinstance(element, Measure):
+            raise SimulationError("elements after Measure are not allowed")
+        else:
+            raise SimulationError(f"unknown sequence element {element!r}")
+    return steps, taus, starts, ends
 
 
 def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
                  trajectory: NoiseTrajectory | None = None) -> np.ndarray:
-    """Left-fold the sequence over the state; returns the pre-measurement state.
+    """Run the sequence on the state; returns the pre-measurement state.
 
     ``initial`` may be a single state (8,) or a batch (n_shots, 8); a
-    batched trajectory applies row-wise.
+    batched trajectory applies row-wise.  The sequence is compiled once
+    (see ``_compile``) and every step then updates the state in place.
     """
-    if not seq.elements or not isinstance(seq.elements[-1], Measure):
-        raise SimulationError("sequence must end with Measure")
+    steps, taus, starts, ends = _compile(seq.elements)
     state = np.array(initial, dtype=complex)
-    t = 0.0
-    for k, element in enumerate(seq.elements):
-        if isinstance(element, Measure):
-            if k != len(seq.elements) - 1:
-                raise SimulationError("elements after Measure are not allowed")
-            break
-        if isinstance(element, Wait):
-            state = free_evolve(state, element.tau, model, trajectory, t_start=t)
-            t += element.tau
-        elif isinstance(element, RFPulse):
-            state = apply_rf_pulse(state, element)
-        elif isinstance(element, OpticalPulse):
-            state = apply_optical_pulse(state, element)
+    if taus:
+        if trajectory is None:
+            trajectory = zero_trajectory()
+        integrals = _wait_integrals(starts, ends, trajectory, state.ndim == 1)
+        shape = np.broadcast_shapes(state.shape, integrals.shape[1:-1] + (8,))
+        if shape != state.shape:
+            state = np.array(np.broadcast_to(state, shape))
+    for step in steps:
+        if isinstance(step, int):
+            free_evolve(state, taus[step], model, integrals=integrals[step],
+                        out=state)
         else:
-            raise SimulationError(f"unknown sequence element {element!r}")
+            _apply_pulse(state, *step)
     return state
 
 

@@ -1,4 +1,11 @@
 import pytest
+from hypothesis import settings
+
+# property tests: a fixed example sequence and a bounded example count,
+# so the suite's outcome and run time repeat from run to run
+settings.register_profile("ddquad", derandomize=True, max_examples=60,
+                          deadline=None, database=None)
+settings.load_profile("ddquad")
 
 # acceptance-criteria results, printed as a summary block at the end of
 # the run (one line per criterion)

@@ -126,6 +126,23 @@ def test_trajectory_integrals_exact():
     assert tr.integral(3.5, 5.0) == pytest.approx(0.5 * 1.5)
 
 
+def test_trajectory_integrals_with_array_bounds():
+    # one call with W intervals equals W scalar calls, for a single and a
+    # batched trajectory, including intervals past the finite last edge
+    values = np.array([[2.0, -1.0, 0.5], [0.3, 0.7, -2.0]])
+    t0 = np.array([0.0, 0.5, 3.5, 4.5, 2.0, 1.0])
+    t1 = np.array([4.0, 1.5, 5.0, 6.0, 2.0, 3.0])
+    for vals in (values[0], values):
+        tr = am.NoiseTrajectory([0.0, 1.0, 3.0, 4.0], vals)
+        i1 = tr.integral(t0, t1)
+        i2 = tr.square_integral(t0, t1)
+        assert i1.shape == i2.shape == vals.shape[:-1] + (len(t0),)
+        for w in range(len(t0)):
+            assert np.array_equal(i1[..., w], tr.integral(t0[w], t1[w]))
+            assert np.array_equal(i2[..., w], tr.square_integral(t0[w], t1[w]))
+    assert tr.integral(t0, t1)[1, 3] == pytest.approx(-2.0 * 1.5)
+
+
 def test_trajectory_shape_validation():
     with pytest.raises(ValueError):
         am.NoiseTrajectory([0.0, 1.0], [1.0, 2.0])

@@ -161,6 +161,18 @@ def test_fit_non_finite_csv_value_exits_2(runner, tmp_path, field):
     assert field in err["message"]
 
 
+def test_fit_csv_missing_reference_exits_2(runner, tmp_path):
+    data = tmp_path / "campaign.csv"
+    lines = small_campaign_csv().splitlines()
+    data.write_text("\n".join(lines[:4]) + "\n")   # three signal rows
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_type"] == "ConfigError"
+    assert "reference" in err["message"]
+
+
 def test_fit_missing_data_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["fit", "--data", str(tmp_path / "nope.csv"),
                                "--out", str(tmp_path / "o")])

@@ -287,6 +287,25 @@ def test_two_stage_theta_matches_joint():
     assert out["beta0"] == pytest.approx(0.0, abs=1e-5)
 
 
+def test_stalled_fringe_fit_stops_after_one_backtrack(monkeypatch):
+    # the full-contrast reference fringes converge against the probability
+    # clip; each fit must give up after one failed backtrack, not repeat
+    # the halvings of a step that cannot lower the NLL
+    camp = exact_campaign()
+    calls = []
+    nll = est._nll_and_derivs
+    monkeypatch.setattr(est, "_nll_and_derivs",
+                        lambda *a: calls.append(1) or nll(*a))
+    per_fit = []
+    for cell in camp.cells:
+        for fringe in (cell.fringe, cell.reference_fringe):
+            calls.clear()
+            est.fit_fringe_mle(fringe, compute_ci=False)
+            per_fit.append(len(calls))
+    assert max(per_fit) <= 64
+    assert sum(per_fit) <= 32 * len(per_fit)
+
+
 def test_bootstrap_exact_data_has_zero_width():
     camp = exact_campaign()
     model = IonModel()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ddquad import atommodel as am
 from ddquad import sequence as sq
@@ -172,6 +173,21 @@ def test_free_evolve_phase_integration_matches_brute_force():
     assert np.max(np.abs(direct - stepped)) < 1e-10
 
 
+def test_free_evolve_matches_level_frequencies():
+    # exp(-i 2pi Int nu dt), nu = lin*B + static + b2*B^2, written out per
+    # level and segment for a wait that runs past the last edge
+    tr = am.NoiseTrajectory([0.0, 3e-5, 9e-5], [2e-7, -1e-7])
+    lin, static, b2 = sq.level_coefficients(MODEL)
+    b0 = MODEL.field_cfg.B
+    phase = np.zeros(8)
+    for dt, offset in ((2e-5, 2e-7), (6e-5, -1e-7), (1.1e-4, -1e-7)):
+        b = b0 + offset
+        phase += -2 * math.pi * (lin * b + static + b2 * b * b) * dt
+    state = np.full(8, 1 / math.sqrt(8), dtype=complex)
+    got = sq.free_evolve(state, 1.9e-4, MODEL, tr, t_start=1e-5)
+    assert np.max(np.abs(got - state * np.exp(1j * phase))) < 1e-10
+
+
 def test_analytic_phase_uses_geometry():
     m1 = replace(NO_C2, field_cfg=replace(NO_C2.field_cfg, beta=0.0))
     m2 = replace(NO_C2, field_cfg=replace(NO_C2.field_cfg,
@@ -179,3 +195,118 @@ def test_analytic_phase_uses_geometry():
     assert sq.analytic_phase(4, 1e-4, m2) == pytest.approx(0.0, abs=1e-12)
     assert sq.analytic_phase(4, 1e-4, m1) == pytest.approx(
         8e-4 * am.arm_phase_rate(m1.trap, m1.theta, 0.0), rel=1e-12)
+
+
+# -- compiled executor against the one-element API ------------------------------
+
+def reference_run(initial, seq, model, trajectory=None):
+    """Left fold of ``free_evolve``/``apply_*_pulse`` over the elements,
+    one wait at a time: the executor without compilation."""
+    state = np.array(initial, dtype=complex)
+    t = 0.0
+    for element in seq.elements[:-1]:
+        if isinstance(element, sq.Wait):
+            state = sq.free_evolve(state, element.tau, model, trajectory,
+                                   t_start=t)
+            t += element.tau
+        elif isinstance(element, sq.RFPulse):
+            state = sq.apply_rf_pulse(state, element)
+        else:
+            state = sq.apply_optical_pulse(state, element)
+    return state
+
+
+# few distinct lengths, so adjacent and equal-length waits are common
+TAUS = st.sampled_from([0.0, 0.0, 5e-5, 1e-4, 2.5e-4])
+PHASES = st.floats(-10.0, 10.0)
+AREAS = st.one_of(st.floats(0.0, 2 * math.pi),
+                  st.floats(-0.05, 0.05).map(lambda e: math.pi * (1 + e)),
+                  st.floats(-0.05, 0.05).map(lambda e: math.pi / 2 * (1 + e)))
+ELEMENTS = st.one_of(
+    st.builds(sq.Wait, TAUS),
+    st.builds(sq.RFPulse, AREAS, PHASES),
+    st.builds(sq.OpticalPulse, st.sampled_from(am.D_M_VALUES), AREAS, PHASES))
+
+
+@st.composite
+def sequences(draw):
+    """Random element lists, or the echo sequence with pulse-area errors."""
+    if draw(st.booleans()):
+        elements = draw(st.lists(ELEMENTS, max_size=14))
+        return sq.PulseSequence(tuple(elements) + (sq.Measure(),))
+    seq = sq.build_quadrupole_dd_sequence(
+        draw(st.sampled_from([2, 4, 8])), draw(TAUS), draw(PHASES))
+    err = draw(st.floats(-0.05, 0.05))
+    return sq.PulseSequence(tuple(
+        replace(e, area=e.area * (1 + err))
+        if isinstance(e, (sq.RFPulse, sq.OpticalPulse)) else e
+        for e in seq.elements))
+
+
+@st.composite
+def cases(draw):
+    """(initial state, trajectory): a batch, or one 1-D state; no noise, a
+    constant offset per row, or a random walk whose last edge is finite
+    (waits past it run on the last value)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    single = draw(st.booleans())
+    rows = () if single else (draw(st.integers(1, 5)),)
+    state = rng.normal(size=rows + (8,)) + 1j * rng.normal(size=rows + (8,))
+    state /= np.linalg.norm(state, axis=-1, keepdims=True)
+    kind = draw(st.sampled_from(["none", "constant", "walk"]))
+    if kind == "none":
+        return state, None
+    lead = rows or draw(st.sampled_from([(), (1,)]))
+    if kind == "constant":
+        return state, am.NoiseTrajectory([0.0, np.inf],
+                                          rng.normal(0.0, 3e-7, lead + (1,)))
+    k = draw(st.integers(1, 6))
+    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-5, 2e-4, k))])
+    values = np.cumsum(rng.normal(0.0, 1e-7, lead + (k,)), axis=-1)
+    return state, am.NoiseTrajectory(edges, values)
+
+
+@given(sequences(), cases())
+def test_compiled_matches_reference_fold(seq, case):
+    initial, trajectory = case
+    got = sq.run_sequence(initial, seq, MODEL, trajectory)
+    want = reference_run(initial, seq, MODEL, trajectory)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-10
+    p_got = np.sum(np.abs(got[..., 2:]) ** 2, axis=-1)
+    p_want = np.sum(np.abs(want[..., 2:]) ** 2, axis=-1)
+    assert np.max(np.abs(p_got - p_want)) <= 1e-10
+
+
+@given(sequences(), cases())
+def test_norm_preserved(seq, case):
+    initial, trajectory = case
+    out = sq.run_sequence(initial, seq, MODEL, trajectory)
+    assert np.max(np.abs(np.sum(np.abs(out) ** 2, axis=-1) - 1.0)) <= 1e-12
+
+
+@given(st.sampled_from([2, 4, 8, 16]), st.floats(0.0, 5e-4), PHASES,
+       st.floats(0.0, 1e-6), st.integers(0, 2 ** 32 - 1))
+def test_echo_cancels_any_static_offset(n_echo, tau, laser_phase, sigma_b,
+                                        seed):
+    from ddquad.sampler import measure_population_D
+    seq = sq.build_quadrupole_dd_sequence(n_echo, tau, laser_phase)
+    noise = am.NoiseModel(kind="quasi_static", sigma_B=sigma_b)
+    tr = am.sample_noise_trajectory(noise, seq.duration(), seed, n_shots=4)
+    batch = np.tile(sq.initial_state(), (4, 1))
+    p_noisy = measure_population_D(sq.run_sequence(batch, seq, NO_C2, tr))
+    p_quiet = measure_population_D(sq.run_sequence(sq.initial_state(), seq,
+                                                   NO_C2))
+    assert np.max(np.abs(p_noisy - p_quiet)) <= 1e-9
+
+
+def test_compile_merges_waits_and_drops_empty_ones():
+    seq = sq.PulseSequence((
+        sq.Wait(0.0), sq.RFPulse(math.pi), sq.Wait(1e-4), sq.Wait(0.0),
+        sq.Wait(2e-4), sq.RFPulse(math.pi), sq.Wait(0.0), sq.Measure()))
+    steps, taus, starts, ends = sq._compile(seq.elements)
+    assert [isinstance(s, int) for s in steps] == [False, True, False]
+    assert taus == [pytest.approx(3e-4)]
+    assert starts == [0.0] and ends == [pytest.approx(3e-4)]
+    paper = sq.build_quadrupole_dd_sequence(8, 1e-4)
+    assert len(sq._compile(paper.elements)[1]) == 9   # 16 waits
