@@ -13,11 +13,16 @@ trajectory per row.
 ``run_sequence`` compiles a sequence before running it.  One pass over
 the elements merges adjacent waits and drops empty ones (the paper's
 16 waits become 9), and one pair of trajectory-integral calls gives the
-offset integrals of every merged wait.  The run then updates the state
-in place: one ``free_evolve`` per merged wait (real cos/sin of the
-small per-row offset phase, times one field-free factor per level) and
-each pulse on its own columns.  Called on their own, ``free_evolve``,
-``apply_rf_pulse`` and ``apply_optical_pulse`` return a new array.
+offset integrals of the waits.  The run then updates the state in place,
+each pulse on its own columns.  A wait's phase factors are real cos/sin
+of the small per-row offset phase times one field-free factor per level
+(``free_evolve``).  On a one-segment trajectory (no noise, or a
+quasi-static offset) they depend only on the wait's length, so they are
+computed once per distinct length (2 for the paper's signal sequence)
+and multiplied into the state at each wait; on a time-varying trajectory
+each merged wait is one in-place ``free_evolve``.  Called on their own,
+``free_evolve``, ``apply_rf_pulse`` and ``apply_optical_pulse`` return a
+new array.
 """
 
 from __future__ import annotations
@@ -277,27 +282,59 @@ def _compile(elements) -> tuple:
     return steps, taus, starts, ends
 
 
+def _check_shapes(state: np.ndarray, trajectory: NoiseTrajectory) -> None:
+    if state.ndim == 0 or state.shape[-1] != 8:
+        raise SimulationError(
+            f"initial state has shape {state.shape}; its last axis must "
+            "hold the 8 amplitudes")
+    rows = trajectory.values.shape[:-1]
+    if state.ndim > 1 and rows and state.shape[:-1] != rows:
+        raise SimulationError(
+            f"initial states of shape {state.shape} need one trajectory row "
+            f"each; the trajectory values have shape {trajectory.values.shape}")
+
+
 def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
                  trajectory: NoiseTrajectory | None = None) -> np.ndarray:
     """Run the sequence on the state; returns the pre-measurement state.
 
     ``initial`` may be a single state (8,) or a batch (n_shots, 8); a
-    batched trajectory applies row-wise.  The sequence is compiled once
-    (see ``_compile``) and every step then updates the state in place.
+    batched trajectory applies row-wise and needs one row per batch row
+    (a single state is run against every row).  The sequence is compiled
+    once (see ``_compile``) and every step then updates the state in
+    place.  On a one-segment trajectory the offset is constant in time,
+    so each distinct merged-wait length gets one ``free_evolve`` of an
+    all-ones state, and every wait of that length multiplies the state by
+    those factors; otherwise each merged wait is one ``free_evolve``.
     """
     steps, taus, starts, ends = _compile(seq.elements)
     state = np.array(initial, dtype=complex)
+    if trajectory is None:
+        trajectory = zero_trajectory()
+    _check_shapes(state, trajectory)
     if taus:
-        if trajectory is None:
-            trajectory = zero_trajectory()
+        # the last segment's value holds for all t >= 0, so with one
+        # segment a wait's integrals are [v tau, v^2 tau] wherever it starts
+        static = trajectory.values.shape[-1] == 1
+        if static:
+            lengths = list(dict.fromkeys(taus))
+            starts, ends = [0.0] * len(lengths), lengths
         integrals = _wait_integrals(starts, ends, trajectory, state.ndim == 1)
         shape = np.broadcast_shapes(state.shape, integrals.shape[1:-1] + (8,))
         if shape != state.shape:
             state = np.array(np.broadcast_to(state, shape))
+        if static:
+            ones = np.ones(integrals.shape[1:-1] + (8,), dtype=complex)
+            factors = {tau: free_evolve(ones, tau, model, integrals=wait)
+                       for tau, wait in zip(lengths, integrals)}
+            steps = [factors[taus[s]] if isinstance(s, int) else s
+                     for s in steps]
     for step in steps:
         if isinstance(step, int):
             free_evolve(state, taus[step], model, integrals=integrals[step],
                         out=state)
+        elif isinstance(step, np.ndarray):
+            state *= step
         else:
             _apply_pulse(state, *step)
     return state

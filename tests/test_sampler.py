@@ -107,6 +107,19 @@ def test_campaign_workers_equivalence():
     assert a.cells == b.cells
 
 
+def test_seeded_counts_are_pinned():
+    # one seeded quasi-static campaign's counts, pinned: a faster
+    # executor must reproduce them draw for draw
+    plan = sp.CampaignPlan(beta_list=(0.3,), gradient_list=(1e8,),
+                           tau_total_list=(4e-3,), shots_per_point=100,
+                           n_phases=8)
+    cell = sp.run_campaign(plan, MODEL, NOISE, 20160401).cells[0]
+    assert [p.k_D for p in cell.fringe.points] == \
+        [89, 49, 19, 0, 15, 50, 92, 100]
+    assert [p.k_D for p in cell.reference_fringe.points] == \
+        [0, 17, 46, 86, 100, 83, 53, 17]
+
+
 def test_per_angle_offsets_shift_signal_only():
     plan = sp.CampaignPlan(beta_list=(0.0,), gradient_list=(1e8,),
                            tau_total_list=(1e-3,), n_echo=4,

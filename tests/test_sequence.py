@@ -245,20 +245,23 @@ def sequences(draw):
 
 @st.composite
 def cases(draw):
-    """(initial state, trajectory): a batch, or one 1-D state; no noise, a
-    constant offset per row, or a random walk whose last edge is finite
-    (waits past it run on the last value)."""
+    """(initial state, trajectory): a batch, or one 1-D state that may
+    drive several trajectory rows; no noise, a constant offset per row
+    (one segment, its last edge infinite or inside the sequence), or a
+    random walk whose last edge is finite (waits past it run on the last
+    value)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     single = draw(st.booleans())
     rows = () if single else (draw(st.integers(1, 5)),)
     state = rng.normal(size=rows + (8,)) + 1j * rng.normal(size=rows + (8,))
     state /= np.linalg.norm(state, axis=-1, keepdims=True)
-    kind = draw(st.sampled_from(["none", "constant", "walk"]))
+    kind = draw(st.sampled_from(["none", "constant", "short", "walk"]))
     if kind == "none":
         return state, None
-    lead = rows or draw(st.sampled_from([(), (1,)]))
-    if kind == "constant":
-        return state, am.NoiseTrajectory([0.0, np.inf],
+    lead = rows or draw(st.sampled_from([(), (1,), (3,)]))
+    if kind in ("constant", "short"):
+        last = np.inf if kind == "constant" else 1e-4
+        return state, am.NoiseTrajectory([0.0, last],
                                           rng.normal(0.0, 3e-7, lead + (1,)))
     k = draw(st.integers(1, 6))
     edges = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-5, 2e-4, k))])
@@ -310,3 +313,47 @@ def test_compile_merges_waits_and_drops_empty_ones():
     assert starts == [0.0] and ends == [pytest.approx(3e-4)]
     paper = sq.build_quadrupole_dd_sequence(8, 1e-4)
     assert len(sq._compile(paper.elements)[1]) == 9   # 16 waits
+
+
+def test_static_trajectory_computes_each_wait_length_once(monkeypatch):
+    calls = []
+    free_evolve = sq.free_evolve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return free_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(sq, "free_evolve", counting)
+    batch = np.broadcast_to(sq.initial_state(), (300, 8))
+
+    def count(tau, noise):
+        seq = sq.build_quadrupole_dd_sequence(8, tau, laser_phase=0.7)
+        tr = am.sample_noise_trajectory(noise, seq.duration(), 4, n_shots=300)
+        calls.clear()
+        sq.run_sequence(batch, seq, MODEL, tr)
+        return len(calls)
+
+    static = am.NoiseModel(kind="quasi_static", sigma_B=1e-7)
+    walk = am.NoiseModel(kind="random_walk", drift_rate_sigma=1e-4,
+                         step_dt=5e-5)
+    assert count(2.5e-4, static) == 2          # tau, 2 tau
+    assert count(2.5e-4, walk) == 9            # one per merged wait
+    assert count(0.0, static) == 0
+
+
+@pytest.mark.parametrize("initial, values, tau, named", [
+    # last axis not 8
+    (np.ones((4, 6)), np.zeros((4, 1)), 1e-4, [(4, 6)]),
+    # 5 states against 3 trajectory rows
+    (np.ones((5, 8)), np.zeros((3, 2)), 1e-4, [(5, 8), (3, 2)]),
+    # the same without a wait (the tau = 0 reference sequence)
+    (np.ones((5, 8)), np.zeros((3, 1)), 0.0, [(5, 8), (3, 1)]),
+], ids=["last_axis", "rows", "rows_without_wait"])
+def test_run_sequence_rejects_mismatched_shapes(initial, values, tau, named):
+    from ddquad.errors import SimulationError
+    seq = sq.build_quadrupole_dd_sequence(2, tau)
+    tr = am.NoiseTrajectory(np.arange(values.shape[-1] + 1) * 1e-4, values)
+    with pytest.raises(SimulationError) as info:
+        sq.run_sequence(initial, seq, MODEL, tr)
+    for shape in named:
+        assert str(shape) in str(info.value)
