@@ -243,6 +243,7 @@ def simulate_fringe(seed, config_path, out, sets, tau_total, reference):
 def _fringe_fit_doc(fit):
     return {"phase": fit.phase, "contrast": fit.contrast, "offset": fit.offset,
             "phase_sigma": fit.phase_sigma, "ci95_phase": list(fit.ci95_phase),
+            "ci95_phase_clamped": list(fit.ci95_phase_clamped),
             "neg_log_likelihood": fit.neg_log_likelihood}
 
 
@@ -308,7 +309,8 @@ def _joint_fit_doc(result, chash, digest):
 @_common
 @click.option("--sequence-file", type=click.Path(), default=None,
               help="DSL file; its echo block sets n_echo for the campaign.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="Accepted for compatibility; cells always run serially.")
 def run_campaign_cmd(seed, config_path, out, sets, sequence_file, workers):
     """Simulate the full (beta, gradient, tau_total) campaign and fit it."""
     cfg = _load_scenario(config_path, seed, sets)
@@ -411,7 +413,8 @@ def fit_cmd(seed, config_path, out, sets, data_path, zeeman2_hz):
 @_common
 @click.option("--replications", type=int, default=1, show_default=True,
               help="Number of independently seeded campaign replications.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="Accepted for compatibility; cells always run serially.")
 @click.option("--no-noise", is_flag=True,
               help="Disable field noise, detection errors and shot noise "
                    "(exact probabilities): deterministic identifiability run.")

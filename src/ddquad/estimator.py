@@ -16,25 +16,26 @@ subtracted phases under
 
 with per-angle intercepts c_k.  At fixed b0 the model is linear in
 (c_k, Theta, Theta*eps1); variable projection (Golub & Pereyra 1973)
-solves those in closed form inside a 1-D Brent search over b0, and the
-asymmetric 95% CI on Theta profiles the same search with Theta fixed.
+solves those in closed form from weighted moments of the data, and b0
+is the global minimum of what remains.  The asymmetric 95% CI on Theta
+profiles the same search with Theta fixed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .atommodel import ARM_RATE_PER_GRADIENT_THETA
 from .errors import (DegenerateDataError, FitConvergenceError,
                      NonIdentifiableError)
 from .sampler import CampaignDataset, FringeDataset
 
-CHI2_95_1DOF = 3.841458820694124  # scipy.stats.chi2.ppf(0.95, 1)
+CHI2_95_1DOF = 3.841458820694124  # 95% quantile of chi^2 with 1 dof
 
 
 def wrap_phase(phi: float) -> float:
@@ -53,6 +54,7 @@ class FringeFit:
     neg_log_likelihood: float
     cov: np.ndarray = field(compare=False)   # 3x3 in (phase, contrast, offset)
     ci95_phase: tuple = (0.0, 0.0)
+    ci95_phase_clamped: tuple = ()   # "lower"/"upper": left at phase -+ pi
 
     @property
     def phase_sigma(self) -> float:
@@ -85,10 +87,6 @@ class JointFitResult:
     chi2: float
     ndof: int
     fit_diagnostics: dict = field(compare=False, default_factory=dict)
-
-
-def _design(phis):
-    return np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
 
 
 def _nll_and_derivs(params, x, k, n):
@@ -186,7 +184,7 @@ def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
     if h0 > h_max > 0.0:
         b0 *= h_max / h0
         c0 *= h_max / h0
-    x = _design(phis)
+    x = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
     (a, b, c), nll, n_iter = _newton_abc(x, k, n, (a0, b0, c0))
 
     contrast = 2.0 * math.hypot(b, c)
@@ -210,39 +208,60 @@ def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
                                   {"iterations": n_iter}) from None
 
     sigma = math.sqrt(max(cov[0, 0], 1e-18))
-    if compute_ci:
-        ci = _profile_phase_ci(x, k, n, phase, (a, b, c), nll, sigma)
-    else:
-        ci = (phase - 1.96 * sigma, phase + 1.96 * sigma)
+    ci, clamped = (phase - 1.96 * sigma, phase + 1.96 * sigma), ()
+    if compute_ci:    # profile likelihood; a side that never crosses is clamped
+        def q(phi):
+            _, nll_phi, _ = _newton_abc(x, k, n, (a, b, c), fix_phase=phi,
+                                        max_iter=80)
+            return float(2.0 * (nll_phi - nll) - CHI2_95_1DOF)
+
+        ci, clamped = _profile_interval(q, phase, max(sigma, 1e-9), 1e-8,
+                                        math.pi)
     return FringeFit(phase=phase, contrast=min(contrast, 1.0), offset=a,
-                     neg_log_likelihood=nll, cov=cov, ci95_phase=ci)
+                     neg_log_likelihood=nll, cov=cov, ci95_phase=ci,
+                     ci95_phase_clamped=clamped)
 
 
-def _profile_phase_ci(x, k, n, phase, abc, nll_min, sigma_guess):
-    """Profile-likelihood 95% interval on the fringe phase."""
-
-    def q(phi):
-        _, nll, _ = _newton_abc(x, k, n, abc, fix_phase=phi, max_iter=80)
-        return 2.0 * (nll - nll_min) - CHI2_95_1DOF
-
-    bounds = []
-    for direction in (+1.0, -1.0):
-        step = max(sigma_guess, 1e-9)
-        lo, hi = 0.0, step
+def _profile_interval(q, center, step, xtol, cap=math.inf):
+    """Where q (q(center) = -CHI2_95_1DOF) crosses zero on each side of
+    ``center``: offsets double from ``step`` (up to ``cap``) until q > 0, then
+    ``_find_root``.  Returns (bounds, sides left uncrossed at the last offset)."""
+    bounds, clamped = [], []
+    for side, sign in (("lower", -1.0), ("upper", 1.0)):
+        f = lambda d: q(center + sign * d)
+        lo, q_lo, hi = 0.0, -CHI2_95_1DOF, step
         for _ in range(60):
-            if q(phase + direction * hi) > 0:
+            q_hi = f(hi)
+            if q_hi > 0.0 or hi >= cap:
                 break
-            lo = hi
-            hi = min(hi * 2.0, math.pi)
-            if hi >= math.pi:
-                break
-        if q(phase + direction * hi) <= 0:
-            bounds.append(phase + direction * math.pi)
-            continue
-        root = brentq(lambda d: q(phase + direction * d), lo, hi, xtol=1e-8)
-        bounds.append(phase + direction * root)
-    hi_b, lo_b = bounds
-    return (lo_b, hi_b)
+            lo, q_lo, hi = hi, q_hi, min(2.0 * hi, cap)
+        if q_hi > 0.0:
+            hi = _find_root(f, lo, hi, q_lo, q_hi, xtol)[0]
+        else:
+            clamped.append(side)
+        bounds.append(center + sign * hi)
+    return tuple(bounds), tuple(clamped)
+
+
+def _find_root(f, a, b, fa, fb, xtol):
+    """Root of ``f`` to ``xtol`` between ``a`` and ``b`` (fa = f(a) and
+    fb = f(b) differ in sign) by regula falsi with the Anderson-Bjorck
+    step (BIT 12, 503 (1972)).  Returns (root, evaluations of f)."""
+    for evaluations in range(100):
+        if abs(b - a) <= xtol or fb == 0.0:
+            return (b if abs(fb) <= abs(fa) else a), evaluations
+        c = b - fb * (b - a) / (fb - fa)
+        if abs(c - b) < 0.5 * xtol:     # b has converged: step just past it
+            c = b + math.copysign(0.5 * xtol, a - b)
+        fc = f(c)
+        if (fc > 0.0) == (fb > 0.0):    # root between a and c: damp f(a)
+            m = 1.0 - fc / fb
+            fa *= m if m > 0.0 else 0.5
+        else:                           # root between b and c
+            a, fa = b, fb
+        b, fb = c, fc
+    raise FitConvergenceError("root search did not converge",
+                              {"bracket": [a, b]})
 
 
 def phase_difference(signal: FringeFit, reference: FringeFit) -> float:
@@ -261,7 +280,7 @@ def weighted_linear_fit(x, y, sigma) -> LinearFit:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    if len(np.unique(x)) < 2:
+    if len(set(x.tolist())) < 2:
         raise DegenerateDataError("need at least 2 distinct abscissa values")
     w = 1.0 / sigma ** 2
     design = np.stack([x, np.ones_like(x)], axis=1)
@@ -283,38 +302,20 @@ def weighted_linear_fit(x, y, sigma) -> LinearFit:
 
 
 def fit_phase_vs_time(points) -> dict:
-    """Weighted linear fit of unwrapped phase vs total time.
-
-    ``points`` is a sequence of (tau_total, phase, phase_sigma).
-    Returns slope in rad/s and Hz, with the intercept kept as a
-    diagnostic.
-    """
-    taus = [p[0] for p in points]
-    fit = weighted_linear_fit(taus, [p[1] for p in points], [p[2] for p in points])
-    return {
-        "slope": fit.slope, "slope_hz": fit.slope / (2.0 * math.pi),
-        "slope_sigma": fit.slope_sigma,
-        "slope_hz_sigma": fit.slope_sigma / (2.0 * math.pi),
-        "ci95_slope": fit.ci95_slope,
-        "intercept": fit.intercept, "intercept_sigma": fit.intercept_sigma,
-        "chi2": fit.chi2, "ndof": fit.ndof, "fit": fit,
-    }
+    """Weighted linear fit of unwrapped phase vs total time.  ``points``:
+    sequence of (tau_total, phase, phase_sigma).  Returns the ``LinearFit``
+    fields (slope in rad/s), the slope in Hz, and the fit under "fit"."""
+    fit = weighted_linear_fit(*zip(*points))
+    return {**asdict(fit), "fit": fit, "slope_hz": fit.slope / (2.0 * math.pi),
+            "slope_hz_sigma": fit.slope_sigma / (2.0 * math.pi)}
 
 
 def fit_frequency_vs_gradient(points) -> dict:
-    """Weighted linear fit of frequency shift vs field gradient.
-
-    ``points``: sequence of (dEz_dz, frequency_hz, sigma_hz).  The
-    intercept diagnoses stray static gradients.
-    """
-    fit = weighted_linear_fit([p[0] for p in points], [p[1] for p in points],
-                              [p[2] for p in points])
-    return {
-        "slope": fit.slope, "slope_sigma": fit.slope_sigma,
-        "ci95_slope": fit.ci95_slope,
-        "intercept": fit.intercept, "intercept_sigma": fit.intercept_sigma,
-        "chi2": fit.chi2, "ndof": fit.ndof, "fit": fit,
-    }
+    """Weighted linear fit of frequency shift vs field gradient.  ``points``:
+    sequence of (dEz_dz, frequency_hz, sigma_hz).  Returns the ``LinearFit``
+    fields and the fit under "fit"; the intercept diagnoses stray gradients."""
+    fit = weighted_linear_fit(*zip(*points))
+    return {**asdict(fit), "fit": fit}
 
 
 def unwrap_by_continuity(x, phases, anchor: float = 0.0):
@@ -343,23 +344,32 @@ def unwrap_by_continuity(x, phases, anchor: float = 0.0):
 
 class _JointModel:
     """Gaussian -2lnL of all phases with per-angle intercepts profiled out
-    (none when ``angle_index`` is None)."""
+    (none when ``angle_index`` is None).  With basis = scale * [1, cos 2beta,
+    sin 2beta] and v = (cos 2beta0, -sin 2beta0) the model is a basis[0] +
+    b v . basis[1:], (a, b) = Theta (1, 3) / 2 + Theta eps1 cos 2alpha
+    (1, -1) / 2, so the weighted moments of the centered basis and phases
+    give chi^2 at any beta0."""
 
     def __init__(self, beta_nominal, gradients, tau_total, phases, sigmas,
                  angle_index, alpha_trap, float_epsilon1):
-        self.beta = np.asarray(beta_nominal, dtype=float)
-        self.scale = (np.asarray(tau_total, dtype=float)
-                      * ARM_RATE_PER_GRADIENT_THETA
-                      * np.asarray(gradients, dtype=float))
+        two_beta = 2.0 * np.asarray(beta_nominal, dtype=float)
+        scale = (np.asarray(tau_total, dtype=float)
+                 * ARM_RATE_PER_GRADIENT_THETA
+                 * np.asarray(gradients, dtype=float))
+        self.basis = scale * np.array([np.ones_like(two_beta), np.cos(two_beta),
+                                       np.sin(two_beta)])
         self.phi = np.asarray(phases, dtype=float)
         self.w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
         self.groups = (np.zeros((0, len(self.phi))) if angle_index is None
                        else np.eye(max(angle_index) + 1)[angle_index].T)
-        self.n_angles = len(self.groups)
         self.wsum = self.groups @ self.w
-        self.alpha_trap = alpha_trap
+        self.cos2a = math.cos(2.0 * alpha_trap)
         self.float_epsilon1 = float_epsilon1
-        self.phi_centered = self._center(self.phi)
+        basis, y = self._center(self.basis), self._center(self.phi)
+        wbasis = basis * self.w
+        self.moments = tuple((wbasis @ y).tolist()
+                             + (wbasis @ basis.T)[np.triu_indices(3)].tolist()
+                             + [float(self.w @ (y * y))])
 
     def _angle_means(self, v):
         return (v * self.w) @ self.groups.T / self.wsum
@@ -368,70 +378,90 @@ class _JointModel:
         """``v`` (rows of per-point values) minus its weighted per-angle means."""
         return v - self._angle_means(v) @ self.groups
 
-    def columns(self, beta0):
-        """Model phase per unit Theta and per unit Theta*eps1."""
-        c = np.cos(self.beta + beta0)
-        s = np.sin(self.beta + beta0)
-        return self.scale * np.array([3.0 * c * c - 1.0,
-                                      s * s * math.cos(2.0 * self.alpha_trap)])
-
-    def project(self, beta0, theta=None):
-        """Variable projection at fixed beta0: chi^2 minimized over the
-        intercepts and (Theta[, Theta*eps1]) in closed form, with Theta
-        held at ``theta`` when given.  Returns (chi2, linear parameters)."""
-        cols = self._center(self.columns(beta0)[:2 if self.float_epsilon1 else 1])
-        y = self.phi_centered
-        if theta is not None:
-            y = y - theta * cols[0]
-            cols = cols[1:]
-        wcols = cols * self.w
-        try:
-            lin = np.linalg.solve(wcols @ cols.T, wcols @ y)
-        except np.linalg.LinAlgError:
-            raise NonIdentifiableError(
-                "likelihood is flat in Theta (e.g. all gradients zero)") from None
-        y = y - lin @ cols
-        return float(np.sum(self.w * y * y)), lin
+    def profile(self, c, s, theta=None):
+        """chi^2 minimized over the intercepts and (a, b) at cos 2beta0 = ``c``,
+        sin 2beta0 = ``s`` (floats, or arrays of many beta0), with Theta held
+        at ``theta`` when given.  Returns (chi^2, d chi^2/d beta0, a, b)."""
+        h0, h1, h2, g00, g01, g02, g11, g12, g22, yy = self.moments
+        hv, hw = h1 * c - h2 * s, -h1 * s - h2 * c     # w = dv / d(2 beta0)
+        gv, gw = g01 * c - g02 * s, -g01 * s - g02 * c
+        gvv = g11 * c * c - 2.0 * g12 * c * s + g22 * s * s
+        gvw = (g22 - g11) * c * s + g12 * (s * s - c * c)
+        if theta is None and self.float_epsilon1:
+            det = g00 * gvv - gv * gv
+            a, b = (gvv * h0 - gv * hv) / det, (g00 * hv - gv * h0) / det
+        else:
+            if theta is None:
+                theta = (h0 + 3.0 * hv) / (0.5 * g00 + 3.0 * gv + 4.5 * gvv)
+            a, b = 0.5 * theta, 1.5 * theta
+            if self.float_epsilon1:     # Theta eps1 moves (a, b) along (1, -1)
+                u = ((h0 - hv - (g00 - gv) * a - (gv - gvv) * b)
+                     / (g00 - 2.0 * gv + gvv))
+                a, b = a + u, b - u
+        r0, rv = h0 - g00 * a - gv * b, hv - gv * a - gvv * b
+        return (yy - a * (h0 + r0) - b * (hv + rv),
+                -4.0 * b * (hw - gw * a - gvw * b), a, b)
 
     def chi2_and_offsets(self, params):
         theta, beta0 = params[0], params[1]
-        eps1 = params[2] if self.float_epsilon1 else 0.0
-        cols = self.columns(beta0)
-        resid = self.phi - theta * (cols[0] + eps1 * cols[1])
+        e = params[2] * self.cos2a if self.float_epsilon1 else 0.0
+        v = (math.cos(2.0 * beta0), -math.sin(2.0 * beta0))
+        resid = self.phi - 0.5 * theta * ((1.0 + e) * self.basis[0]
+                                          + (3.0 - e) * (v @ self.basis[1:]))
         offsets = self._angle_means(resid)
         resid = resid - offsets @ self.groups
         return float(np.sum(self.w * resid ** 2)), offsets
 
-    def chi2(self, params):
-        return self.chi2_and_offsets(params)[0]
+
+_GRID = np.linspace(-math.pi / 2.0, math.pi / 2.0, 64, endpoint=False)
+_GRID_COS, _GRID_SIN = np.cos(2.0 * _GRID), np.sin(2.0 * _GRID)
 
 
-def _search_beta0(model, theta=None, start=0.0):
-    """Brent search for the beta0 that minimizes ``model.project``,
-    downhill from a bracket of +-0.1 rad around ``start``."""
-    res = minimize_scalar(lambda b0: model.project(b0, theta)[0],
-                          bracket=(start - 0.1, start + 0.1), method="brent")
-    if not res.success:
-        raise FitConvergenceError("beta0 search did not converge",
-                                  {"iterations": int(res.nit),
-                                   "beta0": float(res.x)})
-    return res
+def _search_beta0(model, theta=None):
+    """Global minimum of ``model.profile`` over beta0 (period pi): a grid
+    over one period, then the root of d chi^2/d beta0 next to each local
+    minimum of the grid.  Minima whose chi^2 agree to 1e-10 of y^T W y
+    are ties: with eps1 free, beta0 and beta0 + pi/2 always tie and the
+    partner has |eps1| >= 1 / |cos 2alpha|; two angles leave a discrete
+    choice.  Of the ties, one with |eps1| <= 1 nearest 0 is kept.
+    Returns (beta0 in (-pi/2, pi/2], chi^2, a, b, evaluations)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi2, slope, _, _ = model.profile(_GRID_COS, _GRID_SIN, theta)
+    chi2 = np.where(np.isfinite(chi2), chi2, np.inf)
+    if chi2.min() == np.inf:
+        raise NonIdentifiableError(
+            "likelihood is flat in Theta (e.g. all gradients zero)")
+    minima = np.flatnonzero((chi2 < np.inf) & (chi2 <= np.roll(chi2, 1))
+                            & (chi2 <= np.roll(chi2, -1)))
+    at = lambda b0: model.profile(math.cos(2.0 * b0), math.sin(2.0 * b0), theta)
+    grid, slope = _GRID.tolist(), slope.tolist()
+    fits, evaluations = [], 1
+    for i in minima:
+        side = 1 if slope[i] < 0.0 else -1      # towards the downhill neighbour
+        f_far = slope[(i + side) % len(grid)]
+        if slope[i] * f_far > 0.0:
+            raise FitConvergenceError("no minimum of chi^2 bracketed in beta0",
+                                      {"beta0": grid[i]})
+        beta0, n = _find_root(lambda b0: at(b0)[1], grid[i] + side * math.pi
+                              / len(grid), grid[i], f_far, slope[i], 1e-15)
+        chi2_i, _, a, b = at(beta0)
+        fits.append((wrap_phase(2.0 * beta0) / 2.0, chi2_i, a, b))
+        evaluations += n
+    tied = min(f[1] for f in fits) + 1e-10 * model.moments[-1]
+    # |eps1| > 1 where |3a - b| > |cos 2alpha (a + b)|; without eps1, 3a = b
+    return min((f for f in fits if f[1] <= tied), key=lambda f: (
+        abs(3.0 * f[2] - f[3]) > abs(model.cos2a * (f[2] + f[3])), abs(f[0]))
+    ) + (evaluations,)
 
 
 def _numeric_hessian(fun, x, rel_step=1e-5):
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    h = np.maximum(np.abs(x), 1.0) * rel_step
-    hess = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n); ei[i] = h[i]
-            ej = np.zeros(n); ej[j] = h[j]
-            f_pp = fun(x + ei + ej)
-            f_pm = fun(x + ei - ej)
-            f_mp = fun(x - ei + ej)
-            f_mm = fun(x - ei - ej)
-            hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4 * h[i] * h[j])
+    steps = np.diag(np.maximum(np.abs(x), 1.0) * rel_step)
+    hess = np.empty((len(x), len(x)))
+    for i, j in itertools.combinations_with_replacement(range(len(x)), 2):
+        ei, ej = steps[i], steps[j]
+        f = [fun(x + si * ei + sj * ej) for si in (1, -1) for sj in (1, -1)]
+        hess[i, j] = hess[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4 * ei[i] * ej[j])
     return hess
 
 
@@ -446,7 +476,9 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
     grouping is inferred from equal beta_nominal values.
     """
     beta_nominal = np.asarray(beta_nominal, dtype=float)
-    unique_angles, angle_index = np.unique(beta_nominal, return_inverse=True)
+    # not np.unique: its first call imports numpy.ma, 20-45 ms of a cold run
+    unique_angles = sorted(set(beta_nominal.tolist()))
+    angle_index = np.searchsorted(unique_angles, beta_nominal)
     if len(unique_angles) < 2:
         raise NonIdentifiableError(
             "need phases at >= 2 magnetic-field angles to separate Theta "
@@ -454,71 +486,43 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
     model = _JointModel(beta_nominal, gradients, tau_total, phases, sigmas,
                         angle_index, alpha_trap, float_epsilon1)
 
-    search = _search_beta0(model)
-    _, lin = model.project(search.x)
-    x = np.array([lin[0], search.x] + ([lin[1] / lin[0]] if float_epsilon1 else []))
+    beta0, chi2_search, a, b, evaluations = _search_beta0(model)
+    x = np.array([(a + b) / 2.0, beta0]
+                 + ([(3.0 * a - b) / (model.cos2a * (a + b))]
+                    if float_epsilon1 else []))
     chi2_min, offsets = model.chi2_and_offsets(x)
-    hess = _numeric_hessian(model.chi2, x)
-    curvature = hess[0, 0]
-    if not np.isfinite(curvature) or curvature <= 1e-10:
+    hess = _numeric_hessian(lambda p: model.chi2_and_offsets(p)[0], x)
+    if not np.isfinite(hess[0, 0]) or hess[0, 0] <= 1e-10:
         raise NonIdentifiableError(
             "likelihood is flat in Theta (e.g. all angles at the magic angle)")
-    try:
-        cov = np.linalg.inv(hess / 2.0)   # chi2 = -2 lnL => information = H/2
-        theta_sigma = math.sqrt(max(cov[0, 0], 0.0))
+    try:   # chi2 = -2 lnL => information = H/2
+        theta_sigma = math.sqrt(max(np.linalg.inv(hess / 2.0)[0, 0], 0.0))
     except np.linalg.LinAlgError:
         raise NonIdentifiableError("singular joint-fit information matrix") from None
 
     theta_hat = float(x[0])
-    if compute_ci:
-        ci, profile_samples = _profile_theta_ci(model, x, chi2_min, theta_sigma)
-    else:   # Gaussian approximation; used by e.g. bootstrap resampling
-        ci = (theta_hat - 1.96 * theta_sigma, theta_hat + 1.96 * theta_sigma)
-        profile_samples = []
+    ci = (theta_hat - 1.96 * theta_sigma, theta_hat + 1.96 * theta_sigma)
+    samples = []    # (Theta, delta chi^2) along the profile
+    if compute_ci:  # else Gaussian; used by e.g. bootstrap resampling
+        def q(theta):   # against the moment-form chi^2 of the fit itself
+            delta = _search_beta0(model, theta)[1] - chi2_search
+            samples.append((theta, delta))
+            return delta - CHI2_95_1DOF
+
+        ci, clamped = _profile_interval(q, theta_hat, max(theta_sigma, 1e-9)
+                                        * 1.96, 1e-11)
+        if clamped:
+            raise FitConvergenceError("profile likelihood never crossed the "
+                                      "95% threshold", {"sides": list(clamped)})
     return JointFitResult(
         theta=theta_hat, beta0=float(x[1]),
         epsilon1=float(x[2]) if float_epsilon1 else 0.0,
         per_angle_offsets=tuple(float(c) for c in offsets),
         ci95_theta=ci, theta_sigma=theta_sigma,
-        chi2=chi2_min, ndof=len(phases) - len(x) - model.n_angles,
-        fit_diagnostics={"iterations": int(search.nit), "converged": True,
-                         "profile_samples": profile_samples,
+        chi2=chi2_min, ndof=len(phases) - len(x) - len(unique_angles),
+        fit_diagnostics={"iterations": evaluations, "converged": True,
+                         "profile_samples": sorted(samples),
                          "angles": [float(a) for a in unique_angles]})
-
-
-def _profile_theta_ci(model, x_hat, chi2_min, sigma):
-    """Asymmetric 95% interval from the Theta profile likelihood."""
-    beta0 = [x_hat[1]]
-
-    def profile_chi2(theta):
-        res = _search_beta0(model, theta, start=beta0[0])
-        beta0[0] = res.x   # warm start for the next profile point
-        return res.fun
-
-    samples = []
-
-    def q(theta):
-        val = profile_chi2(theta) - chi2_min - CHI2_95_1DOF
-        samples.append((float(theta), float(val + CHI2_95_1DOF)))
-        return val
-
-    theta_hat = x_hat[0]
-    bounds = []
-    for direction in (-1.0, +1.0):
-        step = max(sigma, 1e-9) * 1.96
-        lo, hi = 0.0, step
-        for _ in range(60):
-            if q(theta_hat + direction * hi) > 0:
-                break
-            lo = hi
-            hi *= 2.0
-        else:
-            raise FitConvergenceError("profile likelihood never crossed the "
-                                      "95% threshold", {"direction": direction})
-        root = brentq(lambda d: q(theta_hat + direction * d), lo, hi,
-                      xtol=1e-7)
-        bounds.append(theta_hat + direction * root)
-    return (bounds[0], bounds[1]), sorted(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -548,28 +552,23 @@ def extract_cell_phases(campaign: CampaignDataset,
     C2*B^2; it enters the accumulated phase with sign opposite to the
     quadrupole term and is removed here as a deterministic systematic.
     """
-    raw = []
+    groups: dict = {}
     for cell in campaign.cells:
         sig = fit_fringe_mle(cell.fringe, compute_ci=False)
         ref = fit_fringe_mle(cell.reference_fringe, compute_ci=False)
-        phi = phase_difference(sig, ref)
-        phi += 2.0 * math.pi * zeeman2_hz * cell.tau_total
-        sigma = math.hypot(sig.phase_sigma, ref.phase_sigma)
-        raw.append([cell.beta_nominal, cell.dEz_dz, cell.tau_total, phi, sigma,
-                    sig, ref])
+        phi = (phase_difference(sig, ref)
+               + 2.0 * math.pi * zeeman2_hz * cell.tau_total)
+        groups.setdefault((cell.beta_nominal, cell.dEz_dz), []).append(
+            (cell, phi, sig, ref))
     out = []
-    groups: dict = {}
-    for rec in raw:
-        groups.setdefault((rec[0], rec[1]), []).append(rec)
     for recs in groups.values():
-        taus = [r[2] for r in recs]
-        phases = [r[3] for r in recs]
-        unwrapped, ambiguous = unwrap_by_continuity(taus, phases)
-        for r, phi_u in zip(recs, unwrapped):
-            out.append(CellPhase(beta_nominal=r[0], dEz_dz=r[1], tau_total=r[2],
-                                 phi_total=float(phi_u), sigma=r[4],
-                                 ambiguous=ambiguous,
-                                 signal_fit=r[5], reference_fit=r[6]))
+        unwrapped, ambiguous = unwrap_by_continuity(
+            [r[0].tau_total for r in recs], [r[1] for r in recs])
+        out += [CellPhase(beta_nominal=cell.beta_nominal, dEz_dz=cell.dEz_dz,
+                          tau_total=cell.tau_total, phi_total=float(phi_u),
+                          sigma=math.hypot(sig.phase_sigma, ref.phase_sigma),
+                          ambiguous=ambiguous, signal_fit=sig, reference_fit=ref)
+                for (cell, _, sig, ref), phi_u in zip(recs, unwrapped)]
     return out
 
 
@@ -615,13 +614,11 @@ def two_stage_theta(cell_phases, alpha_trap: float = math.pi / 4) -> dict:
     model = _JointModel([s[0] for s in slopes], np.full(len(slopes), 0.5 / math.pi),
                         np.ones(len(slopes)), [s[1] for s in slopes],
                         [s[2] for s in slopes], None, alpha_trap, False)
-    search = _search_beta0(model)
-    _, lin = model.project(search.x)
-    x = [lin[0], search.x]
-    hess = _numeric_hessian(model.chi2, x)
+    beta0, _, a, b, _ = _search_beta0(model)
+    x = [(a + b) / 2.0, beta0]
+    hess = _numeric_hessian(lambda p: model.chi2_and_offsets(p)[0], x)
     try:
-        cov = np.linalg.inv(hess / 2.0)
-        sigma_theta = math.sqrt(max(cov[0, 0], 0.0))
+        sigma_theta = math.sqrt(max(np.linalg.inv(hess / 2.0)[0, 0], 0.0))
     except np.linalg.LinAlgError:
         sigma_theta = float("nan")
     return {"theta": float(x[0]), "beta0": float(x[1]),

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -181,8 +180,9 @@ def run_campaign(plan: CampaignPlan, model: IonModel, noise: NoiseModel,
                  rng_seed, detection: DetectionModel | None = None,
                  phi_grid=None, workers: int = 1) -> CampaignDataset:
     """Simulate every (beta, gradient, tau_total) cell plus its tau=0
-    reference fringe.  Results are bit-identical regardless of
-    ``workers``: each cell draws from its own seed substream."""
+    reference fringe, one cell after another; each cell draws from its
+    own seed substream.  ``workers`` is accepted for compatibility and
+    ignored: a thread pool over cells made campaigns slower."""
     if phi_grid is None:
         phi_grid = default_phi_grid(plan.n_phases)
     specs = []
@@ -211,12 +211,7 @@ def run_campaign(plan: CampaignPlan, model: IonModel, noise: NoiseModel,
                             tau_total=tau_total, fringe=fringe,
                             reference_fringe=reference)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(simulate, specs))
-    else:
-        cells = [simulate(s) for s in specs]
-    return CampaignDataset(tuple(cells),
+    return CampaignDataset(tuple(simulate(s) for s in specs),
                            plan_snapshot=plan_snapshot(plan, rng_seed),
                            model_snapshot=model_snapshot(model, noise, detection))
 

@@ -211,11 +211,13 @@ def _apply_pulse(state: np.ndarray, columns, u_t: np.ndarray) -> np.ndarray:
 
 def apply_optical_pulse(state: np.ndarray, pulse: OpticalPulse) -> np.ndarray:
     """Two-level rotation on {|S,-1/2>, |D,target_m>}; identity elsewhere."""
+    _check_shapes(state)
     return _apply_pulse(state.copy(), *_pulse_op(pulse))
 
 
 def apply_rf_pulse(state: np.ndarray, pulse: RFPulse) -> np.ndarray:
     """Spin-5/2 rotation on the six D amplitudes; identity on S."""
+    _check_shapes(state)
     return _apply_pulse(state.copy(), *_pulse_op(pulse))
 
 
@@ -235,10 +237,11 @@ def free_evolve(state: np.ndarray, tau: float, model: IonModel,
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if integrals is None:
-        if tau == 0:
-            return state.copy()
         if trajectory is None:
             trajectory = zero_trajectory()
+        _check_shapes(state, trajectory)
+        if tau == 0:
+            return state.copy()
         integrals = _wait_integrals([t_start], [t_start + tau], trajectory,
                                     state.ndim == 1)[0]
     field_free, offset = _phase_rates(model)
@@ -282,15 +285,16 @@ def _compile(elements) -> tuple:
     return steps, taus, starts, ends
 
 
-def _check_shapes(state: np.ndarray, trajectory: NoiseTrajectory) -> None:
+def _check_shapes(state: np.ndarray,
+                  trajectory: NoiseTrajectory | None = None) -> None:
     if state.ndim == 0 or state.shape[-1] != 8:
         raise SimulationError(
-            f"initial state has shape {state.shape}; its last axis must "
+            f"state has shape {state.shape}; its last axis must "
             "hold the 8 amplitudes")
-    rows = trajectory.values.shape[:-1]
+    rows = () if trajectory is None else trajectory.values.shape[:-1]
     if state.ndim > 1 and rows and state.shape[:-1] != rows:
         raise SimulationError(
-            f"initial states of shape {state.shape} need one trajectory row "
+            f"states of shape {state.shape} need one trajectory row "
             f"each; the trajectory values have shape {trajectory.values.shape}")
 
 

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ddquad
 from ddquad.cli import main
 from ddquad.config import ScenarioConfig, dump_config
 
@@ -279,3 +284,12 @@ def test_reproduce_paper_no_noise(runner, tmp_path):
     assert abs(report["deviation_from_truth"]) < 1e-5
     assert report["coverage_count"] == 1
     assert all("σ away from" in row["text"] for row in report["comparison"])
+
+
+def test_cli_runs_without_scipy():
+    # scipy is a test dependency only; the package must not import it
+    env = dict(os.environ, PYTHONPATH=str(Path(ddquad.__file__).parents[1]))
+    code = "import sys, ddquad.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.optimize import minimize
 
 from ddquad import estimator as est
@@ -81,6 +82,18 @@ def test_fringe_fit_sampled_ci_covers():
     assert hits >= 50   # ~95% nominal coverage
 
 
+def test_fringe_fit_flags_clamped_phase_ci():
+    # 2 shots per phase: the profile likelihood stays below the 95%
+    # threshold all the way round, so both bounds sit at phase -+ pi
+    pts = tuple(FringePoint(float(phi), 2, k)
+                for phi, k in zip(default_phi_grid(4), (0, 1, 1, 1)))
+    fit = est.fit_fringe_mle(FringeDataset(pts))
+    assert fit.ci95_phase_clamped == ("lower", "upper")
+    assert fit.ci95_phase == pytest.approx(
+        (fit.phase - math.pi, fit.phase + math.pi), abs=1e-12)
+    assert est.fit_fringe_mle(make_fringe(1.0)).ci95_phase_clamped == ()
+
+
 def test_phase_difference_wraps():
     a = est.fit_fringe_mle(make_fringe(3.0), compute_ci=False)
     b = est.fit_fringe_mle(make_fringe(-3.0), compute_ci=False)
@@ -147,13 +160,14 @@ def test_unwrap_by_continuity():
 
 def make_noiseless_cells(theta=2.973, beta0=0.1, betas=(0.0, 0.4, 0.8, 1.2),
                          grads=(0.5e8, 1.0e8, 1.5e8), taus=(1e-3, 2e-3),
-                         offsets=None, sigma=1e-4):
+                         offsets=None, sigma=1e-4, epsilon1=0.0,
+                         alpha=math.pi / 4):
     """Synthetic unwrapped phases straight from the arm-rate formula."""
     rows = {"beta": [], "grad": [], "tau": [], "phi": [], "sigma": []}
     for i, beta in enumerate(betas):
         c_k = 0.0 if offsets is None else offsets[i]
         for grad in grads:
-            trap = TrapConfig(dEz_dz=grad)
+            trap = TrapConfig(dEz_dz=grad, epsilon1=epsilon1, alpha=alpha)
             for tau in taus:
                 phi = tau * arm_phase_rate(trap, theta, beta + beta0) + c_k
                 rows["beta"].append(beta)
@@ -175,6 +189,45 @@ def test_joint_fit_noiseless_recovery():
                                atol=1e-6)
     assert res.ci95_theta[0] < 2.973 < res.ci95_theta[1]
     assert res.chi2 < 1e-6
+
+
+@given(beta0=st.floats(-math.pi / 2, math.pi / 2, exclude_max=True),
+       float_epsilon1=st.booleans())
+@example(beta0=0.8, float_epsilon1=False)
+@example(beta0=1.0, float_epsilon1=False)
+@example(beta0=-1.2, float_epsilon1=False)
+@example(beta0=math.pi / 2 - 0.05, float_epsilon1=False)
+@example(beta0=0.9, float_epsilon1=True)
+def test_joint_fit_finds_global_beta0(beta0, float_epsilon1):
+    """Noise-free phases give back Theta and beta0 (mod pi) wherever beta0
+    lies, with |eps1| <= 1, and a 1e-13 rad perturbation of the phases
+    moves Theta by no more than 1e-12."""
+    eps1 = 0.08 if float_epsilon1 else 0.0
+    rows = make_noiseless_cells(beta0=beta0, offsets=(0.05, -0.1, 0.15, 0.0),
+                                epsilon1=eps1, alpha=0.3)
+    fit = lambda phi: est.joint_fit_quadrupole(
+        rows["beta"], rows["grad"], rows["tau"], phi, rows["sigma"],
+        alpha_trap=0.3, float_epsilon1=float_epsilon1, compute_ci=False)
+    res = fit(rows["phi"])
+    assert abs(res.theta - 2.973) <= 1e-9
+    assert abs(math.remainder(res.beta0 - beta0, math.pi)) <= 1e-9
+    assert -math.pi / 2 < res.beta0 <= math.pi / 2
+    assert abs(res.epsilon1 - eps1) <= 1e-9
+    rng = np.random.default_rng(7)
+    nudged = fit(np.asarray(rows["phi"]) + rng.normal(0.0, 1e-13, len(rows["phi"])))
+    assert abs(nudged.theta - res.theta) <= 1e-12
+
+
+def test_two_stage_theta_finds_global_beta0():
+    model = IonModel(field_cfg=FieldConfig(beta0=0.9))
+    camp = exact_campaign(model)
+    z2 = model.species.c2_quad_zeeman * model.field_cfg.B ** 2
+    res, cells = est.joint_fit_campaign(camp, zeeman2_hz=z2)
+    out = est.two_stage_theta(cells)
+    assert res.theta == pytest.approx(2.973, abs=1e-9)
+    assert res.beta0 == pytest.approx(0.9, abs=1e-9)
+    assert out["theta"] == pytest.approx(2.973, abs=1e-9)
+    assert out["beta0"] == pytest.approx(0.9, abs=1e-9)
 
 
 def test_joint_fit_single_angle_rejected():

@@ -357,3 +357,21 @@ def test_run_sequence_rejects_mismatched_shapes(initial, values, tau, named):
         sq.run_sequence(initial, seq, MODEL, tr)
     for shape in named:
         assert str(shape) in str(info.value)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: sq.free_evolve(np.ones((5, 8), complex), 1e-4, MODEL,
+                            am.zero_trajectory(3)), [(5, 8), (3, 1)]),
+    (lambda: sq.free_evolve(np.ones((5, 6), complex), 1e-4, MODEL), [(5, 6)]),
+    (lambda: sq.apply_rf_pulse(np.ones((5, 6), complex), sq.RFPulse(math.pi)),
+     [(5, 6)]),
+    (lambda: sq.apply_optical_pulse(np.ones((5, 6), complex),
+                                    sq.OpticalPulse(-2.5, math.pi)), [(5, 6)]),
+], ids=["free_evolve_rows", "free_evolve_last_axis", "rf_pulse",
+        "optical_pulse"])
+def test_steps_reject_mismatched_shapes(call, named):
+    from ddquad.errors import SimulationError
+    with pytest.raises(SimulationError) as info:
+        call()
+    for shape in named:
+        assert str(shape) in str(info.value)
