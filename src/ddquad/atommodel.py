@@ -67,14 +67,10 @@ class TrapConfig:
     dEz_dz: float = 1.0e8            # V/m^2 axial DC field gradient
     epsilon1: float = 0.0            # radial asymmetry of the DC potential
     alpha: float = math.pi / 4       # quantization-axis azimuth, see module doc
-    omega_z: float | None = None     # rad/s axial secular frequency (optional)
-    rf_axial_correction: float = 0.0  # fractional RF contribution to omega_z
 
     def __post_init__(self):
         if not -1.0 <= self.epsilon1 <= 1.0:
             raise ValueError("epsilon1 must lie in [-1, 1]")
-        if not 0.0 <= self.rf_axial_correction <= 0.01:
-            raise ValueError("rf_axial_correction must lie in [0, 0.01]")
 
 
 @dataclass(frozen=True)
@@ -84,13 +80,10 @@ class FieldConfig:
     B: float = 3.0e-4                # tesla
     beta: float = math.pi / 4        # angle between quantization and trap axes
     beta0: float = 0.0               # unknown base-angle offset (fit nuisance)
-    beta_calibration_sigma: float = 0.0  # radians
 
     def __post_init__(self):
         if self.B <= 0:
             raise ValueError("field magnitude B must be positive")
-        if self.beta_calibration_sigma < 0:
-            raise ValueError("beta_calibration_sigma must be >= 0")
 
 
 @dataclass(frozen=True)

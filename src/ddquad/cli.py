@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -35,7 +36,8 @@ from .estimator import (bootstrap_ci, dataset_digest, fit_fringe_mle,
                         two_stage_theta)
 from .sampler import (campaign_from_csv, campaign_to_csv, campaign_to_json,
                       default_phi_grid, run_campaign, run_fringe_scan)
-from .sequence import analytic_phase, initial_state
+from .sequence import (analytic_phase, build_quadrupole_dd_sequence,
+                       initial_state)
 from .spincore import rotation_unitary
 
 EXIT_CONFIG = 2
@@ -291,24 +293,38 @@ def _figure_tables(out_dir: Path, cell_phases, model, meta: dict):
                 "model_phase"], beta_rows, meta)
 
 
-def _joint_fit_doc(result, chash, digest):
-    return {
-        "config_hash": chash, "dataset_sha256": digest,
-        "theta": result.theta, "theta_sigma": result.theta_sigma,
-        "ci95_theta": list(result.ci95_theta),
-        "beta0": result.beta0, "epsilon1": result.epsilon1,
-        "per_angle_offsets": list(result.per_angle_offsets),
-        "chi2": result.chi2, "ndof": result.ndof,
-        "reduced_chi2": result.chi2 / result.ndof if result.ndof else None,
-        "diagnostics": {k: v for k, v in result.fit_diagnostics.items()
-                        if k != "profile_samples"},
-    }
+def _fit_campaign(cfg: ScenarioConfig, campaign, chash, digest, zeeman2_hz):
+    """Joint fit and its fit.json document, with the bootstrap CI when
+    ``fit.bootstrap_resamples`` is set.  Returns (result, cells, doc)."""
+    options = dict(alpha_trap=cfg.trap.alpha,
+                   float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2_hz)
+    try:
+        result, cells = joint_fit_campaign(campaign, **options)
+        doc = {
+            "config_hash": chash, "dataset_sha256": digest,
+            "theta": result.theta, "theta_sigma": result.theta_sigma,
+            "ci95_theta": list(result.ci95_theta),
+            "beta0": result.beta0, "epsilon1": result.epsilon1,
+            "per_angle_offsets": list(result.per_angle_offsets),
+            "chi2": result.chi2, "ndof": result.ndof,
+            "reduced_chi2": result.chi2 / result.ndof if result.ndof else None,
+            "diagnostics": {k: v for k, v in result.fit_diagnostics.items()
+                            if k != "profile_samples"},
+        }
+        if cfg.fit.bootstrap_resamples:
+            doc["bootstrap_ci95_theta"] = list(bootstrap_ci(
+                campaign, cfg.fit.bootstrap_resamples, cfg.seed, **options))
+    except FitError as exc:
+        _fail(exc, EXIT_FIT)
+    return result, cells, doc
 
 
 @main.command("run-campaign")
 @_common
 @click.option("--sequence-file", type=click.Path(), default=None,
-              help="DSL file; its echo block sets n_echo for the campaign.")
+              help="DSL file of the built-in echo sequence; it sets n_echo "
+                   "only (tau comes from plan.tau_total_list). Any other "
+                   "sequence exits 2.")
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Accepted for compatibility; cells always run serially.")
 def run_campaign_cmd(seed, config_path, out, sets, sequence_file, workers):
@@ -321,6 +337,15 @@ def run_campaign_cmd(seed, config_path, out, sets, sequence_file, workers):
             if seq.n_echo is None:
                 raise ConfigError(
                     "sequence file has no echo block; cannot set n_echo")
+            builtin = build_quadrupole_dd_sequence(seq.n_echo, seq.tau or 0.0)
+            for i, (got, want) in enumerate(itertools.zip_longest(
+                    seq.elements, builtin.elements), start=1):
+                if got != want:
+                    raise ConfigError(
+                        f"sequence file differs from the built-in echo "
+                        f"sequence at element {i}: {got or 'nothing'} where "
+                        f"the built-in has {want or 'nothing'}; only its "
+                        f"n_echo is used, so it must be that sequence")
             cfg = replace(cfg, plan=replace(cfg.plan, n_echo=seq.n_echo))
         except (SequenceSyntaxError, SequenceSemanticError, ConfigError,
                 OSError) as exc:
@@ -346,18 +371,7 @@ def run_campaign_cmd(seed, config_path, out, sets, sequence_file, workers):
     digest = dataset_digest(csv_text)
 
     zeeman2 = model.species.c2_quad_zeeman * model.field_cfg.B ** 2
-    try:
-        result, cells = joint_fit_campaign(
-            campaign, alpha_trap=model.trap.alpha,
-            float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2)
-        doc = _joint_fit_doc(result, chash, digest)
-        if cfg.fit.bootstrap_resamples:
-            doc["bootstrap_ci95_theta"] = list(bootstrap_ci(
-                campaign, cfg.fit.bootstrap_resamples, cfg.seed,
-                alpha_trap=model.trap.alpha,
-                float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2))
-    except FitError as exc:
-        _fail(exc, EXIT_FIT)
+    result, cells, doc = _fit_campaign(cfg, campaign, chash, digest, zeeman2)
     _write_json(out_dir / "fit.json", doc)
     _figure_tables(out_dir, cells, model, {"config_hash": chash,
                                            "dataset_sha256": digest})
@@ -388,20 +402,14 @@ def fit_cmd(seed, config_path, out, sets, data_path, zeeman2_hz):
     if zeeman2_hz is None:
         zeeman2_hz = model.species.c2_quad_zeeman * model.field_cfg.B ** 2
     digest = dataset_digest(csv_text)
+    result, cells, doc = _fit_campaign(cfg, campaign, chash, digest,
+                                       zeeman2_hz)
     try:
-        result, cells = joint_fit_campaign(
-            campaign, alpha_trap=model.trap.alpha,
-            float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2_hz)
-        doc = _joint_fit_doc(result, chash, digest)
-        try:
-            ts = two_stage_theta(cells, alpha_trap=model.trap.alpha)
-            doc["two_stage"] = {k: ts[k]
-                                for k in ("theta", "beta0", "theta_sigma")}
-        except FitError:
-            # needs >= 2 gradients and >= 2 precession times; optional
-            doc["two_stage"] = None
-    except FitError as exc:
-        _fail(exc, EXIT_FIT)
+        ts = two_stage_theta(cells, alpha_trap=model.trap.alpha)
+        doc["two_stage"] = {k: ts[k] for k in ("theta", "beta0", "theta_sigma")}
+    except FitError:
+        # needs >= 2 gradients and >= 2 precession times; optional
+        doc["two_stage"] = None
     _write_json(out_dir / "fit.json", doc)
     _figure_tables(out_dir, cells, model, {"config_hash": chash,
                                            "dataset_sha256": digest})
@@ -432,6 +440,9 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
     cfg = _load_scenario(config_path, seed, sets, base=base)
     if replications < 1:
         _fail(ConfigError("replications must be >= 1"), EXIT_CONFIG)
+    if cfg.fit.bootstrap_resamples:
+        _fail(ConfigError("reproduce-paper runs no bootstrap; leave "
+                          "fit.bootstrap_resamples at 0"), EXIT_CONFIG)
     if no_noise:
         cfg = replace(cfg, noise=NoiseModel(kind="none"),
                       detection=replace(cfg.detection, eps_bright=0.0,

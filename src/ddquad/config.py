@@ -1,10 +1,9 @@
 """Scenario configuration: strict INI-style files plus CLI overrides.
 
-A scenario file has sections [ion], [trap], [field], [noise],
-[detection], [plan], [fit], [run]; every key is validated against the
-schema below and unknown sections/keys are rejected.  Every run writes
-back the fully resolved configuration it used, and outputs embed its
-content hash, so a run can always be reproduced from its own artifacts.
+``_SCHEMA`` below is the one list of scenario sections and keys; unknown
+sections and keys are rejected.  Every run writes back the fully resolved
+configuration it used, and outputs embed its content hash, so a run can
+always be reproduced from its own artifacts.
 """
 
 from __future__ import annotations
@@ -25,6 +24,10 @@ from .sampler import CampaignPlan, DetectionModel
 class FitOptions:
     float_epsilon1: bool = False
     bootstrap_resamples: int = 0     # 0 disables the bootstrap cross-check
+
+    def __post_init__(self):
+        if self.bootstrap_resamples != 0 and self.bootstrap_resamples < 100:
+            raise ValueError("bootstrap_resamples must be 0 or >= 100")
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ def paper_scenario(seed: int = 20160401) -> ScenarioConfig:
     """The built-in paper-shaped scenario used by ``reproduce-paper``.
 
     300 shots/point, tau_total up to 4 ms at n_echo = 8 (tau = 250 us),
-    gradients 0.5-1.5e8 V/m^2, seven field angles spanning 0-1.5 rad,
+    gradients 0.5-1.5e8 V/m^2, five field angles spanning 0-1.5 rad,
     quasi-static field noise worth ~2 kHz of Zeeman shift, 1% detection
     errors and a 50 mrad unknown base-angle offset.
     """
@@ -69,7 +72,6 @@ def paper_scenario(seed: int = 20160401) -> ScenarioConfig:
     )
 
 
-# schema: section -> key -> (parser, target dataclass attribute)
 def _float_list(text: str) -> tuple:
     try:
         return tuple(float(tok) for tok in text.replace(",", " ").split())
@@ -78,41 +80,47 @@ def _float_list(text: str) -> tuple:
 
 
 def _bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"bad boolean: {text!r}")
+    try:   # 1/0, true/false, yes/no, on/off
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"bad boolean: {text!r}") from None
 
 
+# The only list of scenario keys, in canonical dump order:
+# (section, key) -> (ScenarioConfig attribute that owns the field, or None
+# for fields of ScenarioConfig itself; dataclass field; parser).
 _SCHEMA = {
-    "ion": {
-        "mass_u": float, "charge_e": float, "g_ground": float, "g_d": float,
-        "c2_quad_zeeman": float,
-    },
-    "trap": {
-        "dez_dz": float, "epsilon1": float, "alpha": float, "omega_z": float,
-        "rf_axial_correction": float,
-    },
-    "field": {
-        "b": float, "beta": float, "beta0": float,
-        "beta_calibration_sigma": float,
-    },
-    "noise": {
-        "kind": str, "sigma_b": float, "drift_rate_sigma": float,
-        "step_dt": float,
-    },
-    "detection": {"eps_bright": float, "eps_dark": float},
-    "plan": {
-        "beta_list": _float_list, "gradient_list": _float_list,
-        "tau_total_list": _float_list, "n_echo": int, "shots_per_point": int,
-        "n_phases": int, "exact_probabilities": _bool,
-        "per_angle_offsets": _float_list,
-    },
-    "fit": {"float_epsilon1": _bool, "bootstrap_resamples": int},
-    "run": {"theta_true": float, "seed": int},
+    ("ion", "g_ground"): ("ion", "g_ground", float),
+    ("ion", "g_d"): ("ion", "g_D", float),
+    ("ion", "c2_quad_zeeman"): ("ion", "c2_quad_zeeman", float),
+    ("trap", "dez_dz"): ("trap", "dEz_dz", float),
+    ("trap", "epsilon1"): ("trap", "epsilon1", float),
+    ("trap", "alpha"): ("trap", "alpha", float),
+    ("field", "b"): ("field_cfg", "B", float),
+    ("field", "beta"): ("field_cfg", "beta", float),
+    ("field", "beta0"): ("field_cfg", "beta0", float),
+    ("noise", "kind"): ("noise", "kind", str),
+    ("noise", "sigma_b"): ("noise", "sigma_B", float),
+    ("noise", "drift_rate_sigma"): ("noise", "drift_rate_sigma", float),
+    ("noise", "step_dt"): ("noise", "step_dt", float),
+    ("detection", "eps_bright"): ("detection", "eps_bright", float),
+    ("detection", "eps_dark"): ("detection", "eps_dark", float),
+    ("plan", "beta_list"): ("plan", "beta_list", _float_list),
+    ("plan", "gradient_list"): ("plan", "gradient_list", _float_list),
+    ("plan", "tau_total_list"): ("plan", "tau_total_list", _float_list),
+    ("plan", "n_echo"): ("plan", "n_echo", int),
+    ("plan", "shots_per_point"): ("plan", "shots_per_point", int),
+    ("plan", "n_phases"): ("plan", "n_phases", int),
+    ("plan", "exact_probabilities"): ("plan", "exact_probabilities", _bool),
+    ("plan", "per_angle_offsets"): ("plan", "per_angle_offsets", _float_list),
+    ("fit", "float_epsilon1"): ("fit", "float_epsilon1", _bool),
+    ("fit", "bootstrap_resamples"): ("fit", "bootstrap_resamples", int),
+    ("run", "theta_true"): (None, "theta_true", float),
+    ("run", "seed"): (None, "seed", int),
 }
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _SCHEMA))
+_FORMAT = {bool: lambda v: str(v).lower(), str: str,
+           tuple: lambda v: " ".join(repr(x) for x in v)}    # else repr
 
 
 def load_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
@@ -123,144 +131,38 @@ def load_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
-    values: dict = {}
+    changes: dict = {}      # owner -> {field: value}
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]; valid "
+                              f"sections: {', '.join(_SECTIONS)}")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            if (section, key) not in _SCHEMA:
+                valid = ", ".join(k for s, k in _SCHEMA if s == section)
+                raise ConfigError(f"unknown key {key!r} in section "
+                                  f"[{section}]; valid keys: {valid}")
+            owner, name, parse = _SCHEMA[section, key]
             try:
-                values[(section, key)] = _SCHEMA[section][key](raw)
+                changes.setdefault(owner, {})[name] = parse(raw)
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {exc}") from None
-    return _apply(cfg, values)
-
-
-def _apply(cfg: ScenarioConfig, values: dict) -> ScenarioConfig:
-    def get(section, key, default):
-        return values.get((section, key), default)
-
     try:
-        ion = replace(
-            cfg.ion,
-            mass=get("ion", "mass_u", cfg.ion.mass / const.ATOMIC_MASS_UNIT)
-            * const.ATOMIC_MASS_UNIT,
-            charge=get("ion", "charge_e",
-                       cfg.ion.charge / const.ELEMENTARY_CHARGE)
-            * const.ELEMENTARY_CHARGE,
-            g_ground=get("ion", "g_ground", cfg.ion.g_ground),
-            g_D=get("ion", "g_d", cfg.ion.g_D),
-            c2_quad_zeeman=get("ion", "c2_quad_zeeman", cfg.ion.c2_quad_zeeman))
-        trap = replace(
-            cfg.trap,
-            dEz_dz=get("trap", "dez_dz", cfg.trap.dEz_dz),
-            epsilon1=get("trap", "epsilon1", cfg.trap.epsilon1),
-            alpha=get("trap", "alpha", cfg.trap.alpha),
-            omega_z=get("trap", "omega_z", cfg.trap.omega_z),
-            rf_axial_correction=get("trap", "rf_axial_correction",
-                                    cfg.trap.rf_axial_correction))
-        field_cfg = replace(
-            cfg.field_cfg,
-            B=get("field", "b", cfg.field_cfg.B),
-            beta=get("field", "beta", cfg.field_cfg.beta),
-            beta0=get("field", "beta0", cfg.field_cfg.beta0),
-            beta_calibration_sigma=get("field", "beta_calibration_sigma",
-                                       cfg.field_cfg.beta_calibration_sigma))
-        noise = replace(
-            cfg.noise,
-            kind=get("noise", "kind", cfg.noise.kind),
-            sigma_B=get("noise", "sigma_b", cfg.noise.sigma_B),
-            drift_rate_sigma=get("noise", "drift_rate_sigma",
-                                 cfg.noise.drift_rate_sigma),
-            step_dt=get("noise", "step_dt", cfg.noise.step_dt))
-        detection = replace(
-            cfg.detection,
-            eps_bright=get("detection", "eps_bright", cfg.detection.eps_bright),
-            eps_dark=get("detection", "eps_dark", cfg.detection.eps_dark))
-        plan = replace(
-            cfg.plan,
-            beta_list=get("plan", "beta_list", cfg.plan.beta_list),
-            gradient_list=get("plan", "gradient_list", cfg.plan.gradient_list),
-            tau_total_list=get("plan", "tau_total_list", cfg.plan.tau_total_list),
-            n_echo=get("plan", "n_echo", cfg.plan.n_echo),
-            shots_per_point=get("plan", "shots_per_point",
-                                cfg.plan.shots_per_point),
-            n_phases=get("plan", "n_phases", cfg.plan.n_phases),
-            exact_probabilities=get("plan", "exact_probabilities",
-                                    cfg.plan.exact_probabilities),
-            per_angle_offsets=get("plan", "per_angle_offsets",
-                                  cfg.plan.per_angle_offsets))
-        fit = replace(
-            cfg.fit,
-            float_epsilon1=get("fit", "float_epsilon1", cfg.fit.float_epsilon1),
-            bootstrap_resamples=get("fit", "bootstrap_resamples",
-                                    cfg.fit.bootstrap_resamples))
+        owned = {owner: replace(getattr(cfg, owner), **fields)
+                 for owner, fields in changes.items() if owner is not None}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return replace(cfg, ion=ion, trap=trap, field_cfg=field_cfg, noise=noise,
-                   detection=detection, plan=plan, fit=fit,
-                   theta_true=get("run", "theta_true", cfg.theta_true),
-                   seed=get("run", "seed", cfg.seed))
+    return replace(cfg, **owned, **changes.get(None, {}))
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
     """Resolved configuration as canonical INI text (load/dump stable)."""
     parser = configparser.ConfigParser()
-    parser["ion"] = {
-        "mass_u": repr(cfg.ion.mass / const.ATOMIC_MASS_UNIT),
-        "charge_e": repr(cfg.ion.charge / const.ELEMENTARY_CHARGE),
-        "g_ground": repr(cfg.ion.g_ground),
-        "g_d": repr(cfg.ion.g_D),
-        "c2_quad_zeeman": repr(cfg.ion.c2_quad_zeeman),
-    }
-    trap = {
-        "dez_dz": repr(cfg.trap.dEz_dz),
-        "epsilon1": repr(cfg.trap.epsilon1),
-        "alpha": repr(cfg.trap.alpha),
-        "rf_axial_correction": repr(cfg.trap.rf_axial_correction),
-    }
-    if cfg.trap.omega_z is not None:
-        trap["omega_z"] = repr(cfg.trap.omega_z)
-    parser["trap"] = trap
-    parser["field"] = {
-        "b": repr(cfg.field_cfg.B),
-        "beta": repr(cfg.field_cfg.beta),
-        "beta0": repr(cfg.field_cfg.beta0),
-        "beta_calibration_sigma": repr(cfg.field_cfg.beta_calibration_sigma),
-    }
-    parser["noise"] = {
-        "kind": cfg.noise.kind,
-        "sigma_b": repr(cfg.noise.sigma_B),
-        "drift_rate_sigma": repr(cfg.noise.drift_rate_sigma),
-        "step_dt": repr(cfg.noise.step_dt),
-    }
-    parser["detection"] = {
-        "eps_bright": repr(cfg.detection.eps_bright),
-        "eps_dark": repr(cfg.detection.eps_dark),
-    }
-    plan = {
-        "beta_list": " ".join(repr(v) for v in cfg.plan.beta_list),
-        "gradient_list": " ".join(repr(v) for v in cfg.plan.gradient_list),
-        "tau_total_list": " ".join(repr(v) for v in cfg.plan.tau_total_list),
-        "n_echo": str(cfg.plan.n_echo),
-        "shots_per_point": str(cfg.plan.shots_per_point),
-        "n_phases": str(cfg.plan.n_phases),
-        "exact_probabilities": str(cfg.plan.exact_probabilities).lower(),
-    }
-    if cfg.plan.per_angle_offsets is not None:
-        plan["per_angle_offsets"] = " ".join(repr(v)
-                                             for v in cfg.plan.per_angle_offsets)
-    parser["plan"] = plan
-    parser["fit"] = {
-        "float_epsilon1": str(cfg.fit.float_epsilon1).lower(),
-        "bootstrap_resamples": str(cfg.fit.bootstrap_resamples),
-    }
-    parser["run"] = {
-        "theta_true": repr(cfg.theta_true),
-        "seed": str(cfg.seed),
-    }
+    parser.read_dict({section: {} for section in _SECTIONS})
+    for (section, key), (owner, name, _) in _SCHEMA.items():
+        value = getattr(cfg if owner is None else getattr(cfg, owner), name)
+        if value is not None:
+            parser.set(section, key, _FORMAT.get(type(value), repr)(value))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

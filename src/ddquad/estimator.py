@@ -424,7 +424,8 @@ def _search_beta0(model, theta=None):
     are ties: with eps1 free, beta0 and beta0 + pi/2 always tie and the
     partner has |eps1| >= 1 / |cos 2alpha|; two angles leave a discrete
     choice.  Of the ties, one with |eps1| <= 1 nearest 0 is kept.
-    Returns (beta0 in (-pi/2, pi/2], chi^2, a, b, evaluations)."""
+    Returns (beta0 in (-pi/2, pi/2], chi^2, a, b, evaluations, number of
+    ties with |eps1| <= 1)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         chi2, slope, _, _ = model.profile(_GRID_COS, _GRID_SIN, theta)
     chi2 = np.where(np.isfinite(chi2), chi2, np.inf)
@@ -447,11 +448,12 @@ def _search_beta0(model, theta=None):
         chi2_i, _, a, b = at(beta0)
         fits.append((wrap_phase(2.0 * beta0) / 2.0, chi2_i, a, b))
         evaluations += n
-    tied = min(f[1] for f in fits) + 1e-10 * model.moments[-1]
+    tol = min(f[1] for f in fits) + 1e-10 * model.moments[-1]
+    tied = [f for f in fits if f[1] <= tol]
     # |eps1| > 1 where |3a - b| > |cos 2alpha (a + b)|; without eps1, 3a = b
-    return min((f for f in fits if f[1] <= tied), key=lambda f: (
-        abs(3.0 * f[2] - f[3]) > abs(model.cos2a * (f[2] + f[3])), abs(f[0]))
-    ) + (evaluations,)
+    big_eps1 = lambda f: abs(3.0 * f[2] - f[3]) > abs(model.cos2a * (f[2] + f[3]))
+    best = min(tied, key=lambda f: (big_eps1(f), abs(f[0])))
+    return best + (evaluations, sum(not big_eps1(f) for f in tied))
 
 
 def _numeric_hessian(fun, x, rel_step=1e-5):
@@ -486,7 +488,7 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
     model = _JointModel(beta_nominal, gradients, tau_total, phases, sigmas,
                         angle_index, alpha_trap, float_epsilon1)
 
-    beta0, chi2_search, a, b, evaluations = _search_beta0(model)
+    beta0, chi2_search, a, b, evaluations, tied = _search_beta0(model)
     x = np.array([(a + b) / 2.0, beta0]
                  + ([(3.0 * a - b) / (model.cos2a * (a + b))]
                     if float_epsilon1 else []))
@@ -521,6 +523,7 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
         ci95_theta=ci, theta_sigma=theta_sigma,
         chi2=chi2_min, ndof=len(phases) - len(x) - len(unique_angles),
         fit_diagnostics={"iterations": evaluations, "converged": True,
+                         "tied_minima": tied,
                          "profile_samples": sorted(samples),
                          "angles": [float(a) for a in unique_angles]})
 
@@ -614,7 +617,7 @@ def two_stage_theta(cell_phases, alpha_trap: float = math.pi / 4) -> dict:
     model = _JointModel([s[0] for s in slopes], np.full(len(slopes), 0.5 / math.pi),
                         np.ones(len(slopes)), [s[1] for s in slopes],
                         [s[2] for s in slopes], None, alpha_trap, False)
-    beta0, _, a, b, _ = _search_beta0(model)
+    beta0, _, a, b = _search_beta0(model)[:4]
     x = [(a + b) / 2.0, beta0]
     hess = _numeric_hessian(lambda p: model.chi2_and_offsets(p)[0], x)
     try:

@@ -108,8 +108,6 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         am.TrapConfig(epsilon1=1.5)
     with pytest.raises(ValueError):
-        am.TrapConfig(rf_axial_correction=0.02)
-    with pytest.raises(ValueError):
         am.FieldConfig(B=0.0)
     with pytest.raises(ValueError):
         am.NoiseModel(kind="pink")

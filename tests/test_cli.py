@@ -293,3 +293,79 @@ def test_cli_runs_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+SMALL_PLAN = ["--set", "plan.beta_list=0.0,0.8",
+              "--set", "plan.gradient_list=0.2e8,0.4e8",
+              "--set", "plan.tau_total_list=1e-3",
+              "--set", "plan.n_phases=6",
+              "--set", "plan.shots_per_point=60"]
+
+
+def docs_sequence_example():
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    return doc.split("## Sequence DSL", 1)[1].split("```")[1]
+
+
+def test_sequence_file_sets_n_echo(runner, tmp_path):
+    seq = tmp_path / "echo.dd"
+    seq.write_text(docs_sequence_example())
+    res = runner.invoke(main, ["run-campaign", "--out", str(tmp_path / "a"),
+                               "--sequence-file", str(seq),
+                               "--set", "plan.n_echo=2"] + SMALL_PLAN)
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["run-campaign", "--out", str(tmp_path / "b"),
+                               "--set", "plan.n_echo=8"] + SMALL_PLAN)
+    assert res.exit_code == 0, res.output
+    assert ((tmp_path / "a" / "campaign.csv").read_bytes()
+            == (tmp_path / "b" / "campaign.csv").read_bytes())
+
+
+def test_sequence_file_other_than_builtin_exits_2(runner, tmp_path):
+    text = docs_sequence_example().replace("alt(0,pi)", "alt(0,pi/2)")
+    text = text.replace("measure", "pulse rf pi phase 0\nmeasure")
+    seq = tmp_path / "other.dd"
+    seq.write_text(text)
+    res = runner.invoke(main, ["run-campaign", "--out", str(tmp_path / "o"),
+                               "--sequence-file", str(seq)] + SMALL_PLAN)
+    assert res.exit_code == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_type"] == "ConfigError"
+    assert "at element 7: RFPulse(area=3.141592653589793, " \
+           "rf_phase=1.5707963267948966)" in err["message"]
+
+
+@pytest.mark.parametrize("key", ["ion.mass_u", "ion.charge_e", "trap.omega_z",
+                                 "trap.rf_axial_correction",
+                                 "field.beta_calibration_sigma"])
+def test_removed_key_exits_2(runner, tmp_path, key):
+    res = runner.invoke(main, ["simulate-rabi", "--out", str(tmp_path / "o"),
+                               "--set", f"{key}=1"])
+    assert res.exit_code == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_type"] == "ConfigError"
+    if key == "trap.omega_z":
+        assert "valid keys: dez_dz, epsilon1, alpha" in err["message"]
+
+
+def test_run_campaign_and_fit_write_the_same_bootstrap_ci(runner, tmp_path):
+    args = ["--seed", "5", "--set", "fit.bootstrap_resamples=100"]
+    res = runner.invoke(main, ["run-campaign", "--out", str(tmp_path / "c")]
+                        + args + SMALL_PLAN)
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["fit", "--out", str(tmp_path / "f"), "--data",
+                               str(tmp_path / "c" / "campaign.csv")] + args)
+    assert res.exit_code == 0, res.output
+    camp = json.loads((tmp_path / "c" / "fit.json").read_text())
+    refit = json.loads((tmp_path / "f" / "fit.json").read_text())
+    lo, hi = refit["bootstrap_ci95_theta"]
+    assert lo < hi
+    assert refit["bootstrap_ci95_theta"] == camp["bootstrap_ci95_theta"]
+
+
+def test_reproduce_paper_rejects_bootstrap(runner, tmp_path):
+    res = runner.invoke(main, ["reproduce-paper", "--out", str(tmp_path / "o"),
+                               "--set", "fit.bootstrap_resamples=100"])
+    assert res.exit_code == 2
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert "fit.bootstrap_resamples" in err["message"]

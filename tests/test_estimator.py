@@ -218,6 +218,22 @@ def test_joint_fit_finds_global_beta0(beta0, float_epsilon1):
     assert abs(nudged.theta - res.theta) <= 1e-12
 
 
+@pytest.mark.parametrize("betas, float_epsilon1, alpha, tied", [
+    ((0.0, 0.375, 0.75, 1.125, 1.5), False, math.pi / 4, 1),
+    ((0.0, 0.375, 0.75, 1.125, 1.5), True, 0.3, 1),
+    ((0.0, 0.8), False, math.pi / 4, 2),
+])
+def test_joint_fit_counts_tied_minima(betas, float_epsilon1, alpha, tied):
+    """The paper's five angles leave one minimum with |eps1| <= 1 (with eps1
+    free, beta0 + pi/2 ties but has |eps1| > 1); one angle pair leaves two."""
+    rows = make_noiseless_cells(betas=betas, beta0=0.05, alpha=alpha,
+                                epsilon1=0.08 if float_epsilon1 else 0.0)
+    res = est.joint_fit_quadrupole(
+        rows["beta"], rows["grad"], rows["tau"], rows["phi"], rows["sigma"],
+        alpha_trap=alpha, float_epsilon1=float_epsilon1, compute_ci=False)
+    assert res.fit_diagnostics["tied_minima"] == tied
+
+
 def test_two_stage_theta_finds_global_beta0():
     model = IonModel(field_cfg=FieldConfig(beta0=0.9))
     camp = exact_campaign(model)
