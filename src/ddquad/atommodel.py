@@ -177,6 +177,9 @@ ARM_RATE_PER_GRADIENT_THETA = 9.0 * const.EA0_SQUARED / (20.0 * const.HBAR)
 before the geometry bracket; the constant the joint fit inverts."""
 
 
+SQUARE_BLOCK_ROWS = 256
+
+
 class NoiseTrajectory:
     """Piecewise-constant magnetic-field offset(s), tesla vs time.
 
@@ -225,8 +228,17 @@ class NoiseTrajectory:
     def square_integral(self, t0, t1):
         """Integral of the squared offset over [t0, t1]; bounds and result
         shaped as in ``integral``.  Pass every interval in one call: the
-        squared trajectory is formed once per call."""
-        return (self.values ** 2) @ self._overlap(t0, t1)
+        overlaps are formed once per call, and the squares one block of
+        ``SQUARE_BLOCK_ROWS`` trajectories at a time, so a large batch is
+        never held squared in full."""
+        w = self._overlap(t0, t1)
+        if self.values.ndim == 1:
+            return (self.values ** 2) @ w
+        out = np.empty(self.values.shape[:-1] + w.shape[1:])
+        for i in range(0, len(self.values), SQUARE_BLOCK_ROWS):
+            block = slice(i, i + SQUARE_BLOCK_ROWS)
+            out[block] = (self.values[block] ** 2) @ w
+        return out
 
 
 def zero_trajectory(n_shots: int | None = None) -> NoiseTrajectory:
@@ -257,7 +269,7 @@ def sample_noise_trajectory(model: NoiseModel, duration: float, rng_seed,
     sigma_step = model.drift_rate_sigma * math.sqrt(model.step_dt)
     increments = rng.normal(0.0, sigma_step, size=lead + (n_steps,))
     increments[..., 0] = 0.0
-    values = np.cumsum(increments, axis=-1)
+    values = np.cumsum(increments, axis=-1, out=increments)
     edges = np.arange(n_steps + 1) * model.step_dt
     edges[-1] = np.inf
     return NoiseTrajectory(edges, values)

@@ -485,6 +485,11 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
         raise NonIdentifiableError(
             "need phases at >= 2 magnetic-field angles to separate Theta "
             "from the per-angle offsets")
+    if float_epsilon1 and len(unique_angles) < 3:
+        raise NonIdentifiableError(
+            "with epsilon1 free the angular model has three parameters "
+            "(Theta, beta0, epsilon1) but the phases give one slope per "
+            f"field angle; need >= 3 angles, got {len(unique_angles)}")
     model = _JointModel(beta_nominal, gradients, tau_total, phases, sigmas,
                         angle_index, alpha_trap, float_epsilon1)
 

@@ -1,10 +1,15 @@
 """Stochastic detection: fringe scans and full measurement campaigns.
 
-Determinism contract: every random draw is made from a generator seeded
-by ``SeedSequence([seed, *context, cell_index, point_index])``; within a
-point the per-shot draws are vectorized arrays indexed by shot.  Results
-are therefore bit-identical for a given (plan, model, noise, seed),
-independent of scheduling: cells may run concurrently.
+Determinism contract: each fringe point draws from its own generator,
+seeded by ``SeedSequence([seed, *context, point_index])``; a campaign's
+context is ``(2 * cell_index + is_reference,)``.  A point draws its noise
+trajectories first (one per shot, a vectorized array indexed by shot)
+and its detection draws second.  In between, the points of a scan run
+as one batch: the trajectories are drawn in point order, the sequence
+runs once on every point's shots stacked, and then each point makes its
+detection draw, again in point order.  Results are therefore
+bit-identical for a given (plan, model, noise, seed), independent of how
+the points are batched and of scheduling: cells may run concurrently.
 
 An exact-probability mode replaces sampled counts with real-valued
 n * p computed on the noise-free trajectory; it separates dynamics bugs
@@ -21,10 +26,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .atommodel import (FieldConfig, IonModel, NoiseModel,
-                        sample_noise_trajectory, zero_trajectory)
+from .atommodel import IonModel, NoiseModel, sample_noise_trajectory
 from .errors import SimulationError
-from .sequence import build_quadrupole_dd_sequence, initial_state, run_sequence
+from .sequence import (PulseSequence, apply_pulses, build_quadrupole_dd_sequence,
+                       initial_state, run_sequence)
 
 D_SLICE = slice(2, 8)
 
@@ -126,34 +131,44 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
                     extra_phase: float = 0.0,
                     seed_context: tuple = ()) -> FringeDataset:
     """Simulate one Ramsey fringe: one noise trajectory per shot, full
-    sequence run, Bernoulli detection, counts aggregated per phase."""
+    sequence run, Bernoulli detection, counts aggregated per phase.
+
+    Only the closing pi/2 pulse's laser phase differs between points, so
+    the sequence up to it runs once on every point's shots stacked (one
+    state in exact mode), and the P closing pulses are one stacked matmul.
+    """
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
         raise ValueError("phi grid must be non-empty")
     if shots_per_point < 1:
         raise ValueError("shots_per_point must be >= 1")
     duration = 2.0 * n_echo * tau
-    init = initial_state("S:-1/2")
-    points = []
-    for point_idx, phi in enumerate(phi_grid):
-        seq = build_quadrupole_dd_sequence(n_echo, tau, phi + extra_phase)
-        if exact:
-            state = run_sequence(init, seq, model, zero_trajectory())
-            p = float(measure_population_D(state, detection))
-            k = shots_per_point * min(max(p, 0.0), 1.0)
-        else:
-            ss = np.random.SeedSequence([np.uint32(s) for s in
-                                         _entropy(rng_seed, seed_context, point_idx)])
-            rng = np.random.default_rng(ss)
-            traj = sample_noise_trajectory(noise, duration, rng,
-                                           n_shots=shots_per_point)
-            batch = np.broadcast_to(init, (shots_per_point, 8))
-            states = run_sequence(batch, seq, model, traj)
-            p = np.clip(measure_population_D(states, detection), 0.0, 1.0)
-            k = int(np.sum(rng.random(shots_per_point) < p))
-        points.append(FringePoint(phi_laser=float(phi), n_shots=shots_per_point,
-                                  k_D=k))
-    return FringeDataset(tuple(points), context={
+    *shared, closing, measure = build_quadrupole_dd_sequence(
+        n_echo, tau).elements
+    prefix = PulseSequence(tuple(shared) + (measure,))
+    rngs, trajectories = [], None
+    if not exact:
+        rngs = [np.random.default_rng(np.random.SeedSequence(
+                    [np.uint32(s) for s in
+                     _entropy(rng_seed, seed_context, point_idx)]))
+                for point_idx in range(phi_grid.size)]
+        trajectories = (sample_noise_trajectory(noise, duration, rng,
+                                                n_shots=shots_per_point)
+                        for rng in rngs)
+    state = run_sequence(initial_state("S:-1/2"), prefix, model, trajectories)
+    states = apply_pulses(
+        np.broadcast_to(state, (phi_grid.size, 8)) if exact
+        else state.reshape(phi_grid.size, shots_per_point, 8),
+        [replace(closing, laser_phase=phi + extra_phase) for phi in phi_grid])
+    p = np.clip(measure_population_D(states, detection), 0.0, 1.0)
+    if exact:
+        counts = [float(shots_per_point * p_point) for p_point in p]
+    else:
+        counts = [int(np.sum(rng.random(shots_per_point) < p_point))
+                  for rng, p_point in zip(rngs, p)]
+    points = tuple(FringePoint(phi_laser=float(phi), n_shots=shots_per_point,
+                               k_D=k) for phi, k in zip(phi_grid, counts))
+    return FringeDataset(points, context={
         "n_echo": n_echo, "tau": tau, "exact": exact,
         "beta": model.field_cfg.beta, "dEz_dz": model.trap.dEz_dz,
         "B": model.field_cfg.B,

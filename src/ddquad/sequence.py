@@ -14,8 +14,11 @@ trajectory per row.
 the elements merges adjacent waits and drops empty ones (the paper's
 16 waits become 9), and one pair of trajectory-integral calls gives the
 offset integrals of the waits.  The run then updates the state in place,
-each pulse on its own columns.  A wait's phase factors are real cos/sin
-of the small per-row offset phase times one field-free factor per level
+each pulse on its own columns.  A single initial state stays single
+until the first wait: the steps before it act on one state, and the
+trajectory's rows appear at the first wait (or at return, when no wait
+makes the rows differ).  A wait's phase factors are real cos/sin of the
+small per-row offset phase times one field-free factor per level
 (``free_evolve``).  On a one-segment trajectory (no noise, or a
 quasi-static offset) they depend only on the wait's length, so they are
 computed once per distinct length (2 for the paper's signal sequence)
@@ -23,6 +26,13 @@ and multiplied into the state at each wait; on a time-varying trajectory
 each merged wait is one in-place ``free_evolve``.  Called on their own,
 ``free_evolve``, ``apply_rf_pulse`` and ``apply_optical_pulse`` return a
 new array.
+
+A fringe scan compiles its sequence once: it runs everything before the
+closing pi/2 pulse once, on the rows of every scan point stacked (the
+trajectory may be an iterable of per-point blocks, each reduced to its
+wait integrals as it is read), and then applies the points' closing
+pulses, which differ only in laser phase, in one stacked matmul
+(``apply_pulses``).
 """
 
 from __future__ import annotations
@@ -239,7 +249,7 @@ def free_evolve(state: np.ndarray, tau: float, model: IonModel,
     if integrals is None:
         if trajectory is None:
             trajectory = zero_trajectory()
-        _check_shapes(state, trajectory)
+        _check_shapes(state, *_values_shape(trajectory))
         if tau == 0:
             return state.copy()
         integrals = _wait_integrals([t_start], [t_start + tau], trajectory,
@@ -285,63 +295,144 @@ def _compile(elements) -> tuple:
     return steps, taus, starts, ends
 
 
-def _check_shapes(state: np.ndarray,
-                  trajectory: NoiseTrajectory | None = None) -> None:
+def _check_shapes(state: np.ndarray, rows: tuple = (),
+                  trajectory: str = "") -> None:
+    """A state's last axis holds the 8 amplitudes, and a batch of states
+    has one trajectory row each (``trajectory`` describes the rows)."""
     if state.ndim == 0 or state.shape[-1] != 8:
         raise SimulationError(
             f"state has shape {state.shape}; its last axis must "
             "hold the 8 amplitudes")
-    rows = () if trajectory is None else trajectory.values.shape[:-1]
     if state.ndim > 1 and rows and state.shape[:-1] != rows:
         raise SimulationError(
             f"states of shape {state.shape} need one trajectory row "
-            f"each; the trajectory values have shape {trajectory.values.shape}")
+            f"each; {trajectory}")
+
+
+def _values_shape(trajectory: NoiseTrajectory) -> tuple:
+    """Row shape of a trajectory and the words ``_check_shapes`` uses."""
+    shape = trajectory.values.shape
+    return shape[:-1], f"the trajectory values have shape {shape}"
+
+
+def _read_blocks(blocks, taus, starts, ends) -> tuple:
+    """Read trajectory blocks whose rows stack in order.  Returns their
+    row shape with the words ``_check_shapes`` uses, whether they have one
+    segment each, and each block's wait integrals ([] without waits):
+    (L, rows..., 2) over the L distinct wait lengths when the blocks have
+    one segment (in the order the lengths first occur), else (W, rows...,
+    2) over the merged waits.  Each block is reduced to its integrals
+    before the next one is read."""
+    lengths = list(dict.fromkeys(taus))
+    rows, kinds, parts = [], set(), []
+    for block in blocks:
+        # the last segment's value holds for all t >= 0, so with one
+        # segment a wait's integrals are [v tau, v^2 tau] wherever it starts
+        static = block.values.shape[-1] == 1
+        kinds.add(static)
+        rows.append(_values_shape(block))
+        if taus:
+            bounds = ([0.0] * len(lengths), lengths) if static \
+                else (starts, ends)
+            parts.append(_wait_integrals(*bounds, block, False))
+        del block   # not held while the next block is drawn
+    if len(rows) == 1:
+        return rows[0], static, parts
+    if not rows or any(len(r) != 1 for r, _ in rows):
+        raise SimulationError(
+            "stacked trajectories need one or more blocks, each with one "
+            f"row per shot; got row shapes {[r for r, _ in rows]}")
+    if len(kinds) > 1:
+        raise SimulationError("stacked trajectories must all have one "
+                              "segment, or all have several")
+    total = sum(r[0] for r, _ in rows)
+    return ((total,), f"the stacked trajectories have {total} rows"), \
+        static, parts
 
 
 def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
-                 trajectory: NoiseTrajectory | None = None) -> np.ndarray:
+                 trajectory=None) -> np.ndarray:
     """Run the sequence on the state; returns the pre-measurement state.
 
-    ``initial`` may be a single state (8,) or a batch (n_shots, 8); a
-    batched trajectory applies row-wise and needs one row per batch row
-    (a single state is run against every row).  The sequence is compiled
-    once (see ``_compile``) and every step then updates the state in
-    place.  On a one-segment trajectory the offset is constant in time,
-    so each distinct merged-wait length gets one ``free_evolve`` of an
-    all-ones state, and every wait of that length multiplies the state by
-    those factors; otherwise each merged wait is one ``free_evolve``.
+    ``initial`` may be a single state (8,) or a batch (n_shots, 8).
+    ``trajectory`` is one ``NoiseTrajectory``, or an iterable of batched
+    ones whose rows are stacked in order; each is reduced to its wait
+    integrals as it is read, so only one is held at a time.  A batched
+    trajectory applies row-wise and needs one row per batch row.  A single
+    state run against N > 1 trajectory rows returns a new (N, 8) batch,
+    with or without waits: every step before the first wait acts on the
+    one state, and the rows appear at the first wait (or at return).
+
+    The sequence is compiled once (see ``_compile``) and every step then
+    updates the state in place.  On one-segment trajectories the offset is
+    constant in time, so each distinct merged-wait length gets one
+    ``free_evolve`` of an all-ones state, and every wait of that length
+    multiplies the state by those factors; otherwise each merged wait is
+    one ``free_evolve``.
     """
     steps, taus, starts, ends = _compile(seq.elements)
     state = np.array(initial, dtype=complex)
+    _check_shapes(state)
     if trajectory is None:
         trajectory = zero_trajectory()
-    _check_shapes(state, trajectory)
-    if taus:
-        # the last segment's value holds for all t >= 0, so with one
-        # segment a wait's integrals are [v tau, v^2 tau] wherever it starts
-        static = trajectory.values.shape[-1] == 1
-        if static:
-            lengths = list(dict.fromkeys(taus))
-            starts, ends = [0.0] * len(lengths), lengths
-        integrals = _wait_integrals(starts, ends, trajectory, state.ndim == 1)
-        shape = np.broadcast_shapes(state.shape, integrals.shape[1:-1] + (8,))
-        if shape != state.shape:
-            state = np.array(np.broadcast_to(state, shape))
-        if static:
-            ones = np.ones(integrals.shape[1:-1] + (8,), dtype=complex)
-            factors = {tau: free_evolve(ones, tau, model, integrals=wait)
-                       for tau, wait in zip(lengths, integrals)}
-            steps = [factors[taus[s]] if isinstance(s, int) else s
-                     for s in steps]
+    blocks = (trajectory,) if isinstance(trajectory, NoiseTrajectory) \
+        else trajectory
+    (rows, described), static, parts = _read_blocks(blocks, taus, starts,
+                                                    ends)
+    if state.ndim == 1 and rows == (1,):
+        # a one-row batched trajectory drives a single state
+        rows, parts = (), [part[:, 0] for part in parts]
+    _check_shapes(state, rows, described)
+    shape = np.broadcast_shapes(state.shape, rows + (8,))
+
+    def integrals(i):
+        # the blocks' integrals of wait (or length) i, stacked one wait at
+        # a time so that no stacked copy of every wait is held
+        return parts[0][i] if len(parts) == 1 else \
+            np.concatenate([part[i] for part in parts])
+
+    if taus and static:
+        ones = np.ones(rows + (8,), dtype=complex)
+        factors = {tau: free_evolve(ones, tau, model, integrals=integrals(i))
+                   for i, tau in enumerate(dict.fromkeys(taus))}
+        steps = [factors[taus[s]] if isinstance(s, int) else s
+                 for s in steps]
     for step in steps:
-        if isinstance(step, int):
-            free_evolve(state, taus[step], model, integrals=integrals[step],
-                        out=state)
-        elif isinstance(step, np.ndarray):
-            state *= step
-        else:
+        if isinstance(step, tuple):
             _apply_pulse(state, *step)
+            continue
+        # the first wait broadcasts a single state to the trajectory rows
+        out = state if state.shape == shape else None
+        if isinstance(step, np.ndarray):
+            state = np.multiply(state, step, out=out)
+        else:
+            state = free_evolve(state, taus[step], model,
+                                integrals=integrals(step), out=out)
+    if state.shape != shape:
+        state = np.array(np.broadcast_to(state, shape))
     return state
+
+
+def apply_pulses(states: np.ndarray, pulses) -> np.ndarray:
+    """Pulse p on the states ``states[p]``, for all P pulses in one stacked
+    matmul; returns a new array.  ``states`` has shape (P, ..., 8), and the
+    pulses must act on the same columns (optical pulses to one D sublevel
+    may differ in area and laser phase)."""
+    states = np.array(states, dtype=complex)
+    ops = [_pulse_op(pulse) for pulse in pulses]
+    _check_shapes(states)
+    if states.ndim < 2 or states.shape[0] != len(ops):
+        raise SimulationError(f"{len(ops)} pulses need states of shape "
+                              f"({len(ops)}, ..., 8), got {states.shape}")
+    columns = ops[0][0]
+    if any(c != columns for c, _ in ops):
+        raise SimulationError("stacked pulses must act on the same columns")
+    # each U^T keeps the memory layout it has alone, so a block of one
+    # state runs the same BLAS call as a lone pulse on one state would
+    u_t = np.stack([u.T for _, u in ops]).transpose(0, 2, 1)
+    blocks = states.reshape(len(ops), -1, 8)
+    blocks[..., columns] = blocks[..., columns] @ u_t
+    return states
 
 
 def analytic_phase(n_echo: int, tau: float, model: IonModel) -> float:

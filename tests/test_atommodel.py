@@ -141,6 +141,21 @@ def test_trajectory_integrals_with_array_bounds():
     assert tr.integral(t0, t1)[1, 3] == pytest.approx(-2.0 * 1.5)
 
 
+def test_square_integral_by_row_blocks():
+    # a batch larger than one block of squares gives the full-matrix
+    # product to within the rounding of a K-term sum of positive terms
+    rng = np.random.default_rng(3)
+    rows, k = 2 * am.SQUARE_BLOCK_ROWS + 7, 50
+    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-5, 1e-4, k))])
+    tr = am.NoiseTrajectory(edges, rng.normal(0.0, 1e-7, (rows, k)))
+    t0, t1 = np.array([0.0, 2e-4, 1e-3]), np.array([5e-3, 9e-4, 1e-2])
+    got = tr.square_integral(t0, t1)
+    want = (tr.values ** 2) @ tr._overlap(t0, t1)
+    assert got.shape == (rows, 3)
+    np.testing.assert_allclose(got, want, rtol=k * np.finfo(float).eps,
+                               atol=0.0)
+
+
 def test_trajectory_shape_validation():
     with pytest.raises(ValueError):
         am.NoiseTrajectory([0.0, 1.0], [1.0, 2.0])

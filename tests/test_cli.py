@@ -369,3 +369,15 @@ def test_reproduce_paper_rejects_bootstrap(runner, tmp_path):
     assert res.exit_code == 2
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert "fit.bootstrap_resamples" in err["message"]
+
+
+def test_two_angles_with_free_epsilon1_exit_4_non_identifiable(runner,
+                                                               tmp_path):
+    res = runner.invoke(main, [
+        "run-campaign", "--out", str(tmp_path / "o"), "--seed", "11",
+        "--set", "plan.beta_list=0.0,0.8", "--set", "fit.float_epsilon1=true",
+        "--set", "trap.alpha=0.3"])
+    assert res.exit_code == 4
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error_type"] == "NonIdentifiableError"
+    assert ">= 3 angles" in err["message"]

@@ -253,6 +253,26 @@ def test_joint_fit_single_angle_rejected():
                                  rows["phi"], rows["sigma"])
 
 
+@pytest.mark.parametrize("betas", [(0.0, 0.8), (0.3, 1.1)])
+def test_joint_fit_two_angles_with_free_epsilon1_rejected(betas):
+    """Two per-angle slopes cannot fix Theta, beta0 and eps1: a typed error
+    that says so, not a failed beta0 search.  Three angles fit."""
+    rows = make_noiseless_cells(betas=betas, beta0=0.05, epsilon1=0.08,
+                                alpha=0.3)
+    with pytest.raises(NonIdentifiableError, match=">= 3 angles, got 2"):
+        est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
+                                 rows["phi"], rows["sigma"], alpha_trap=0.3,
+                                 float_epsilon1=True)
+    est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
+                             rows["phi"], rows["sigma"], alpha_trap=0.3)
+    rows = make_noiseless_cells(betas=betas + (0.4,), beta0=0.05,
+                                epsilon1=0.08, alpha=0.3)
+    res = est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
+                                   rows["phi"], rows["sigma"], alpha_trap=0.3,
+                                   float_epsilon1=True, compute_ci=False)
+    assert res.theta == pytest.approx(2.973, abs=1e-9)
+
+
 def test_joint_fit_zero_gradients_rejected():
     # singular normal equations surface as a typed error, not LinAlgError
     rows = make_noiseless_cells(grads=(0.0,), offsets=(0.05, -0.1, 0.15, 0.0))

@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ddquad import atommodel as am
 from ddquad import sampler as sp
+from ddquad.sequence import build_quadrupole_dd_sequence, initial_state, \
+    run_sequence
 
 
 MODEL = am.IonModel()
@@ -65,7 +68,6 @@ def test_fringe_scan_deterministic():
 
 def test_exact_mode_returns_expected_probabilities():
     data = sp.run_fringe_scan(4, 1e-4, MODEL, NONE, PHIS, 200, 1, exact=True)
-    from ddquad.sequence import build_quadrupole_dd_sequence, initial_state, run_sequence
     for pt in data.points:
         seq = build_quadrupole_dd_sequence(4, 1e-4, laser_phase=pt.phi_laser)
         p = sp.measure_population_D(run_sequence(initial_state(), seq, MODEL))
@@ -118,6 +120,86 @@ def test_seeded_counts_are_pinned():
         [89, 49, 19, 0, 15, 50, 92, 100]
     assert [p.k_D for p in cell.reference_fringe.points] == \
         [0, 17, 46, 86, 100, 83, 53, 17]
+
+
+def test_seeded_random_walk_counts_are_pinned():
+    # a time-varying trajectory with detection errors, and the exact n*p
+    # of one exact-mode scan, pinned the same way
+    walk = am.NoiseModel(kind="random_walk", drift_rate_sigma=1e-6,
+                         step_dt=5e-5)
+    det = sp.DetectionModel(eps_bright=0.02, eps_dark=0.05)
+    data = sp.run_fringe_scan(8, 1.25e-4, MODEL, walk, sp.default_phi_grid(8),
+                              100, 20160401, detection=det, seed_context=(3,))
+    assert [p.k_D for p in data.points] == [11, 46, 73, 84, 76, 57, 29, 13]
+    exact = sp.run_fringe_scan(8, 1.25e-4, MODEL, walk, sp.default_phi_grid(8),
+                               300, 1, detection=det, exact=True,
+                               extra_phase=0.3)
+    assert [repr(p.k_D) for p in exact.points] == [
+        "55.085488064475456", "156.68541257087838", "251.7330740939999",
+        "284.55084158544304", "235.91451193552697", "134.31458742912417",
+        "39.26692590600259", "6.449158414559509"]
+
+
+def per_point_scan(n_echo, tau, model, noise, phi_grid, shots_per_point,
+                   rng_seed, detection=None, exact=False, extra_phase=0.0,
+                   seed_context=()):
+    """The fringe scan one point at a time: the whole sequence built and
+    run per laser phase on its own shots, then that point's detection
+    draw."""
+    duration = 2.0 * n_echo * tau
+    init = initial_state("S:-1/2")
+    points = []
+    for point_idx, phi in enumerate(np.asarray(phi_grid, dtype=float)):
+        seq = build_quadrupole_dd_sequence(n_echo, tau, phi + extra_phase)
+        if exact:
+            state = run_sequence(init, seq, model, am.zero_trajectory())
+            p = float(sp.measure_population_D(state, detection))
+            k = shots_per_point * min(max(p, 0.0), 1.0)
+        else:
+            ss = np.random.SeedSequence([np.uint32(s) for s in sp._entropy(
+                rng_seed, seed_context, point_idx)])
+            rng = np.random.default_rng(ss)
+            traj = am.sample_noise_trajectory(noise, duration, rng,
+                                              n_shots=shots_per_point)
+            batch = np.broadcast_to(init, (shots_per_point, 8))
+            states = run_sequence(batch, seq, model, traj)
+            p = np.clip(sp.measure_population_D(states, detection), 0.0, 1.0)
+            k = int(np.sum(rng.random(shots_per_point) < p))
+        points.append(sp.FringePoint(phi_laser=float(phi),
+                                     n_shots=shots_per_point, k_D=k))
+    return sp.FringeDataset(tuple(points))
+
+
+NOISES = st.one_of(
+    st.just(NONE),
+    st.builds(am.NoiseModel, st.just("quasi_static"), st.floats(0.0, 1e-6)),
+    st.builds(am.NoiseModel, st.just("random_walk"), st.just(0.0),
+              st.floats(0.0, 1e-5), st.sampled_from([2e-5, 5e-5, 3e-4])))
+DETECTIONS = st.one_of(st.none(), st.builds(sp.DetectionModel,
+                                            st.floats(0.0, 0.5),
+                                            st.floats(0.0, 0.5)))
+
+
+@given(n_echo=st.sampled_from([2, 4, 8]),
+       tau=st.sampled_from([0.0, 3e-5, 1.25e-4]),
+       noise=NOISES, n_phases=st.integers(1, 12),
+       phase_shift=st.floats(-1.0, 1.0), shots=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1), detection=DETECTIONS,
+       exact=st.booleans(),
+       extra_phase=st.one_of(st.just(0.0), st.floats(-7.0, 7.0)),
+       context=st.lists(st.integers(0, 2 ** 32 - 1), max_size=2))
+def test_batched_scan_matches_per_point_loop(n_echo, tau, noise, n_phases,
+                                             phase_shift, shots, seed,
+                                             detection, exact, extra_phase,
+                                             context):
+    """The one-batch scan gives the per-point loop's dataset, draw for
+    draw and, in exact mode, bit for bit."""
+    phis = sp.default_phi_grid(n_phases) + phase_shift
+    args = (n_echo, tau, MODEL, noise, phis, shots, seed)
+    kwargs = dict(detection=detection, exact=exact, extra_phase=extra_phase,
+                  seed_context=tuple(context))
+    assert sp.run_fringe_scan(*args, **kwargs) == \
+        per_point_scan(*args, **kwargs)
 
 
 def test_per_angle_offsets_shift_signal_only():

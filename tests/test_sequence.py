@@ -201,7 +201,8 @@ def test_analytic_phase_uses_geometry():
 
 def reference_run(initial, seq, model, trajectory=None):
     """Left fold of ``free_evolve``/``apply_*_pulse`` over the elements,
-    one wait at a time: the executor without compilation."""
+    one wait at a time: the executor without compilation.  A single state
+    run against N > 1 trajectory rows comes back as N rows, waits or not."""
     state = np.array(initial, dtype=complex)
     t = 0.0
     for element in seq.elements[:-1]:
@@ -213,6 +214,9 @@ def reference_run(initial, seq, model, trajectory=None):
             state = sq.apply_rf_pulse(state, element)
         else:
             state = sq.apply_optical_pulse(state, element)
+    rows = () if trajectory is None else trajectory.values.shape[:-1]
+    if state.ndim == 1 and rows not in ((), (1,)):
+        state = np.array(np.broadcast_to(state, rows + (8,)))
     return state
 
 
@@ -375,3 +379,107 @@ def test_steps_reject_mismatched_shapes(call, named):
         call()
     for shape in named:
         assert str(shape) in str(info.value)
+
+
+@pytest.mark.parametrize("tau", [None, 0.0], ids=["no_wait", "zero_waits"])
+def test_single_state_against_rows_returns_rows_without_waits(tau):
+    """A single state against N trajectory rows gives a new (N, 8) batch
+    whether or not any wait makes the rows differ."""
+    if tau is None:
+        seq = sq.PulseSequence((sq.OpticalPulse(-2.5, math.pi / 2),
+                                sq.RFPulse(math.pi, 0.3), sq.Measure()))
+    else:
+        seq = sq.build_quadrupole_dd_sequence(4, tau, laser_phase=0.7)
+    initial = sq.initial_state()
+    one = sq.run_sequence(initial, seq, MODEL)
+    for values in (np.zeros((5, 1)), np.full((5, 3), 2e-7)):
+        tr = am.NoiseTrajectory(np.arange(values.shape[-1] + 1) * 1e-4, values)
+        out = sq.run_sequence(initial, seq, MODEL, tr)
+        assert out.shape == (5, 8)
+        assert out.flags.writeable and out.flags.owndata
+        assert np.array_equal(out, np.broadcast_to(one, (5, 8)))
+        assert np.array_equal(initial, sq.initial_state())
+    # one batched row still drives a single state
+    assert sq.run_sequence(initial, seq, MODEL,
+                           am.zero_trajectory(1)).shape == (8,)
+
+
+def test_rows_appear_at_the_first_wait(monkeypatch):
+    shapes = []
+    apply_pulse = sq._apply_pulse
+
+    def recording(state, columns, u_t):
+        shapes.append(state.shape)
+        return apply_pulse(state, columns, u_t)
+
+    monkeypatch.setattr(sq, "_apply_pulse", recording)
+    noise = am.NoiseModel(kind="quasi_static", sigma_B=1e-7)
+    tr = am.sample_noise_trajectory(noise, 1e-3, 4, n_shots=30)
+    sq.run_sequence(sq.initial_state(), sq.build_quadrupole_dd_sequence(
+        2, 1e-4), MODEL, tr)
+    assert shapes == [(8,)] * 2 + [(30, 8)] * 4
+    shapes.clear()
+    out = sq.run_sequence(sq.initial_state(), sq.build_quadrupole_dd_sequence(
+        2, 0.0), MODEL, tr)
+    assert shapes == [(8,)] * 6 and out.shape == (30, 8)
+
+
+@given(sequences(), st.sampled_from(["none", "constant", "walk"]),
+       st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_stacked_trajectories_match_separate_runs(seq, kind, rows, seed):
+    """Trajectory blocks given as an iterable run as their rows stacked
+    (one row in all still drives a single state)."""
+    rng = np.random.default_rng(seed)
+    edges = [0.0, np.inf] if kind != "walk" else \
+        np.concatenate([[0.0], np.cumsum(rng.uniform(1e-5, 2e-4, 3))])
+    blocks = [am.NoiseTrajectory(edges, (0.0 if kind == "none" else 1.0)
+                                 * rng.normal(0.0, 3e-7, (n, len(edges) - 1)))
+              for n in rows]
+    initial = sq.initial_state()
+    got = sq.run_sequence(initial, seq, MODEL, iter(blocks))
+    want = np.concatenate([np.broadcast_to(
+        sq.run_sequence(initial, seq, MODEL, b), (len(b.values), 8))
+        for b in blocks])
+    assert got.shape == ((sum(rows), 8) if sum(rows) > 1 else (8,))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("blocks, match", [
+    ([], "one or more blocks"),
+    ([am.zero_trajectory(2), am.zero_trajectory()], "one row per shot"),
+    ([am.zero_trajectory(2), am.NoiseTrajectory([0.0, 1e-4, 2e-4],
+                                                np.zeros((2, 2)))],
+     "all have one segment"),
+], ids=["empty", "single_row_block", "mixed_segments"])
+def test_stacked_trajectories_rejected(blocks, match):
+    from ddquad.errors import SimulationError
+    with pytest.raises(SimulationError, match=match):
+        sq.run_sequence(sq.initial_state(), sq.build_quadrupole_dd_sequence(
+            2, 1e-4), MODEL, blocks)
+
+
+@given(st.lists(PHASES, min_size=1, max_size=6), AREAS,
+       st.sampled_from(am.D_M_VALUES), st.sampled_from([(), (1,), (5,)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_apply_pulses_matches_one_pulse_at_a_time(phases, area, target, rows,
+                                                  seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(phases),) + rows + (8,)
+    states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pulses = [sq.OpticalPulse(target, area, phase) for phase in phases]
+    got = sq.apply_pulses(states, pulses)
+    for state, pulse, row in zip(states, pulses, got):
+        assert np.array_equal(row, sq.apply_optical_pulse(state, pulse))
+
+
+@pytest.mark.parametrize("states, pulses, match", [
+    (np.ones((2, 8)), [sq.OpticalPulse(-2.5, 1.0)], r"\(1, ..., 8\)"),
+    (np.ones((2, 8)), [sq.OpticalPulse(-2.5, 1.0), sq.OpticalPulse(-0.5, 1.0)],
+     "same columns"),
+    (np.ones((2, 6)), [sq.RFPulse(1.0)] * 2, r"\(2, 6\)"),
+], ids=["count", "columns", "last_axis"])
+def test_apply_pulses_rejects_mismatches(states, pulses, match):
+    from ddquad.errors import SimulationError
+    with pytest.raises(SimulationError, match=match):
+        sq.apply_pulses(states, pulses)
