@@ -195,6 +195,10 @@ class NoiseTrajectory:
             raise ValueError("edges must have one more entry than segments")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing")
+        if edges[0] != 0.0:
+            # the executor takes a one-segment trajectory's value as
+            # holding from t = 0, while the overlaps would start it later
+            raise ValueError(f"edges must start at 0, got {edges[0]!r}")
         self.edges = edges
         self.values = values
 

@@ -246,7 +246,8 @@ def _fringe_fit_doc(fit):
     return {"phase": fit.phase, "contrast": fit.contrast, "offset": fit.offset,
             "phase_sigma": fit.phase_sigma, "ci95_phase": list(fit.ci95_phase),
             "ci95_phase_clamped": list(fit.ci95_phase_clamped),
-            "neg_log_likelihood": fit.neg_log_likelihood}
+            "neg_log_likelihood": fit.neg_log_likelihood,
+            "iterations": fit.iterations, "stop": fit.stop}
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ class FringeFit:
     cov: np.ndarray = field(compare=False)   # 3x3 in (phase, contrast, offset)
     ci95_phase: tuple = (0.0, 0.0)
     ci95_phase_clamped: tuple = ()   # "lower"/"upper": left at phase -+ pi
+    iterations: int = field(compare=False, default=0)   # Newton iterations
+    stop: str = field(compare=False, default="")   # why Newton stopped
 
     @property
     def phase_sigma(self) -> float:
@@ -105,11 +107,21 @@ def _nll_and_derivs(params, x, k, n):
     return nll, grad, hess
 
 
+NEWTON_STOPS = ("gradient", "no_progress", "step_floor", "no_descent",
+                "max_iter")
+
+
 def _newton_abc(x, k, n, start, fix_phase=None, max_iter=200):
     """Newton iteration on the linear parameters.
 
     With ``fix_phase`` set, optimizes only (a, h) with
     b = h cos(phase), c = h sin(phase) (for profile-likelihood scans).
+    Returns (parameters, NLL, iterations, stop), where ``stop`` is one of
+    ``NEWTON_STOPS``: "gradient" (the gradient test passed),
+    "no_progress" (an accepted step lowered the NLL by less than
+    1e-13 (1 + |NLL|)), "step_floor" (the backtracked step fell below 4
+    ULPs of the parameters before any candidate was accepted),
+    "no_descent" (60 halvings found no lower NLL) or "max_iter".
     """
     if fix_phase is None:
         theta = np.asarray(start, dtype=float)
@@ -132,30 +144,36 @@ def _newton_abc(x, k, n, start, fix_phase=None, max_iter=200):
             step = grad / max(np.max(np.abs(np.diag(hess))), 1.0)
         # backtrack to keep probabilities inside (0, 1) and NLL decreasing
         floor = 4.0 * np.spacing(np.max(np.abs(theta)))
-        scale, accepted = 1.0, False
+        scale, stop = 1.0, "no_descent"
         for _ in range(60):
             # a step below a few ULPs of the parameters cannot move them:
             # the point sits at the rounding floor, so keep it
             if scale * np.max(np.abs(step)) < floor:
+                stop = "step_floor"
                 break
             cand = theta - scale * step
             cand_nll, cand_grad, cand_hess = _nll_and_derivs(to_abc(cand), x, k, n)
             if cand_nll <= nll + 1e-15:
-                accepted = True
+                stop = None
                 break
             scale *= 0.5
-        if not accepted:
+        if stop:
             break
         improvement = nll - cand_nll
         theta, nll = cand, cand_nll
         grad, hess = reduce_grad(cand_grad), reduce_hess(cand_hess)
         if np.max(np.abs(grad)) < 1e-9 * max(1.0, np.sum(n)):
+            stop = "gradient"
             break
         # stalled (e.g. against the probability clip): no progress left,
         # and an iteration from the same point would repeat the same step
         if improvement < 1e-13 * (1.0 + abs(nll)):
+            stop = "no_progress"
             break
-    return to_abc(theta) if fix_phase is not None else theta, nll, iteration + 1
+    else:
+        stop = "max_iter"
+    return (to_abc(theta) if fix_phase is not None else theta, nll,
+            iteration + 1, stop)
 
 
 def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
@@ -185,7 +203,7 @@ def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
         b0 *= h_max / h0
         c0 *= h_max / h0
     x = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-    (a, b, c), nll, n_iter = _newton_abc(x, k, n, (a0, b0, c0))
+    (a, b, c), nll, n_iter, stop = _newton_abc(x, k, n, (a0, b0, c0))
 
     contrast = 2.0 * math.hypot(b, c)
     if contrast < 1e-9:
@@ -211,15 +229,15 @@ def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
     ci, clamped = (phase - 1.96 * sigma, phase + 1.96 * sigma), ()
     if compute_ci:    # profile likelihood; a side that never crosses is clamped
         def q(phi):
-            _, nll_phi, _ = _newton_abc(x, k, n, (a, b, c), fix_phase=phi,
-                                        max_iter=80)
+            nll_phi = _newton_abc(x, k, n, (a, b, c), fix_phase=phi,
+                                  max_iter=80)[1]
             return float(2.0 * (nll_phi - nll) - CHI2_95_1DOF)
 
         ci, clamped = _profile_interval(q, phase, max(sigma, 1e-9), 1e-8,
                                         math.pi)
     return FringeFit(phase=phase, contrast=min(contrast, 1.0), offset=a,
                      neg_log_likelihood=nll, cov=cov, ci95_phase=ci,
-                     ci95_phase_clamped=clamped)
+                     ci95_phase_clamped=clamped, iterations=n_iter, stop=stop)
 
 
 def _profile_interval(q, center, step, xtol, cap=math.inf):
@@ -322,9 +340,10 @@ def unwrap_by_continuity(x, phases, anchor: float = 0.0):
     """Unwrap phases ordered along x, starting nearest to ``anchor``.
 
     Returns (unwrapped, ambiguous) where ``ambiguous`` flags any step
-    larger than pi/2 between consecutive points.
+    larger than pi/2 between consecutive points.  Points with equal x are
+    taken in input order.
     """
-    order = np.argsort(x)
+    order = np.argsort(x, kind="stable")
     phases = np.asarray(phases, dtype=float)
     out = np.empty_like(phases)
     ambiguous = False
@@ -588,7 +607,9 @@ def joint_fit_campaign(campaign: CampaignDataset,
     """Full chain: fringe fits -> unwrapped phases -> joint fit.
 
     ``compute_ci`` selects the profile-likelihood CI on Theta (else a
-    Gaussian one).  Returns (JointFitResult, list[CellPhase]).
+    Gaussian one).  The result's ``fit_diagnostics`` gain
+    "fringe_fit_stops": how many fringe fits stopped for each of
+    ``NEWTON_STOPS``.  Returns (JointFitResult, list[CellPhase]).
     """
     cells = extract_cell_phases(campaign, zeeman2_hz=zeeman2_hz)
     result = joint_fit_quadrupole(
@@ -597,7 +618,12 @@ def joint_fit_campaign(campaign: CampaignDataset,
         [c.sigma for c in cells],
         alpha_trap=alpha_trap, float_epsilon1=float_epsilon1,
         compute_ci=compute_ci)
-    return result, cells
+    stops = dict.fromkeys(NEWTON_STOPS, 0)
+    for c in cells:
+        stops[c.signal_fit.stop] += 1
+        stops[c.reference_fit.stop] += 1
+    return replace(result, fit_diagnostics={**result.fit_diagnostics,
+                                            "fringe_fit_stops": stops}), cells
 
 
 def two_stage_theta(cell_phases, alpha_trap: float = math.pi / 4) -> dict:

@@ -7,7 +7,11 @@ trajectories first (one per shot, a vectorized array indexed by shot)
 and its detection draws second.  In between, the points of a scan run
 as one batch: the trajectories are drawn in point order, the sequence
 runs once on every point's shots stacked, and then each point makes its
-detection draw, again in point order.  Results are therefore
+detection draw, again in point order.  A scan without a wait (the tau = 0
+reference) runs the sequence on one state, which no trajectory can
+change, but still draws each point's trajectories in point order: they
+are drawn only so that the detection draws keep their stream positions.
+Results are therefore
 bit-identical for a given (plan, model, noise, seed), independent of how
 the points are batched and of scheduling: cells may run concurrently.
 
@@ -136,6 +140,10 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     Only the closing pi/2 pulse's laser phase differs between points, so
     the sequence up to it runs once on every point's shots stacked (one
     state in exact mode), and the P closing pulses are one stacked matmul.
+    A scan without a wait (tau = 0, the reference fringe) runs one state
+    too, since no trajectory can act on it: each point's shots share one
+    detection probability.  It still draws every point's trajectories, in
+    point order, only to keep the detection draws in place.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
@@ -146,6 +154,9 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     *shared, closing, measure = build_quadrupole_dd_sequence(
         n_echo, tau).elements
     prefix = PulseSequence(tuple(shared) + (measure,))
+    # without a wait no trajectory reaches the state: one state serves
+    # every shot, as in exact mode
+    single = exact or tau == 0
     rngs, trajectories = [], None
     if not exact:
         rngs = [np.random.default_rng(np.random.SeedSequence(
@@ -155,9 +166,15 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
         trajectories = (sample_noise_trajectory(noise, duration, rng,
                                                 n_shots=shots_per_point)
                         for rng in rngs)
+        if single:
+            # drawn only so that each point's detection draws keep their
+            # place in its stream
+            for _ in trajectories:
+                pass
+            trajectories = None
     state = run_sequence(initial_state("S:-1/2"), prefix, model, trajectories)
     states = apply_pulses(
-        np.broadcast_to(state, (phi_grid.size, 8)) if exact
+        np.broadcast_to(state, (phi_grid.size, 8)) if single
         else state.reshape(phi_grid.size, shots_per_point, 8),
         [replace(closing, laser_phase=phi + extra_phase) for phi in phi_grid])
     p = np.clip(measure_population_D(states, detection), 0.0, 1.0)

@@ -13,7 +13,9 @@ trajectory per row.
 ``run_sequence`` compiles a sequence before running it.  One pass over
 the elements merges adjacent waits and drops empty ones (the paper's
 16 waits become 9), and one pair of trajectory-integral calls gives the
-offset integrals of the waits.  The run then updates the state in place,
+offset integrals of the waits.  A one-segment trajectory (no noise, or a
+quasi-static offset v) needs no such calls: a wait of length L has the
+integrals [v L, v^2 L].  The run then updates the state in place,
 each pulse on its own columns.  A single initial state stays single
 until the first wait: the steps before it act on one state, and the
 trajectory's rows appear at the first wait (or at return, when no wait
@@ -192,6 +194,14 @@ def _wait_integrals(starts, ends, trajectory: NoiseTrajectory,
     return np.stack([np.moveaxis(i1, -1, 0), np.moveaxis(i2, -1, 0)], axis=-1)
 
 
+def _constant_integrals(lengths: np.ndarray, v) -> np.ndarray:
+    """[v L, v^2 L] for each wait length L, shape (L, ..., 2): the wait
+    integrals of a constant offset ``v`` (a float or one per row), which
+    do not depend on where the wait starts."""
+    return np.stack([np.multiply.outer(lengths, v),
+                     np.multiply.outer(lengths, v * v)], axis=-1)
+
+
 # a sequence's laser phase is new on most scan points, so only the
 # repeated pulses are worth keeping
 @lru_cache(maxsize=128)
@@ -321,20 +331,21 @@ def _read_blocks(blocks, taus, starts, ends) -> tuple:
     segment each, and each block's wait integrals ([] without waits):
     (L, rows..., 2) over the L distinct wait lengths when the blocks have
     one segment (in the order the lengths first occur), else (W, rows...,
-    2) over the merged waits.  Each block is reduced to its integrals
-    before the next one is read."""
-    lengths = list(dict.fromkeys(taus))
+    2) over the merged waits.  A one-segment block's value v holds at all
+    times, so its integrals are the closed form [v L, v^2 L] of each
+    length L (``_constant_integrals``) and no overlap of segments with
+    waits is formed.  Each block is reduced to its integrals before the
+    next one is read."""
+    lengths = np.array(list(dict.fromkeys(taus)))
     rows, kinds, parts = [], set(), []
     for block in blocks:
-        # the last segment's value holds for all t >= 0, so with one
-        # segment a wait's integrals are [v tau, v^2 tau] wherever it starts
         static = block.values.shape[-1] == 1
         kinds.add(static)
         rows.append(_values_shape(block))
         if taus:
-            bounds = ([0.0] * len(lengths), lengths) if static \
-                else (starts, ends)
-            parts.append(_wait_integrals(*bounds, block, False))
+            parts.append(_constant_integrals(lengths, block.values[..., 0])
+                         if static else
+                         _wait_integrals(starts, ends, block, False))
         del block   # not held while the next block is drawn
     if len(rows) == 1:
         return rows[0], static, parts

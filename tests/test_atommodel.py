@@ -161,6 +161,11 @@ def test_trajectory_shape_validation():
         am.NoiseTrajectory([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         am.NoiseTrajectory([0.0, 0.0, 1.0], [1.0, 2.0])
+    # a trajectory that started later ran as if it held from t = 0 on the
+    # executor's one-segment path, but as zero before its first edge in a
+    # free_evolve of each wait (1.13 apart in amplitude on an echo)
+    with pytest.raises(ValueError, match="start at 0"):
+        am.NoiseTrajectory([5e-5, np.inf], [3e-7])
 
 
 def test_noise_sampling_deterministic():

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import ddquad
 from ddquad.cli import main
 from ddquad.config import ScenarioConfig, dump_config
+from ddquad.estimator import NEWTON_STOPS
 
 
 @pytest.fixture
@@ -71,6 +72,9 @@ def test_simulate_fringe_outputs(runner, tmp_path):
     assert res.exit_code == 0, res.output
     doc = json.loads((out / "fringe_fit.json").read_text())
     assert "phi_total" in doc and "analytic_phase" in doc
+    for key in ("fit", "reference_fit"):
+        assert doc[key]["stop"] in NEWTON_STOPS
+        assert doc[key]["iterations"] >= 1
     rows, _ = read_csv(out / "fringe.csv")
     assert {r["is_reference"] for r in rows} == {"0", "1"}
 
@@ -208,6 +212,12 @@ def test_run_campaign_and_fit_chain(runner, tmp_path):
     assert res2.exit_code == 0, res2.output
     fit2 = json.loads((out2 / "fit.json").read_text())
     assert fit2["theta"] == pytest.approx(fit_doc["theta"], abs=1e-9)
+    # 2 angles x 2 gradients x 2 times, a signal and a reference fit each
+    for doc in (fit_doc, fit2):
+        stops = doc["diagnostics"]["fringe_fit_stops"]
+        assert sorted(stops) == sorted(NEWTON_STOPS)
+        assert sum(stops.values()) == 16
+    assert fit2["diagnostics"] == fit_doc["diagnostics"]
 
 
 def test_magic_angle_frequency_vanishes(runner, tmp_path):

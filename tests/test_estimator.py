@@ -158,6 +158,16 @@ def test_unwrap_by_continuity():
     assert flag
 
 
+def test_unwrap_takes_tied_x_in_input_order():
+    # numpy's default argsort may reorder equal keys (it reversed these),
+    # which made the unwrapped values depend on the sort implementation
+    phases = [0.0, 24.0, -2.5, 15.0]
+    tied = est.unwrap_by_continuity([1.0, 1.0, 0.0, 0.0], phases, anchor=1.0)
+    split = est.unwrap_by_continuity([1.0, 1.5, 0.0, 0.5], phases, anchor=1.0)
+    np.testing.assert_array_equal(tied[0], split[0])
+    assert tied[1] == split[1]
+
+
 def make_noiseless_cells(theta=2.973, beta0=0.1, betas=(0.0, 0.4, 0.8, 1.2),
                          grads=(0.5e8, 1.0e8, 1.5e8), taus=(1e-3, 2e-3),
                          offsets=None, sigma=1e-4, epsilon1=0.0,
@@ -439,3 +449,110 @@ def test_theta_comparison_report():
 def test_dataset_digest_stability():
     assert est.dataset_digest("abc") == est.dataset_digest("abc")
     assert est.dataset_digest("abc") != est.dataset_digest("abd")
+
+
+# -- why each fringe fit stopped -------------------------------------------------
+
+def test_fringe_fit_stop_counts_cover_every_fit():
+    plan = replace(EXACT_PLAN, exact_probabilities=False, shots_per_point=150,
+                   beta_list=(0.0, 0.8))
+    camp = run_campaign(plan, IonModel(),
+                        NoiseModel(kind="quasi_static", sigma_B=5e-8), 7)
+    res, cells = est.joint_fit_campaign(camp, compute_ci=False)
+    stops = res.fit_diagnostics["fringe_fit_stops"]
+    assert tuple(stops) == est.NEWTON_STOPS
+    assert sum(stops.values()) == 2 * len(camp.cells)
+    fits = [f for c in cells for f in (c.signal_fit, c.reference_fit)]
+    assert all(f.stop in est.NEWTON_STOPS and f.iterations >= 1 for f in fits)
+    assert stops == {s: sum(f.stop == s for f in fits) for s in est.NEWTON_STOPS}
+
+
+def test_exact_campaign_fits_stop_without_a_failed_backtrack():
+    # exact n*p counts: every fit ends on an accepted step, either at the
+    # gradient test or with no NLL progress left against the clip
+    res, cells = est.joint_fit_campaign(exact_campaign(), compute_ci=False)
+    stops = res.fit_diagnostics["fringe_fit_stops"]
+    assert stops["gradient"] + stops["no_progress"] == 2 * len(cells)
+
+
+def test_stop_reason_does_not_enter_fit_equality():
+    fit = est.fit_fringe_mle(make_fringe(0.4), compute_ci=False)
+    assert replace(fit, stop="max_iter", iterations=999) == fit
+
+
+# -- invariants ----------------------------------------------------------------
+
+@st.composite
+def binomial_fringes(draw):
+    """Counts drawn from p = offset + (C/2) cos(phi - phase) on a shifted
+    equal grid, at 3-16 laser phases, each kept strictly inside (0, n):
+    then the likelihood vanishes where any p reaches 0 or 1, and the MLE
+    is interior (a count of 0 or n is the clipped case below)."""
+    n_points = draw(st.integers(3, 16))
+    phis = default_phi_grid(n_points) + draw(st.floats(-1.0, 1.0))
+    contrast = draw(st.floats(0.05, 0.9))
+    offset = draw(st.floats(0.5 * contrast + 0.02, 0.98 - 0.5 * contrast))
+    phase = draw(st.floats(-math.pi, math.pi))
+    n_shots = draw(st.integers(20, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = rng.binomial(n_shots, offset + 0.5 * contrast * np.cos(phis - phase))
+    return phis, n_shots, np.clip(k, 1, n_shots - 1)
+
+
+@given(binomial_fringes(), st.floats(-10.0, 10.0))
+def test_fringe_fit_is_equivariant_under_a_global_phase_shift(fringe, delta):
+    """Adding delta to every laser phase moves the fitted phase by delta
+    (mod 2 pi) and leaves contrast and offset alone."""
+    phis, n_shots, k = fringe
+    try:
+        base = _fit_shifted(phis, n_shots, k, 0.0)
+    except DegenerateDataError:
+        return
+    _assert_moved_by(base, _fit_shifted(phis, n_shots, k, delta), delta)
+
+
+def _fit_shifted(phis, n_shots, k, shift):
+    return est.fit_fringe_mle(FringeDataset(tuple(
+        FringePoint(float(phi + shift), n_shots, int(kk))
+        for phi, kk in zip(phis, k))), compute_ci=False)
+
+
+def _assert_moved_by(base, moved, delta):
+    assert abs(math.remainder(moved.phase - base.phase - delta, 2 * math.pi)) \
+        <= 1e-8
+    assert abs(moved.contrast - base.contrast) <= 1e-8
+    assert abs(moved.offset - base.offset) <= 1e-8
+
+
+# Two ways the property above fails, found by it with more examples (or
+# without its (0, n) count condition).  Both need a change to the Newton
+# iteration that moves fitted phases, so they stay open.
+@pytest.mark.xfail(strict=True, reason="known fringe-fit defects")
+@pytest.mark.parametrize("phis, n_shots, k, delta", [
+    # a count of 0 puts the MLE on the probability clip, where Newton stops
+    # at a start-dependent point: offset -0.436 unshifted, -0.421 shifted
+    (default_phi_grid(3) + 0.5, 20, [0, 7, 8], 1.0),
+    # near the optimum the backtracking compares NLLs (~1.3e4) that differ
+    # by less than their rounding, accepts a partial step and stops with
+    # "no_progress" 5e-9 from the MLE in (b, c): 3.4e-8 rad of phase
+    (default_phi_grid(14) + 0.93, 1372,
+     [735, 699, 626, 545, 540, 523, 525, 625, 623, 679, 714, 809, 789, 740],
+     0.1),
+], ids=["clipped", "nll_rounding"])
+def test_fringe_fit_equivariance_known_failures(phis, n_shots, k, delta):
+    _assert_moved_by(_fit_shifted(phis, n_shots, k, 0.0),
+                     _fit_shifted(phis, n_shots, k, delta), delta)
+
+
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-50.0, 50.0)),
+                min_size=1, max_size=12),
+       st.floats(-10.0, 10.0))
+def test_unwrap_keeps_phases_mod_2pi_and_steps_small(points, anchor):
+    x = [p[0] for p in points]
+    phases = [p[1] for p in points]
+    out, ambiguous = est.unwrap_by_continuity(x, phases, anchor=anchor)
+    for got, want in zip(out, phases):
+        assert abs(math.remainder(got - want, 2 * math.pi)) <= 1e-12
+    if not ambiguous:
+        ordered = out[np.argsort(x, kind="stable")]
+        assert np.all(np.abs(np.diff(ordered)) <= math.pi / 2)

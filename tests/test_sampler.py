@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ddquad import atommodel as am
 from ddquad import sampler as sp
@@ -188,6 +188,11 @@ DETECTIONS = st.one_of(st.none(), st.builds(sp.DetectionModel,
        exact=st.booleans(),
        extra_phase=st.one_of(st.just(0.0), st.floats(-7.0, 7.0)),
        context=st.lists(st.integers(0, 2 ** 32 - 1), max_size=2))
+# the tau = 0 reference scan: one state, with the trajectories still drawn
+@example(n_echo=8, tau=0.0, noise=NOISE, n_phases=8, phase_shift=0.1,
+         shots=64, seed=20160401,
+         detection=sp.DetectionModel(eps_bright=0.02, eps_dark=0.05),
+         exact=False, extra_phase=0.3, context=[3])
 def test_batched_scan_matches_per_point_loop(n_echo, tau, noise, n_phases,
                                              phase_shift, shots, seed,
                                              detection, exact, extra_phase,
@@ -229,6 +234,47 @@ def test_csv_round_trip():
     assert back.cells == camp.cells
     # serialization itself is stable
     assert sp.campaign_to_csv(back) == text
+
+
+@st.composite
+def fringes(draw, exact):
+    """A fringe on a strictly increasing phase grid, with integer counts
+    or, in exact mode, real-valued n*p."""
+    phis = sorted(set(draw(st.lists(st.floats(-10.0, 10.0), min_size=1,
+                                    max_size=6))))
+    points = []
+    for phi in phis:
+        n = draw(st.integers(1, 10 ** 6))
+        k = draw(st.floats(0.0, n) if exact else st.integers(0, n))
+        points.append(sp.FringePoint(phi_laser=phi, n_shots=n, k_D=k))
+    return sp.FringeDataset(tuple(points))
+
+
+@st.composite
+def campaigns(draw):
+    exact = draw(st.booleans())
+    n_echo = draw(st.sampled_from([2, 8, 32]))
+    keys = draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 1e9),
+                                   st.floats(0.0, 1e-2)),
+                         min_size=1, max_size=4, unique=True))
+    return sp.CampaignDataset(tuple(
+        sp.CampaignCell(beta_nominal=beta, dEz_dz=grad, tau_total=tau_total,
+                        fringe=replace(draw(fringes(exact)),
+                                       context={"n_echo": n_echo}),
+                        reference_fringe=draw(fringes(exact)))
+        for beta, grad, tau_total in keys))
+
+
+@given(campaigns())
+def test_csv_round_trip_property(camp):
+    back = sp.campaign_from_csv(sp.campaign_to_csv(camp))
+    assert len(back.cells) == len(camp.cells)
+    for got, want in zip(back.cells, camp.cells):
+        assert got == want
+        for a, b in ((got.fringe, want.fringe),
+                     (got.reference_fringe, want.reference_fringe)):
+            assert [type(p.k_D) for p in a.points] == \
+                [type(p.k_D) for p in b.points]
 
 
 def test_json_snapshot_complete():

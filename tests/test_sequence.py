@@ -483,3 +483,31 @@ def test_apply_pulses_rejects_mismatches(states, pulses, match):
     from ddquad.errors import SimulationError
     with pytest.raises(SimulationError, match=match):
         sq.apply_pulses(states, pulses)
+
+
+# -- closed-form integrals of a constant offset --------------------------------
+
+@pytest.mark.parametrize("values", [np.zeros(1), np.full(1, -2.3e-7),
+                                    np.zeros((4, 1)),
+                                    np.random.default_rng(3).normal(
+                                        0.0, 3e-7, (5, 1))],
+                         ids=["zero", "quasi_static", "zero_rows",
+                              "quasi_static_rows"])
+@pytest.mark.parametrize("last, exact", [(np.inf, True), (1.5e-4, False)],
+                         ids=["infinite_edge", "finite_edge"])
+def test_one_segment_integrals_match_the_overlap(values, last, exact):
+    """A one-segment block's closed-form [v L, v^2 L] equals the general
+    overlap integrals over [0, L]: bit for bit when the segment's edge is
+    infinite, to rounding when the waits run past a finite last edge."""
+    seq = sq.build_quadrupole_dd_sequence(4, 1e-4, laser_phase=0.7)
+    _, taus, starts, ends = sq._compile(seq.elements)
+    lengths = list(dict.fromkeys(taus))
+    block = am.NoiseTrajectory([0.0, last], values)
+    _, static, parts = sq._read_blocks([block], taus, starts, ends)
+    want = sq._wait_integrals([0.0] * len(lengths), lengths, block, False)
+    assert static and len(parts) == 1
+    assert parts[0].shape == want.shape == (2,) + values.shape[:-1] + (2,)
+    if exact:
+        assert np.array_equal(parts[0], want)
+    else:
+        np.testing.assert_allclose(parts[0], want, rtol=1e-15, atol=0.0)
