@@ -6,11 +6,13 @@ configuration it ran with, and embeds that config's hash in each output
 so any run can be reproduced byte-identically from its own artifacts.
 
 Exit codes: 0 success, 2 configuration/parse error, 3 simulation error,
-4 fit error.
+4 fit error.  The command group's ``invoke`` holds the one table that
+maps errors to codes; a failing command prints one JSON line on stderr.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -24,7 +26,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .atommodel import NoiseModel, arm_phase_rate, quadrupole_geometry
+from .atommodel import BASIS_LABELS, NoiseModel, arm_phase_rate
 from .config import (ScenarioConfig, config_hash, dump_config, load_config,
                      paper_scenario)
 from .dsl import parse_sequence_text, serialize_sequence
@@ -44,10 +46,10 @@ EXIT_CONFIG = 2
 EXIT_SIMULATION = 3
 EXIT_FIT = 4
 
-D_M_LABELS = ["-5/2", "-3/2", "-1/2", "+1/2", "+3/2", "+5/2"]
+D_M_LABELS = [label.split(":")[1] for label in BASIS_LABELS[2:]]
 
 
-def _fail(exc: Exception, code: int):
+def _fail(exc: DDQuadError, code: int):
     payload = {"error_type": type(exc).__name__, "message": str(exc),
                "exit_code": code}
     if isinstance(exc, SequenceSyntaxError):
@@ -73,31 +75,25 @@ def _jsonable(obj):
 
 def _load_scenario(config_path, seed, sets, base: ScenarioConfig | None = None):
     cfg = base or ScenarioConfig()
-    try:
-        if config_path is not None:
-            cfg = load_config(Path(config_path).read_text(), base=cfg)
-        if sets:
-            override = io.StringIO()
-            sections: dict = {}
-            for item in sets:
-                if "=" not in item or "." not in item.split("=", 1)[0]:
-                    raise ConfigError(
-                        f"--set expects section.key=value, got {item!r}")
-                key, value = item.split("=", 1)
-                section, name = key.split(".", 1)
-                sections.setdefault(section, []).append((name, value))
-            for section, pairs in sections.items():
-                override.write(f"[{section}]\n")
-                for name, value in pairs:
-                    override.write(f"{name} = {value}\n")
-            cfg = load_config(override.getvalue(), base=cfg)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-    except (ConfigError, OSError) as exc:
-        _fail(exc if isinstance(exc, ConfigError) else ConfigError(str(exc)),
-              EXIT_CONFIG)
-    except ValueError as exc:
-        _fail(ConfigError(str(exc)), EXIT_CONFIG)
+    if config_path is not None:
+        cfg = load_config(Path(config_path).read_text(), base=cfg)
+    if sets:
+        override = io.StringIO()
+        sections: dict = {}
+        for item in sets:
+            if "=" not in item or "." not in item.split("=", 1)[0]:
+                raise ConfigError(
+                    f"--set expects section.key=value, got {item!r}")
+            key, value = item.split("=", 1)
+            section, name = key.split(".", 1)
+            sections.setdefault(section, []).append((name, value))
+        for section, pairs in sections.items():
+            override.write(f"[{section}]\n")
+            for name, value in pairs:
+                override.write(f"{name} = {value}\n")
+        cfg = load_config(override.getvalue(), base=cfg)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     return cfg
 
 
@@ -124,10 +120,38 @@ def _write_json(path: Path, doc: dict):
     path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=1) + "\n")
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; its ``invoke`` is the one exit-code table."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise                   # click's main handles a closed stdout
+        # file errors; UnicodeError is a ValueError, so it is caught first
+        except (OSError, UnicodeError) as exc:
+            _fail(ConfigError(str(exc)), EXIT_CONFIG)
+        except (ConfigError, SequenceSyntaxError, SequenceSemanticError) as exc:
+            _fail(exc, EXIT_CONFIG)
+        except FitError as exc:
+            _fail(exc, EXIT_FIT)
+        except DDQuadError as exc:
+            _fail(exc, EXIT_SIMULATION)
+        except ValueError as exc:
+            _fail(SimulationError(str(exc)), EXIT_SIMULATION)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="ddquad")
 def main():
     """Simulate and analyze dynamic-decoupling quadrupole-moment runs."""
+
+
+def _finite(ctx, param, value):
+    """Option callback: a float option must be finite."""
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{param.opts[0]} must be finite, got {value!r}")
+    return value
 
 
 def _common(fn):
@@ -148,7 +172,7 @@ def _common(fn):
 
 @main.command("simulate-rabi")
 @_common
-@click.option("--max-area", type=float, default=4.0 * math.pi,
+@click.option("--max-area", type=float, default=4.0 * math.pi, callback=_finite,
               show_default=True, help="Largest RF pulse area (rad).")
 @click.option("--n-areas", type=int, default=201, show_default=True)
 def simulate_rabi(seed, config_path, out, sets, max_area, n_areas):
@@ -160,24 +184,21 @@ def simulate_rabi(seed, config_path, out, sets, max_area, n_areas):
     """
     cfg = _load_scenario(config_path, seed, sets)
     out_dir, chash = _prepare_out(out, cfg)
-    try:
-        if n_areas < 2 or max_area <= 0:
-            raise SimulationError("need n_areas >= 2 and max_area > 0")
-        inits = {
-            "-5/2": initial_state("D:-5/2")[2:8],
-            "psi_i": (initial_state("D:-5/2")[2:8]
-                      + initial_state("D:-1/2")[2:8]) / math.sqrt(2.0),
-        }
-        areas = np.linspace(0.0, max_area, n_areas)
-        rows = []
-        for label, psi0 in inits.items():
-            for area in areas:
-                u = rotation_unitary(2.5, float(area), 0.0)
-                pops = np.abs(u @ psi0) ** 2
-                rows.append([label, repr(float(area))]
-                            + [repr(float(p)) for p in pops])
-    except DDQuadError as exc:
-        _fail(exc, EXIT_SIMULATION)
+    if n_areas < 2 or max_area <= 0:
+        raise SimulationError("need n_areas >= 2 and max_area > 0")
+    inits = {
+        "-5/2": initial_state("D:-5/2")[2:8],
+        "psi_i": (initial_state("D:-5/2")[2:8]
+                  + initial_state("D:-1/2")[2:8]) / math.sqrt(2.0),
+    }
+    areas = np.linspace(0.0, max_area, n_areas)
+    rows = []
+    for label, psi0 in inits.items():
+        for area in areas:
+            u = rotation_unitary(2.5, float(area), 0.0)
+            pops = np.abs(u @ psi0) ** 2
+            rows.append([label, repr(float(area))]
+                        + [repr(float(p)) for p in pops])
     header = ["init_state", "area"] + [f"p_m_{m}" for m in D_M_LABELS]
     _write_csv(out_dir / "rabi.csv", header, rows, {"config_hash": chash})
     click.echo(f"wrote {out_dir / 'rabi.csv'}")
@@ -185,7 +206,7 @@ def simulate_rabi(seed, config_path, out, sets, max_area, n_areas):
 
 @main.command("simulate-fringe")
 @_common
-@click.option("--tau-total", type=float, default=None,
+@click.option("--tau-total", type=float, default=None, callback=_finite,
               help="Total precession time 2*n_echo*tau (s); defaults to the "
                    "first plan value.")
 @click.option("--reference/--no-reference", default=True, show_default=True,
@@ -197,25 +218,20 @@ def simulate_fringe(seed, config_path, out, sets, tau_total, reference):
     plan = cfg.plan
     if tau_total is None:
         tau_total = plan.tau_total_list[0]
-    try:
-        if tau_total < 0:
-            raise SimulationError("tau_total must be >= 0")
-        tau = tau_total / (2.0 * plan.n_echo)
-        model = cfg.ion_model()
-        phis = default_phi_grid(plan.n_phases)
-        data = run_fringe_scan(plan.n_echo, tau, model, cfg.noise, phis,
-                               plan.shots_per_point, cfg.seed,
-                               detection=cfg.detection,
-                               exact=plan.exact_probabilities)
-        ref = run_fringe_scan(plan.n_echo, 0.0, model, cfg.noise, phis,
-                              plan.shots_per_point, cfg.seed,
-                              detection=cfg.detection,
-                              exact=plan.exact_probabilities,
-                              seed_context=(1,)) if reference else None
-    except DDQuadError as exc:
-        _fail(exc, EXIT_SIMULATION)
-    except ValueError as exc:
-        _fail(SimulationError(str(exc)), EXIT_SIMULATION)
+    if tau_total < 0:
+        raise SimulationError("tau_total must be >= 0")
+    tau = tau_total / (2.0 * plan.n_echo)
+    model = cfg.ion_model()
+    phis = default_phi_grid(plan.n_phases)
+    data = run_fringe_scan(plan.n_echo, tau, model, cfg.noise, phis,
+                           plan.shots_per_point, cfg.seed,
+                           detection=cfg.detection,
+                           exact=plan.exact_probabilities)
+    ref = run_fringe_scan(plan.n_echo, 0.0, model, cfg.noise, phis,
+                          plan.shots_per_point, cfg.seed,
+                          detection=cfg.detection,
+                          exact=plan.exact_probabilities,
+                          seed_context=(1,)) if reference else None
 
     rows = [[repr(p.phi_laser), p.n_shots, repr(p.k_D), 0] for p in data.points]
     if ref is not None:
@@ -226,18 +242,15 @@ def simulate_fringe(seed, config_path, out, sets, tau_total, reference):
                {"config_hash": chash, "tau_total": tau_total,
                 "n_echo": plan.n_echo})
 
-    try:
-        fit = fit_fringe_mle(data)
-        doc = {"config_hash": chash, "tau_total": tau_total,
-               "n_echo": plan.n_echo,
-               "analytic_phase": analytic_phase(plan.n_echo, tau, model),
-               "fit": _fringe_fit_doc(fit)}
-        if ref is not None:
-            rfit = fit_fringe_mle(ref)
-            doc["reference_fit"] = _fringe_fit_doc(rfit)
-            doc["phi_total"] = phase_difference(fit, rfit)
-    except FitError as exc:
-        _fail(exc, EXIT_FIT)
+    fit = fit_fringe_mle(data)
+    doc = {"config_hash": chash, "tau_total": tau_total,
+           "n_echo": plan.n_echo,
+           "analytic_phase": analytic_phase(plan.n_echo, tau, model),
+           "fit": _fringe_fit_doc(fit)}
+    if ref is not None:
+        rfit = fit_fringe_mle(ref)
+        doc["reference_fit"] = _fringe_fit_doc(rfit)
+        doc["phi_total"] = phase_difference(fit, rfit)
     _write_json(out_dir / "fringe_fit.json", doc)
     click.echo(f"wrote {out_dir / 'fringe.csv'} and fringe_fit.json")
 
@@ -299,24 +312,21 @@ def _fit_campaign(cfg: ScenarioConfig, campaign, chash, digest, zeeman2_hz):
     ``fit.bootstrap_resamples`` is set.  Returns (result, cells, doc)."""
     options = dict(alpha_trap=cfg.trap.alpha,
                    float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2_hz)
-    try:
-        result, cells = joint_fit_campaign(campaign, **options)
-        doc = {
-            "config_hash": chash, "dataset_sha256": digest,
-            "theta": result.theta, "theta_sigma": result.theta_sigma,
-            "ci95_theta": list(result.ci95_theta),
-            "beta0": result.beta0, "epsilon1": result.epsilon1,
-            "per_angle_offsets": list(result.per_angle_offsets),
-            "chi2": result.chi2, "ndof": result.ndof,
-            "reduced_chi2": result.chi2 / result.ndof if result.ndof else None,
-            "diagnostics": {k: v for k, v in result.fit_diagnostics.items()
-                            if k != "profile_samples"},
-        }
-        if cfg.fit.bootstrap_resamples:
-            doc["bootstrap_ci95_theta"] = list(bootstrap_ci(
-                campaign, cfg.fit.bootstrap_resamples, cfg.seed, **options))
-    except FitError as exc:
-        _fail(exc, EXIT_FIT)
+    result, cells = joint_fit_campaign(campaign, **options)
+    doc = {
+        "config_hash": chash, "dataset_sha256": digest,
+        "theta": result.theta, "theta_sigma": result.theta_sigma,
+        "ci95_theta": list(result.ci95_theta),
+        "beta0": result.beta0, "epsilon1": result.epsilon1,
+        "per_angle_offsets": list(result.per_angle_offsets),
+        "chi2": result.chi2, "ndof": result.ndof,
+        "reduced_chi2": result.chi2 / result.ndof if result.ndof else None,
+        "diagnostics": {k: v for k, v in result.fit_diagnostics.items()
+                        if k != "profile_samples"},
+    }
+    if cfg.fit.bootstrap_resamples:
+        doc["bootstrap_ci95_theta"] = list(bootstrap_ci(
+            campaign, cfg.fit.bootstrap_resamples, cfg.seed, **options))
     return result, cells, doc
 
 
@@ -332,39 +342,27 @@ def run_campaign_cmd(seed, config_path, out, sets, sequence_file, workers):
     """Simulate the full (beta, gradient, tau_total) campaign and fit it."""
     cfg = _load_scenario(config_path, seed, sets)
     if sequence_file is not None:
-        try:
-            seq = parse_sequence_text(Path(sequence_file).read_text(),
-                                      variables={"phi_laser": 0.0})
-            if seq.n_echo is None:
+        seq = parse_sequence_text(Path(sequence_file).read_text(),
+                                  variables={"phi_laser": 0.0})
+        if seq.n_echo is None:
+            raise ConfigError(
+                "sequence file has no echo block; cannot set n_echo")
+        builtin = build_quadrupole_dd_sequence(seq.n_echo, seq.tau or 0.0)
+        for i, (got, want) in enumerate(itertools.zip_longest(
+                seq.elements, builtin.elements), start=1):
+            if got != want:
                 raise ConfigError(
-                    "sequence file has no echo block; cannot set n_echo")
-            builtin = build_quadrupole_dd_sequence(seq.n_echo, seq.tau or 0.0)
-            for i, (got, want) in enumerate(itertools.zip_longest(
-                    seq.elements, builtin.elements), start=1):
-                if got != want:
-                    raise ConfigError(
-                        f"sequence file differs from the built-in echo "
-                        f"sequence at element {i}: {got or 'nothing'} where "
-                        f"the built-in has {want or 'nothing'}; only its "
-                        f"n_echo is used, so it must be that sequence")
-            cfg = replace(cfg, plan=replace(cfg.plan, n_echo=seq.n_echo))
-        except (SequenceSyntaxError, SequenceSemanticError, ConfigError,
-                OSError) as exc:
-            _fail(exc if isinstance(exc, DDQuadError) else ConfigError(str(exc)),
-                  EXIT_CONFIG)
-        except ValueError as exc:
-            _fail(ConfigError(str(exc)), EXIT_CONFIG)
+                    f"sequence file differs from the built-in echo "
+                    f"sequence at element {i}: {got or 'nothing'} where "
+                    f"the built-in has {want or 'nothing'}; only its "
+                    f"n_echo is used, so it must be that sequence")
+        cfg = replace(cfg, plan=replace(cfg.plan, n_echo=seq.n_echo))
     out_dir, chash = _prepare_out(out, cfg)
     model = cfg.ion_model()
-    try:
-        campaign = run_campaign(cfg.plan, model, cfg.noise, cfg.seed,
-                                detection=cfg.detection,
-                                phi_grid=default_phi_grid(cfg.plan.n_phases),
-                                workers=workers)
-    except DDQuadError as exc:
-        _fail(exc, EXIT_SIMULATION)
-    except ValueError as exc:
-        _fail(SimulationError(str(exc)), EXIT_SIMULATION)
+    campaign = run_campaign(cfg.plan, model, cfg.noise, cfg.seed,
+                            detection=cfg.detection,
+                            phi_grid=default_phi_grid(cfg.plan.n_phases),
+                            workers=workers)
 
     csv_text = campaign_to_csv(campaign)
     (out_dir / "campaign.csv").write_text(csv_text)
@@ -385,7 +383,7 @@ def run_campaign_cmd(seed, config_path, out, sets, sequence_file, workers):
 @_common
 @click.option("--data", "data_path", type=click.Path(), required=True,
               help="campaign.csv produced by run-campaign (or hand-made).")
-@click.option("--zeeman2-hz", type=float, default=None,
+@click.option("--zeeman2-hz", type=float, default=None, callback=_finite,
               help="Known differential second-order Zeeman shift C2*B^2 "
                    "(Hz) to remove; defaults to the configured model's.")
 def fit_cmd(seed, config_path, out, sets, data_path, zeeman2_hz):
@@ -395,22 +393,19 @@ def fit_cmd(seed, config_path, out, sets, data_path, zeeman2_hz):
     try:
         csv_text = Path(data_path).read_text()
         campaign = campaign_from_csv(csv_text)
-    except OSError as exc:
-        _fail(ConfigError(str(exc)), EXIT_CONFIG)
     except (ValueError, KeyError, SimulationError) as exc:
-        _fail(ConfigError(f"bad campaign CSV: {exc}"), EXIT_CONFIG)
+        raise ConfigError(f"bad campaign CSV: {exc}") from None
     model = cfg.ion_model()
     if zeeman2_hz is None:
         zeeman2_hz = model.species.c2_quad_zeeman * model.field_cfg.B ** 2
     digest = dataset_digest(csv_text)
     result, cells, doc = _fit_campaign(cfg, campaign, chash, digest,
                                        zeeman2_hz)
-    try:
+    # optional: needs >= 2 gradients and >= 2 precession times
+    doc["two_stage"] = None
+    with contextlib.suppress(FitError):
         ts = two_stage_theta(cells, alpha_trap=model.trap.alpha)
         doc["two_stage"] = {k: ts[k] for k in ("theta", "beta0", "theta_sigma")}
-    except FitError:
-        # needs >= 2 gradients and >= 2 precession times; optional
-        doc["two_stage"] = None
     _write_json(out_dir / "fit.json", doc)
     _figure_tables(out_dir, cells, model, {"config_hash": chash,
                                            "dataset_sha256": digest})
@@ -440,10 +435,10 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
     base = paper_scenario()
     cfg = _load_scenario(config_path, seed, sets, base=base)
     if replications < 1:
-        _fail(ConfigError("replications must be >= 1"), EXIT_CONFIG)
+        raise ConfigError("replications must be >= 1")
     if cfg.fit.bootstrap_resamples:
-        _fail(ConfigError("reproduce-paper runs no bootstrap; leave "
-                          "fit.bootstrap_resamples at 0"), EXIT_CONFIG)
+        raise ConfigError("reproduce-paper runs no bootstrap; leave "
+                          "fit.bootstrap_resamples at 0")
     if no_noise:
         cfg = replace(cfg, noise=NoiseModel(kind="none"),
                       detection=replace(cfg.detection, eps_bright=0.0,
@@ -456,41 +451,34 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
     reps = []
     first_cells = None
     first_digest = None
-    try:
-        for rep in range(replications):
-            rep_seed = cfg.seed + rep
-            plan = cfg.plan
-            if plan.per_angle_offsets is None:
-                # sub-0.2 rad instrumental offsets at dE-independent level,
-                # redrawn per replication, profiled out by the fit
-                rng = np.random.default_rng([rep_seed, 0xD0])
-                plan = replace(plan, per_angle_offsets=tuple(
-                    rng.normal(0.0, 0.05, len(plan.beta_list))))
-            campaign = run_campaign(plan, model, cfg.noise, rep_seed,
-                                    detection=cfg.detection,
-                                    phi_grid=default_phi_grid(plan.n_phases),
-                                    workers=workers)
-            result, cells = joint_fit_campaign(
-                campaign, alpha_trap=model.trap.alpha,
-                float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2)
-            covered = result.ci95_theta[0] <= cfg.theta_true <= result.ci95_theta[1]
-            reps.append({"seed": rep_seed, "theta": result.theta,
-                         "ci95_theta": list(result.ci95_theta),
-                         "theta_sigma": result.theta_sigma,
-                         "covered_truth": bool(covered),
-                         "chi2": result.chi2, "ndof": result.ndof,
-                         "result": result})
-            if rep == 0:
-                first_cells = cells
-                csv_text = campaign_to_csv(campaign)
-                (out_dir / "campaign.csv").write_text(csv_text)
-                first_digest = dataset_digest(csv_text)
-    except FitError as exc:
-        _fail(exc, EXIT_FIT)
-    except DDQuadError as exc:
-        _fail(exc, EXIT_SIMULATION)
-    except ValueError as exc:
-        _fail(SimulationError(str(exc)), EXIT_SIMULATION)
+    for rep in range(replications):
+        rep_seed = cfg.seed + rep
+        plan = cfg.plan
+        if plan.per_angle_offsets is None:
+            # sub-0.2 rad instrumental offsets at dE-independent level,
+            # redrawn per replication, profiled out by the fit
+            rng = np.random.default_rng([rep_seed, 0xD0])
+            plan = replace(plan, per_angle_offsets=tuple(
+                rng.normal(0.0, 0.05, len(plan.beta_list))))
+        campaign = run_campaign(plan, model, cfg.noise, rep_seed,
+                                detection=cfg.detection,
+                                phi_grid=default_phi_grid(plan.n_phases),
+                                workers=workers)
+        result, cells = joint_fit_campaign(
+            campaign, alpha_trap=model.trap.alpha,
+            float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2)
+        covered = result.ci95_theta[0] <= cfg.theta_true <= result.ci95_theta[1]
+        reps.append({"seed": rep_seed, "theta": result.theta,
+                     "ci95_theta": list(result.ci95_theta),
+                     "theta_sigma": result.theta_sigma,
+                     "covered_truth": bool(covered),
+                     "chi2": result.chi2, "ndof": result.ndof,
+                     "result": result})
+        if rep == 0:
+            first_cells = cells
+            csv_text = campaign_to_csv(campaign)
+            (out_dir / "campaign.csv").write_text(csv_text)
+            first_digest = dataset_digest(csv_text)
 
     primary = reps[0]["result"]
     comparison = theta_comparison_report(primary,
@@ -540,22 +528,14 @@ def parse_cmd(seed, config_path, out, sets, sequence_file, variables):
     bindings = {}
     for item in variables:
         if "=" not in item:
-            _fail(ConfigError(f"--var expects NAME=VALUE, got {item!r}"),
-                  EXIT_CONFIG)
+            raise ConfigError(f"--var expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         try:
             bindings[name] = float(value)
         except ValueError:
-            _fail(ConfigError(f"--var {name}: not a number: {value!r}"),
-                  EXIT_CONFIG)
-    try:
-        text = Path(sequence_file).read_text()
-    except OSError as exc:
-        _fail(ConfigError(str(exc)), EXIT_CONFIG)
-    try:
-        seq = parse_sequence_text(text, variables=bindings)
-    except (SequenceSyntaxError, SequenceSemanticError) as exc:
-        _fail(exc, EXIT_CONFIG)
+            raise ConfigError(f"--var {name}: not a number: {value!r}") from None
+    seq = parse_sequence_text(Path(sequence_file).read_text(),
+                              variables=bindings)
     canonical = serialize_sequence(seq)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

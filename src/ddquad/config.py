@@ -1,9 +1,10 @@
 """Scenario configuration: strict INI-style files plus CLI overrides.
 
 ``_SCHEMA`` below is the one list of scenario sections and keys; unknown
-sections and keys are rejected.  Every run writes back the fully resolved
-configuration it used, and outputs embed its content hash, so a run can
-always be reproduced from its own artifacts.
+sections and keys are rejected, and so is a float or list entry that is
+not finite.  Every run writes back the fully resolved configuration it
+used, and outputs embed its content hash, so a run can always be
+reproduced from its own artifacts.
 """
 
 from __future__ import annotations
@@ -143,10 +144,16 @@ def load_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig
                                   f"[{section}]; valid keys: {valid}")
             owner, name, parse = _SCHEMA[section, key]
             try:
-                changes.setdefault(owner, {})[name] = parse(raw)
+                value = parse(raw)
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {exc}") from None
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in values):
+                raise ConfigError(f"bad value for [{section}] {key}: "
+                                  f"not finite: {raw!r}")
+            changes.setdefault(owner, {})[name] = value
     try:
         owned = {owner: replace(getattr(cfg, owner), **fields)
                  for owner, fields in changes.items() if owner is not None}

@@ -14,8 +14,11 @@ decimal radians.  Durations take ns/us/ms/s suffixes.  Inside a repeat
 block, ``alt(a,b)`` alternates a phase per iteration.  ``$name`` marks a
 scan variable bound at parse time through the ``variables`` mapping.
 
-The serializer emits a flat canonical program (repeat blocks unrolled,
-floats via repr) that parses back to a structurally equal sequence.
+The serializer writes one statement per element, floats via repr.  The
+echo block that the sequence metadata ``n_echo``/``tau`` names (the
+block of ``build_quadrupole_dd_sequence``) is written as a
+``repeat``/``alt`` block, so the metadata survives the round trip; the
+text parses back to an equal sequence.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ import math
 import re
 from decimal import Decimal, InvalidOperation
 
-from .atommodel import BASIS_LABELS
+from .atommodel import BASIS_LABELS, D_INDEX
 from .errors import SequenceSemanticError, SequenceSyntaxError
-from .sequence import Measure, OpticalPulse, PulseSequence, RFPulse, Wait
+from .sequence import (Measure, OpticalPulse, PulseSequence, RFPulse, Wait,
+                       build_quadrupole_dd_sequence)
 
 _TIME_SUFFIXES = {"ns": "1e-9", "us": "1e-6", "ms": "1e-3", "s": "1"}
 _PI_RE = re.compile(r"^([+-]?)(\d+\.?\d*|\.\d+)?pi(?:/(\d+\.?\d*))?$")
 _DURATION_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(ns|us|ms|s)$")
+_D_LEVEL_M = {BASIS_LABELS[i]: m for m, i in D_INDEX.items()}
 
 
 def _parse_scalar(token: str, variables: dict, line_no: int):
@@ -81,35 +86,28 @@ def _check_level(label: str, line_no: int, manifold: str | None = None) -> str:
     return label
 
 
-def _level_m(label: str) -> float:
-    num, den = label.split(":")[1].split("/")
-    return float(num) / float(den)
-
-
-class _AltPhase:
-    """Deferred alt(a, b) phase, resolved per repeat iteration."""
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def resolve(self, iteration: int) -> float:
-        return self.a if iteration % 2 == 0 else self.b
-
-
 def _parse_phase(token: str, variables, line_no: int, allow_alt: bool):
+    """A phase, or the pair (a, b) of ``alt(a,b)``."""
     m = re.match(r"^alt\((.+),(.+)\)$", token)
     if m:
         if not allow_alt:
             raise SequenceSemanticError(
                 f"line {line_no}: alt(...) is only valid inside a repeat block")
-        return _AltPhase(_parse_scalar(m.group(1).strip(), variables, line_no),
-                         _parse_scalar(m.group(2).strip(), variables, line_no))
+        return (_parse_scalar(m.group(1).strip(), variables, line_no),
+                _parse_scalar(m.group(2).strip(), variables, line_no))
     return _parse_scalar(token, variables, line_no)
 
 
+def _parse_area(token: str, variables, line_no: int) -> float:
+    area = _parse_scalar(token, variables, line_no)
+    if area < 0:
+        raise SequenceSemanticError(f"line {line_no}: negative pulse area")
+    return area
+
+
 def _parse_statement(parts, variables, line_no, in_repeat):
-    """One statement -> element template (possibly with _AltPhase)."""
+    """One statement -> element, None for ``init``, or for an ``alt``
+    RF pulse the pair of elements of even and odd iterations."""
     head = parts[0]
     if head == "measure":
         if len(parts) != 1:
@@ -136,10 +134,10 @@ def _parse_statement(parts, variables, line_no, in_repeat):
             if len(parts) != 5 or parts[3] != "phase":
                 raise SequenceSyntaxError("usage: pulse rf <area> phase <phase>",
                                           line=line_no, column=1)
-            area = _parse_scalar(parts[2], variables, line_no)
+            area = _parse_area(parts[2], variables, line_no)
             phase = _parse_phase(parts[4], variables, line_no, allow_alt=in_repeat)
-            if isinstance(phase, _AltPhase):
-                return ("rf_alt", area, phase)
+            if isinstance(phase, tuple):
+                return tuple(RFPulse(area=area, rf_phase=p) for p in phase)
             return RFPulse(area=area, rf_phase=phase)
         if kind == "optical":
             # pulse optical <area> <S-level> <D-level> phase <phase>
@@ -147,14 +145,15 @@ def _parse_statement(parts, variables, line_no, in_repeat):
                 raise SequenceSyntaxError(
                     "usage: pulse optical <area> <S-level> <D-level> phase <phase>",
                     line=line_no, column=1)
-            area = _parse_scalar(parts[2], variables, line_no)
+            area = _parse_area(parts[2], variables, line_no)
             _check_level(parts[3], line_no, manifold="S")
             d_level = _check_level(parts[4], line_no, manifold="D")
             if parts[3] != "S:-1/2":
                 raise SequenceSemanticError(
                     f"line {line_no}: optical pulses couple S:-1/2 only")
             phase = _parse_phase(parts[6], variables, line_no, allow_alt=False)
-            return OpticalPulse(target_m=_level_m(d_level), area=area, laser_phase=phase)
+            return OpticalPulse(target_m=_D_LEVEL_M[d_level], area=area,
+                                laser_phase=phase)
         raise SequenceSyntaxError(f"unknown pulse kind {kind!r}", line=line_no, column=7)
     raise SequenceSyntaxError(f"unknown statement {head!r}", line=line_no, column=1)
 
@@ -164,22 +163,18 @@ def parse_sequence_text(text: str, variables: dict | None = None) -> PulseSequen
 
     Raises SequenceSyntaxError (with line/column) on malformed input and
     SequenceSemanticError for unknown labels, odd repeat counts on
-    alternating-phase echo blocks, unbound variables and negative
-    durations.
+    alternating-phase echo blocks, unbound variables, negative areas and
+    negative durations.
     """
-    lines = text.splitlines()
     elements: list = []
-    i = 0
-    echo_count = 0
-    echo_tau = None
-    while i < len(lines):
-        line_no = i + 1
-        raw = lines[i].split("#", 1)[0].strip()
-        i += 1
+    block = None        # open repeat block: (header line, count, body)
+    n_echo = echo_tau = None
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        raw = line.split("#", 1)[0].strip()
         if not raw:
             continue
         parts = raw.replace("{", " { ").split()
-        if parts[0] == "repeat":
+        if block is None and parts[0] == "repeat":
             if len(parts) != 3 or parts[2] != "{":
                 raise SequenceSyntaxError("usage: repeat <N> {", line=line_no, column=1)
             try:
@@ -189,49 +184,33 @@ def parse_sequence_text(text: str, variables: dict | None = None) -> PulseSequen
                                           line=line_no, column=8) from None
             if count < 1:
                 raise SequenceSemanticError(f"line {line_no}: repeat count must be >= 1")
-            body: list = []
-            closed = False
-            while i < len(lines):
-                body_line_no = i + 1
-                braw = lines[i].split("#", 1)[0].strip()
-                i += 1
-                if not braw:
-                    continue
-                if braw == "}":
-                    closed = True
-                    break
-                if braw.startswith("repeat"):
-                    raise SequenceSyntaxError("nested repeat is not supported",
-                                              line=body_line_no, column=1)
-                stmt = _parse_statement(braw.split(), variables, body_line_no,
-                                        in_repeat=True)
-                if stmt is not None:
-                    body.append(stmt)
-            if not closed:
-                raise SequenceSyntaxError("unterminated repeat block",
-                                          line=line_no, column=1)
-            has_alt = any(isinstance(s, tuple) and s[0] == "rf_alt" for s in body)
+            block = (line_no, count, [])
+        elif block is not None and raw == "}":
+            header, count, body = block
+            block = None
+            has_alt = any(isinstance(stmt, tuple) for stmt in body)
             if has_alt and count % 2 != 0:
                 raise SequenceSemanticError(
-                    f"line {line_no}: alternating-phase echo blocks must repeat "
+                    f"line {header}: alternating-phase echo blocks must repeat "
                     f"an even number of times, got {count}")
-            for k in range(count):
-                for stmt in body:
-                    if isinstance(stmt, tuple) and stmt[0] == "rf_alt":
-                        elements.append(RFPulse(area=stmt[1], rf_phase=stmt[2].resolve(k)))
-                    else:
-                        elements.append(stmt)
+            elements += [stmt[k % 2] if isinstance(stmt, tuple) else stmt
+                         for k in range(count) for stmt in body]
             if has_alt:
-                echo_count = count
-                waits = [s.tau for s in body if isinstance(s, Wait)]
-                echo_tau = waits[0] if waits else None
-            continue
-        stmt = _parse_statement(parts, variables, line_no, in_repeat=False)
-        if stmt is not None:
-            elements.append(stmt)
+                n_echo = count
+                echo_tau = next((stmt.tau for stmt in body
+                                 if isinstance(stmt, Wait)), None)
+        elif block is not None and raw.startswith("repeat"):
+            raise SequenceSyntaxError("nested repeat is not supported",
+                                      line=line_no, column=1)
+        else:
+            stmt = _parse_statement(parts, variables, line_no,
+                                    in_repeat=block is not None)
+            if stmt is not None:
+                (elements if block is None else block[2]).append(stmt)
+    if block is not None:
+        raise SequenceSyntaxError("unterminated repeat block", line=block[0], column=1)
     if any(isinstance(e, Measure) for e in elements[:-1]):
         raise SequenceSemanticError("measure must be the final statement")
-    n_echo = echo_count if echo_count else None
     return PulseSequence(tuple(elements), n_echo=n_echo, tau=echo_tau)
 
 
@@ -247,40 +226,28 @@ def _format_phase(phase: float) -> str:
     return _format_area(phase) if phase != 0.0 else "0"
 
 
-_D_LABELS = {-2.5: "D:-5/2", -1.5: "D:-3/2", -0.5: "D:-1/2",
-             0.5: "D:+1/2", 1.5: "D:+3/2", 2.5: "D:+5/2"}
-
-
 def _echo_block_span(seq: PulseSequence):
-    """Locate a builder-style echo block [wait, rf-pi-alt, wait] * n_echo.
-
-    Returns (start, end) element indices, or None when the sequence does
-    not carry matching metadata.
-    """
-    n = seq.n_echo
-    if not n or seq.tau is None:
+    """(start, end) of the echo block that the metadata names: the
+    elements of ``build_quadrupole_dd_sequence(n_echo, tau)`` between its
+    preparation and its closing pulses.  None when the metadata names no
+    builder block (n_echo odd or < 2, tau unset, negative or not finite)
+    or the sequence does not hold that block."""
+    n, tau = seq.n_echo, seq.tau
+    if not (n and n >= 2 and n % 2 == 0 and tau is not None
+            and math.isfinite(tau) and tau >= 0):
         return None
-    for start in range(len(seq.elements) - 3 * n + 1):
-        ok = True
-        for k in range(n):
-            w1, rf, w2 = seq.elements[start + 3 * k: start + 3 * k + 3]
-            if not (isinstance(w1, Wait) and w1.tau == seq.tau
-                    and isinstance(w2, Wait) and w2.tau == seq.tau
-                    and isinstance(rf, RFPulse) and rf.area == math.pi
-                    and rf.rf_phase == (0.0 if k % 2 == 0 else math.pi)):
-                ok = False
-                break
-        if ok:
-            return start, start + 3 * n
+    block = build_quadrupole_dd_sequence(n, tau).elements[2:2 + 3 * n]
+    for start in range(len(seq.elements) - len(block) + 1):
+        if seq.elements[start:start + len(block)] == block:
+            return start, start + len(block)
     return None
 
 
 def serialize_sequence(seq: PulseSequence) -> str:
-    """Canonical DSL text; parse(serialize(seq)) == seq structurally.
-
-    Builder-style echo blocks are emitted as a repeat/alt block so the
-    n_echo/tau metadata survives the round trip; everything else is flat.
-    """
+    """Canonical DSL text; parse(serialize(seq)) has the same elements,
+    and equals seq, metadata included, when the metadata names a builder
+    echo block (see ``_echo_block_span``), which is written as a
+    repeat/alt block.  Serializing the parsed text gives the same text."""
     span = _echo_block_span(seq)
     out = ["init S:-1/2"]
     for idx, e in enumerate(seq.elements):
@@ -294,7 +261,8 @@ def serialize_sequence(seq: PulseSequence) -> str:
             continue
         if isinstance(e, OpticalPulse):
             out.append(f"pulse optical {_format_area(e.area)} S:-1/2 "
-                       f"{_D_LABELS[e.target_m]} phase {_format_phase(e.laser_phase)}")
+                       f"{BASIS_LABELS[D_INDEX[e.target_m]]} "
+                       f"phase {_format_phase(e.laser_phase)}")
         elif isinstance(e, RFPulse):
             out.append(f"pulse rf {_format_area(e.area)} phase {_format_phase(e.rf_phase)}")
         elif isinstance(e, Wait):

@@ -217,33 +217,28 @@ def run_campaign(plan: CampaignPlan, model: IonModel, noise: NoiseModel,
     ignored: a thread pool over cells made campaigns slower."""
     if phi_grid is None:
         phi_grid = default_phi_grid(plan.n_phases)
-    specs = []
-    cell_idx = 0
+    cells = []
     for angle_idx, beta in enumerate(plan.beta_list):
         offset = (plan.per_angle_offsets[angle_idx]
                   if plan.per_angle_offsets is not None else 0.0)
         for gradient in plan.gradient_list:
+            cm = _cell_model(model, beta, gradient)
             for tau_total in plan.tau_total_list:
-                tau = tau_total / (2.0 * plan.n_echo)
-                specs.append((cell_idx, beta, gradient, tau_total, tau, offset))
-                cell_idx += 1
-
-    def simulate(spec):
-        idx, beta, gradient, tau_total, tau, offset = spec
-        cm = _cell_model(model, beta, gradient)
-        fringe = run_fringe_scan(
-            plan.n_echo, tau, cm, noise, phi_grid, plan.shots_per_point,
-            rng_seed, detection=detection, exact=plan.exact_probabilities,
-            extra_phase=offset, seed_context=(2 * idx,))
-        reference = run_fringe_scan(
-            plan.n_echo, 0.0, cm, noise, phi_grid, plan.shots_per_point,
-            rng_seed, detection=detection, exact=plan.exact_probabilities,
-            seed_context=(2 * idx + 1,))
-        return CampaignCell(beta_nominal=beta, dEz_dz=gradient,
-                            tau_total=tau_total, fringe=fringe,
-                            reference_fringe=reference)
-
-    return CampaignDataset(tuple(simulate(s) for s in specs),
+                idx = len(cells)
+                fringe = run_fringe_scan(
+                    plan.n_echo, tau_total / (2.0 * plan.n_echo), cm, noise,
+                    phi_grid, plan.shots_per_point, rng_seed,
+                    detection=detection, exact=plan.exact_probabilities,
+                    extra_phase=offset, seed_context=(2 * idx,))
+                reference = run_fringe_scan(
+                    plan.n_echo, 0.0, cm, noise, phi_grid,
+                    plan.shots_per_point, rng_seed, detection=detection,
+                    exact=plan.exact_probabilities,
+                    seed_context=(2 * idx + 1,))
+                cells.append(CampaignCell(
+                    beta_nominal=beta, dEz_dz=gradient, tau_total=tau_total,
+                    fringe=fringe, reference_fringe=reference))
+    return CampaignDataset(tuple(cells),
                            plan_snapshot=plan_snapshot(plan, rng_seed),
                            model_snapshot=model_snapshot(model, noise, detection))
 

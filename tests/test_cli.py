@@ -391,3 +391,65 @@ def test_two_angles_with_free_epsilon1_exit_4_non_identifiable(runner,
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err["error_type"] == "NonIdentifiableError"
     assert ">= 3 angles" in err["message"]
+
+
+def one_json_error(res):
+    """The one JSON error line a failing command prints on stderr."""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("case", ["out_under_file", "undecodable_sequence",
+                                  "too_few_areas", "fit_error"])
+def test_exit_code_table(runner, tmp_path, case):
+    regular = tmp_path / "regular.txt"
+    regular.write_text("x")
+    undecodable = tmp_path / "seq.dd"
+    undecodable.write_bytes(b"\xffinit S:-1/2\nmeasure\n")
+    data = tmp_path / "campaign.csv"
+    data.write_text(small_campaign_csv())
+    out = str(tmp_path / "o")
+    argv, code, error_type = {
+        "out_under_file": (["simulate-rabi", "--out", str(regular / "o")],
+                           2, "ConfigError"),
+        "undecodable_sequence": (["parse", str(undecodable), "--out", out],
+                                 2, "ConfigError"),
+        "too_few_areas": (["simulate-rabi", "--n-areas", "1", "--out", out],
+                          3, "SimulationError"),
+        "fit_error": (["fit", "--data", str(data), "--out", out,
+                       "--set", "fit.float_epsilon1=true",
+                       "--set", "trap.alpha=0.3"],
+                      4, "NonIdentifiableError"),
+    }[case]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == code, res.output
+    err = one_json_error(res)
+    assert err["exit_code"] == code
+    assert err["error_type"] == error_type
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-fringe", "--set", "trap.dez_dz=nan"],
+    ["simulate-fringe", "--set", "field.b=nan"],
+    ["simulate-fringe", "--set", "run.theta_true=nan"],
+    ["simulate-fringe", "--set", "field.beta=inf"],
+    ["simulate-fringe", "--tau-total", "nan"],
+    ["run-campaign", "--set", "plan.tau_total_list=nan,1e-3"],
+    ["simulate-rabi", "--max-area", "inf"],
+    ["fit", "--zeeman2-hz", "nan"],
+], ids=["dez_dz", "b", "theta_true", "beta", "tau_total", "tau_total_list",
+        "max_area", "zeeman2_hz"])
+def test_non_finite_value_exits_2(runner, tmp_path, argv):
+    out = tmp_path / "o"
+    if argv[0] == "fit":
+        data = tmp_path / "campaign.csv"
+        data.write_text(small_campaign_csv())
+        argv = argv + ["--data", str(data)]
+    res = runner.invoke(main, argv + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert "finite" in err["message"]
+    assert not (out / "fringe.csv").exists()
+    assert not (out / "campaign.csv").exists()

@@ -171,3 +171,15 @@ def test_docs_scenario_table_matches_schema():
     documented = [line for line in scenario.splitlines()
                   if line.startswith("| `")]
     assert documented == expected, "\n".join(expected)
+
+
+@pytest.mark.parametrize("text", ["[trap]\ndez_dz = nan\n",
+                                  "[field]\nbeta = inf\n",
+                                  "[run]\ntheta_true = -inf\n",
+                                  "[plan]\ntau_total_list = 1e-3, nan\n",
+                                  "[field]\nb = 1e400\n"],
+                         ids=["dez_dz", "beta", "theta_true", "tau_total_list",
+                              "b_overflow"])
+def test_non_finite_value_rejected(text):
+    with pytest.raises(ConfigError, match="not finite"):
+        cfg.load_config(text)

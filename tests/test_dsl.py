@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ddquad import dsl, sequence as sq
+from ddquad.atommodel import D_M_VALUES
 from ddquad.errors import SequenceSemanticError, SequenceSyntaxError
 
 
@@ -109,6 +111,8 @@ def test_syntax_errors(text):
     "init S:-1/2\npulse optical pi S:-1/2 D:-1/2 phase $missing\nmeasure\n",
     "init S:-1/2\nwait -3us\nmeasure\n",                # negative duration
     "init S:-1/2\nrepeat 0 {\nwait 1us\n}\nmeasure\n",  # zero repeats
+    "init S:-1/2\npulse rf -pi phase 0\nmeasure\n",     # negative area
+    "init S:-1/2\npulse optical -1 S:-1/2 D:-1/2 phase 0\nmeasure\n",
 ])
 def test_semantic_errors(text):
     with pytest.raises(SequenceSemanticError):
@@ -126,3 +130,76 @@ def test_variables_bind_numbers():
     seq = dsl.parse_sequence_text(
         "init S:-1/2\npulse rf pi phase $p\nmeasure\n", variables={"p": 0.5})
     assert seq.elements[0].rf_phase == 0.5
+
+
+def test_odd_n_echo_metadata_serializes_to_text_that_parses():
+    # three echo blocks that the metadata names; the DSL only writes even
+    # alt blocks, so they are written flat
+    tau = 1e-5
+    blocks = sq.build_quadrupole_dd_sequence(4, tau).elements[2:11]
+    seq = sq.PulseSequence(blocks + (sq.Measure(),), n_echo=3, tau=tau)
+    again = dsl.parse_sequence_text(dsl.serialize_sequence(seq))
+    assert again.elements == seq.elements
+    assert again.n_echo is None
+
+
+# -- round trip as a property ------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+AREAS = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, 2 * math.pi,
+                                   3 * math.pi / 2]),
+                  st.floats(0.0, 1e6))
+DURATIONS = st.one_of(st.sampled_from([0.0, 250e-6, 1e-3]),
+                      st.floats(0.0, 1.0))
+ELEMENTS = st.one_of(
+    st.builds(sq.OpticalPulse, target_m=st.sampled_from(D_M_VALUES),
+              area=AREAS, laser_phase=FINITE),
+    st.builds(sq.RFPulse, area=AREAS,
+              rf_phase=st.one_of(st.sampled_from([0.0, math.pi]), FINITE)),
+    st.builds(sq.Wait, tau=DURATIONS))
+
+
+@st.composite
+def sequences(draw):
+    """Valid sequences: random elements around an optional echo block of
+    n blocks (odd n included), with no metadata, metadata that names the
+    block, or random metadata."""
+    elements = draw(st.lists(ELEMENTS, max_size=5))
+    n = draw(st.integers(1, 6))
+    tau = draw(DURATIONS)
+    if draw(st.booleans()):
+        blocks = sq.build_quadrupole_dd_sequence(
+            2 * n, tau).elements[2:2 + 3 * n]
+        elements += list(blocks) + draw(st.lists(ELEMENTS, max_size=5))
+    if draw(st.booleans()):
+        elements.append(sq.Measure())
+    n_echo, meta_tau = draw(st.sampled_from(
+        [(None, None), (n, tau),
+         (draw(st.integers(0, 6)), draw(st.one_of(st.none(), DURATIONS)))]))
+    return sq.PulseSequence(tuple(elements), n_echo=n_echo, tau=meta_tau)
+
+
+@st.composite
+def builder_sequences(draw):
+    """Sequences of the builder, with or without their metadata."""
+    seq = sq.build_quadrupole_dd_sequence(
+        2 * draw(st.integers(1, 8)), draw(DURATIONS), laser_phase=draw(FINITE))
+    if draw(st.booleans()):
+        seq = sq.PulseSequence(seq.elements)
+    return seq
+
+
+@given(st.one_of(sequences(), builder_sequences()))
+def test_serialize_round_trip(seq):
+    text = dsl.serialize_sequence(seq)
+    again = dsl.parse_sequence_text(text)
+    assert again.elements == seq.elements
+    if dsl._echo_block_span(seq) is not None:
+        assert again == seq
+    assert dsl.serialize_sequence(again) == text
+
+
+@given(builder_sequences())
+def test_builder_sequences_round_trip_exactly(seq):
+    again = dsl.parse_sequence_text(dsl.serialize_sequence(seq))
+    assert again == seq
