@@ -202,10 +202,6 @@ class NoiseTrajectory:
         self.edges = edges
         self.values = values
 
-    @property
-    def n_shots(self):
-        return None if self.values.ndim == 1 else self.values.shape[0]
-
     def _overlap(self, t0, t1) -> np.ndarray:
         """Time each segment spends inside [t0, t1]: shape (K,) for scalar
         bounds, (K, W) for arrays of W bounds."""

@@ -307,14 +307,32 @@ def _figure_tables(out_dir: Path, cell_phases, model, meta: dict):
                 "model_phase"], beta_rows, meta)
 
 
-def _fit_campaign(cfg: ScenarioConfig, campaign, chash, digest, zeeman2_hz):
-    """Joint fit and its fit.json document, with the bootstrap CI when
-    ``fit.bootstrap_resamples`` is set.  Returns (result, cells, doc)."""
-    options = dict(alpha_trap=cfg.trap.alpha,
-                   float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2_hz)
+def _fit_options(cfg: ScenarioConfig, model, zeeman2_hz=None) -> dict:
+    """Keyword options of the joint fit and its bootstrap.  The known
+    second-order Zeeman shift C2*B^2 is the model's unless ``zeeman2_hz``
+    overrides it."""
+    if zeeman2_hz is None:
+        zeeman2_hz = model.species.c2_quad_zeeman * model.field_cfg.B ** 2
+    return dict(alpha_trap=model.trap.alpha,
+                float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2_hz)
+
+
+def _theta_text(result) -> str:
+    lo, hi = result.ci95_theta
+    return f"theta = {result.theta:.4f}  ci95 = [{lo:.4f}, {hi:.4f}]"
+
+
+def _fit_outputs(cfg: ScenarioConfig, model, campaign, csv_text: str,
+                 out_dir: Path, chash: str, zeeman2_hz=None):
+    """Joint fit of ``campaign`` (whose CSV is ``csv_text``) and every
+    output it gives: fit.json, with the bootstrap CI when
+    ``fit.bootstrap_resamples`` is set and the two-stage cross-check, and
+    the figure tables.  Returns the fit result."""
+    meta = {"config_hash": chash, "dataset_sha256": dataset_digest(csv_text)}
+    options = _fit_options(cfg, model, zeeman2_hz)
     result, cells = joint_fit_campaign(campaign, **options)
     doc = {
-        "config_hash": chash, "dataset_sha256": digest,
+        **meta,
         "theta": result.theta, "theta_sigma": result.theta_sigma,
         "ci95_theta": list(result.ci95_theta),
         "beta0": result.beta0, "epsilon1": result.epsilon1,
@@ -323,11 +341,18 @@ def _fit_campaign(cfg: ScenarioConfig, campaign, chash, digest, zeeman2_hz):
         "reduced_chi2": result.chi2 / result.ndof if result.ndof else None,
         "diagnostics": {k: v for k, v in result.fit_diagnostics.items()
                         if k != "profile_samples"},
+        "two_stage": None,
     }
     if cfg.fit.bootstrap_resamples:
         doc["bootstrap_ci95_theta"] = list(bootstrap_ci(
             campaign, cfg.fit.bootstrap_resamples, cfg.seed, **options))
-    return result, cells, doc
+    # optional: needs >= 2 gradients and >= 2 precession times
+    with contextlib.suppress(FitError):
+        ts = two_stage_theta(cells, alpha_trap=model.trap.alpha)
+        doc["two_stage"] = {k: ts[k] for k in ("theta", "beta0", "theta_sigma")}
+    _write_json(out_dir / "fit.json", doc)
+    _figure_tables(out_dir, cells, model, meta)
+    return result
 
 
 @main.command("run-campaign")
@@ -360,23 +385,13 @@ def run_campaign_cmd(seed, config_path, out, sets, sequence_file, workers):
     out_dir, chash = _prepare_out(out, cfg)
     model = cfg.ion_model()
     campaign = run_campaign(cfg.plan, model, cfg.noise, cfg.seed,
-                            detection=cfg.detection,
-                            phi_grid=default_phi_grid(cfg.plan.n_phases),
-                            workers=workers)
-
+                            detection=cfg.detection)
     csv_text = campaign_to_csv(campaign)
     (out_dir / "campaign.csv").write_text(csv_text)
     (out_dir / "campaign.json").write_text(campaign_to_json(campaign))
-    digest = dataset_digest(csv_text)
-
-    zeeman2 = model.species.c2_quad_zeeman * model.field_cfg.B ** 2
-    result, cells, doc = _fit_campaign(cfg, campaign, chash, digest, zeeman2)
-    _write_json(out_dir / "fit.json", doc)
-    _figure_tables(out_dir, cells, model, {"config_hash": chash,
-                                           "dataset_sha256": digest})
+    result = _fit_outputs(cfg, model, campaign, csv_text, out_dir, chash)
     click.echo(f"wrote campaign + fit + figure tables to {out_dir}")
-    click.echo(f"theta = {result.theta:.4f}  "
-               f"ci95 = [{result.ci95_theta[0]:.4f}, {result.ci95_theta[1]:.4f}]")
+    click.echo(_theta_text(result))
 
 
 @main.command("fit")
@@ -395,22 +410,8 @@ def fit_cmd(seed, config_path, out, sets, data_path, zeeman2_hz):
         campaign = campaign_from_csv(csv_text)
     except (ValueError, KeyError, SimulationError) as exc:
         raise ConfigError(f"bad campaign CSV: {exc}") from None
-    model = cfg.ion_model()
-    if zeeman2_hz is None:
-        zeeman2_hz = model.species.c2_quad_zeeman * model.field_cfg.B ** 2
-    digest = dataset_digest(csv_text)
-    result, cells, doc = _fit_campaign(cfg, campaign, chash, digest,
-                                       zeeman2_hz)
-    # optional: needs >= 2 gradients and >= 2 precession times
-    doc["two_stage"] = None
-    with contextlib.suppress(FitError):
-        ts = two_stage_theta(cells, alpha_trap=model.trap.alpha)
-        doc["two_stage"] = {k: ts[k] for k in ("theta", "beta0", "theta_sigma")}
-    _write_json(out_dir / "fit.json", doc)
-    _figure_tables(out_dir, cells, model, {"config_hash": chash,
-                                           "dataset_sha256": digest})
-    click.echo(f"theta = {result.theta:.4f}  "
-               f"ci95 = [{result.ci95_theta[0]:.4f}, {result.ci95_theta[1]:.4f}]")
+    click.echo(_theta_text(_fit_outputs(cfg, cfg.ion_model(), campaign,
+                                        csv_text, out_dir, chash, zeeman2_hz)))
 
 
 @main.command("reproduce-paper")
@@ -446,13 +447,10 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
                       plan=replace(cfg.plan, exact_probabilities=True))
     out_dir, chash = _prepare_out(out, cfg)
     model = cfg.ion_model()
-    zeeman2 = model.species.c2_quad_zeeman * model.field_cfg.B ** 2
+    options = _fit_options(cfg, model)
 
-    reps = []
-    first_cells = None
-    first_digest = None
-    for rep in range(replications):
-        rep_seed = cfg.seed + rep
+    def replicate(rep_seed):
+        """One replication's campaign and its joint fit (result, cells)."""
         plan = cfg.plan
         if plan.per_angle_offsets is None:
             # sub-0.2 rad instrumental offsets at dE-independent level,
@@ -461,33 +459,26 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
             plan = replace(plan, per_angle_offsets=tuple(
                 rng.normal(0.0, 0.05, len(plan.beta_list))))
         campaign = run_campaign(plan, model, cfg.noise, rep_seed,
-                                detection=cfg.detection,
-                                phi_grid=default_phi_grid(plan.n_phases),
-                                workers=workers)
-        result, cells = joint_fit_campaign(
-            campaign, alpha_trap=model.trap.alpha,
-            float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2)
-        covered = result.ci95_theta[0] <= cfg.theta_true <= result.ci95_theta[1]
-        reps.append({"seed": rep_seed, "theta": result.theta,
-                     "ci95_theta": list(result.ci95_theta),
-                     "theta_sigma": result.theta_sigma,
-                     "covered_truth": bool(covered),
-                     "chi2": result.chi2, "ndof": result.ndof,
-                     "result": result})
-        if rep == 0:
-            first_cells = cells
-            csv_text = campaign_to_csv(campaign)
-            (out_dir / "campaign.csv").write_text(csv_text)
-            first_digest = dataset_digest(csv_text)
+                                detection=cfg.detection)
+        return (campaign, *joint_fit_campaign(campaign, **options))
 
-    primary = reps[0]["result"]
+    campaign, primary, cells = replicate(cfg.seed)
+    csv_text = campaign_to_csv(campaign)
+    (out_dir / "campaign.csv").write_text(csv_text)
+    meta = {"config_hash": chash, "dataset_sha256": dataset_digest(csv_text)}
+    results = [primary] + [replicate(cfg.seed + rep)[1]
+                           for rep in range(1, replications)]
+
     comparison = theta_comparison_report(primary,
                                          model.species.reference_theta_values)
-    half_widths = [(r["ci95_theta"][1] - r["ci95_theta"][0]) / 2.0
-                   for r in reps]
+    reps = [{"seed": cfg.seed + rep, "theta": r.theta,
+             "ci95_theta": list(r.ci95_theta), "theta_sigma": r.theta_sigma,
+             "covered_truth": (r.ci95_theta[0] <= cfg.theta_true
+                               <= r.ci95_theta[1]),
+             "chi2": r.chi2, "ndof": r.ndof} for rep, r in enumerate(results)]
+    half_widths = [(r.ci95_theta[1] - r.ci95_theta[0]) / 2.0 for r in results]
     report = {
-        "config_hash": chash,
-        "dataset_sha256": first_digest,
+        **meta,
         "theta_true": cfg.theta_true,
         "theta": primary.theta,
         "ci95_theta": list(primary.ci95_theta),
@@ -500,18 +491,13 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
             dict(row, text=f"{abs(row['deviation_sigma']):.1f}σ away "
                            f"from {row['label']}")
             for row in comparison],
-        "replications": [{k: v for k, v in r.items() if k != "result"}
-                         for r in reps],
+        "replications": reps,
         "coverage_count": sum(r["covered_truth"] for r in reps),
         "median_ci_half_width": float(np.median(half_widths)),
     }
     _write_json(out_dir / "report.json", report)
-    _figure_tables(out_dir, first_cells, model,
-                   {"config_hash": chash, "dataset_sha256": first_digest})
-    click.echo(f"theta = {primary.theta:.4f}  "
-               f"ci95 = [{primary.ci95_theta[0]:.4f}, "
-               f"{primary.ci95_theta[1]:.4f}]  "
-               f"(truth {cfg.theta_true}, "
+    _figure_tables(out_dir, cells, model, meta)
+    click.echo(f"{_theta_text(primary)}  (truth {cfg.theta_true}, "
                f"{report['coverage_count']}/{replications} covered)")
     for row in report["comparison"]:
         click.echo(f"  {row['text']} ({row['value']} ± {row['sigma']})")

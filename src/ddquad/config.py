@@ -127,7 +127,8 @@ _FORMAT = {bool: lambda v: str(v).lower(), str: str,
 def load_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
     """Parse INI text into a ScenarioConfig, overriding ``base`` defaults."""
     cfg = base or ScenarioConfig()
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' reaches the value's own parser, which rejects it
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

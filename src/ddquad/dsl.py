@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, Overflow
 
 from .atommodel import BASIS_LABELS, D_INDEX
 from .errors import SequenceSemanticError, SequenceSyntaxError
@@ -38,43 +38,40 @@ _DURATION_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(ns|us|m
 _D_LEVEL_M = {BASIS_LABELS[i]: m for m, i in D_INDEX.items()}
 
 
-def _parse_scalar(token: str, variables: dict, line_no: int):
-    """Number, pi-literal, or $variable -> float radians."""
+def _parse_number(token: str, variables, line_no: int,
+                  duration: bool = False) -> float:
+    """A $variable or a literal -> finite float.  Literals are decimal
+    numbers plus, for a ``duration``, suffixed times (``250us``), and
+    otherwise pi-literals (radians)."""
     if token.startswith("$"):
         name = token[1:]
         if variables is None or name not in variables:
             raise SequenceSemanticError(
                 f"line {line_no}: unbound scan variable ${name}")
-        return float(variables[name])
-    m = _PI_RE.match(token)
-    if m:
+        value = float(variables[name])
+    elif duration and (m := _DURATION_RE.match(token)):
+        # decimal arithmetic keeps e.g. "250us" bit-identical to the literal 250e-6
+        try:
+            value = float(Decimal(m.group(1)) * Decimal(_TIME_SUFFIXES[m.group(2)]))
+        except Overflow:        # past even Decimal's exponent range
+            value = math.inf
+    elif not duration and (m := _PI_RE.match(token)):
         sign = -1.0 if m.group(1) == "-" else 1.0
         coeff = float(m.group(2)) if m.group(2) else 1.0
         div = float(m.group(3)) if m.group(3) else 1.0
-        return sign * coeff * math.pi / div
-    try:
-        return float(token)
-    except ValueError:
-        raise SequenceSyntaxError(f"expected a number, pi-literal or $var, got {token!r}",
-                                  line=line_no, column=1) from None
-
-
-def _parse_duration(token: str, line_no: int, variables: dict | None = None) -> float:
-    if token.startswith("$"):
-        return _parse_scalar(token, variables, line_no)
-    m = _DURATION_RE.match(token)
-    if not m:
+        value = sign * coeff * math.pi / div if div else math.inf
+    else:
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise SequenceSyntaxError(
-                f"bad duration {token!r} (use e.g. 250us, 1.5ms)",
+                f"bad duration {token!r} (use e.g. 250us, 1.5ms)" if duration
+                else f"expected a number, pi-literal or $var, got {token!r}",
                 line=line_no, column=1) from None
-    # decimal arithmetic keeps e.g. "250us" bit-identical to the literal 250e-6
-    try:
-        return float(Decimal(m.group(1)) * Decimal(_TIME_SUFFIXES[m.group(2)]))
-    except InvalidOperation:
-        raise SequenceSyntaxError(f"bad duration {token!r}", line=line_no, column=1) from None
+    if not math.isfinite(value):
+        raise SequenceSemanticError(
+            f"line {line_no}: {token!r} is not a finite number")
+    return value
 
 
 def _check_level(label: str, line_no: int, manifold: str | None = None) -> str:
@@ -93,13 +90,13 @@ def _parse_phase(token: str, variables, line_no: int, allow_alt: bool):
         if not allow_alt:
             raise SequenceSemanticError(
                 f"line {line_no}: alt(...) is only valid inside a repeat block")
-        return (_parse_scalar(m.group(1).strip(), variables, line_no),
-                _parse_scalar(m.group(2).strip(), variables, line_no))
-    return _parse_scalar(token, variables, line_no)
+        return (_parse_number(m.group(1).strip(), variables, line_no),
+                _parse_number(m.group(2).strip(), variables, line_no))
+    return _parse_number(token, variables, line_no)
 
 
 def _parse_area(token: str, variables, line_no: int) -> float:
-    area = _parse_scalar(token, variables, line_no)
+    area = _parse_number(token, variables, line_no)
     if area < 0:
         raise SequenceSemanticError(f"line {line_no}: negative pulse area")
     return area
@@ -116,7 +113,7 @@ def _parse_statement(parts, variables, line_no, in_repeat):
     if head == "wait":
         if len(parts) != 2:
             raise SequenceSyntaxError("usage: wait <duration>", line=line_no, column=1)
-        tau = _parse_duration(parts[1], line_no, variables)
+        tau = _parse_number(parts[1], variables, line_no, duration=True)
         if tau < 0:
             raise SequenceSemanticError(f"line {line_no}: negative wait duration")
         return Wait(tau)
@@ -163,8 +160,8 @@ def parse_sequence_text(text: str, variables: dict | None = None) -> PulseSequen
 
     Raises SequenceSyntaxError (with line/column) on malformed input and
     SequenceSemanticError for unknown labels, odd repeat counts on
-    alternating-phase echo blocks, unbound variables, negative areas and
-    negative durations.
+    alternating-phase echo blocks, unbound variables, numbers that are not
+    finite, negative areas and negative durations.
     """
     elements: list = []
     block = None        # open repeat block: (header line, count, body)

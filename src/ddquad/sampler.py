@@ -32,10 +32,9 @@ import numpy as np
 
 from .atommodel import IonModel, NoiseModel, sample_noise_trajectory
 from .errors import SimulationError
-from .sequence import (PulseSequence, apply_pulses, build_quadrupole_dd_sequence,
-                       initial_state, run_sequence)
-
-D_SLICE = slice(2, 8)
+from .sequence import (D_BLOCK, PulseSequence, apply_pulses,
+                       build_quadrupole_dd_sequence, initial_state,
+                       run_sequence)
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def default_phi_grid(n_phases: int = 12) -> np.ndarray:
 def measure_population_D(state: np.ndarray,
                          detection: DetectionModel | None = None):
     """Detection probability: total D population through the error map."""
-    p = np.sum(np.abs(state[..., D_SLICE]) ** 2, axis=-1)
+    p = np.sum(np.abs(state[..., D_BLOCK]) ** 2, axis=-1)
     if detection is not None:
         p = detection.eps_bright + p * (1.0 - detection.eps_bright - detection.eps_dark)
     return p

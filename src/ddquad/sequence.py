@@ -68,8 +68,10 @@ class OpticalPulse:
     def __post_init__(self):
         if self.target_m not in D_INDEX:
             raise ValueError(f"optical pulse target {self.target_m} is not a D sublevel")
-        if self.area < 0:
-            raise ValueError("pulse area must be >= 0")
+        if not (math.isfinite(self.area) and self.area >= 0):
+            raise ValueError("pulse area must be finite and >= 0")
+        if not math.isfinite(self.laser_phase):
+            raise ValueError("laser phase must be finite")
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,10 @@ class RFPulse:
     rf_phase: float = 0.0
 
     def __post_init__(self):
-        if self.area < 0:
-            raise ValueError("pulse area must be >= 0")
+        if not (math.isfinite(self.area) and self.area >= 0):
+            raise ValueError("pulse area must be finite and >= 0")
+        if not math.isfinite(self.rf_phase):
+            raise ValueError("RF phase must be finite")
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,8 @@ class Wait:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("wait duration must be >= 0")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError("wait duration must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,8 +145,13 @@ def initial_state(label: str = "S:-1/2") -> np.ndarray:
     return state
 
 
-@lru_cache(maxsize=256)
-def _level_coefficients_cached(model: IonModel):
+def level_coefficients(model: IonModel):
+    """Per-level frequency decomposition nu = lin*B + static + b2*B^2 (Hz).
+
+    ``lin`` is the linear Zeeman rate (Hz/T), ``static`` the quadrupole
+    shift at the model's true angle, ``b2`` the second-order Zeeman
+    coefficient (Hz/T^2); read-only arrays of length 8 in basis order.
+    """
     lin = np.zeros(8)
     static = np.zeros(8)
     b2 = np.zeros(8)
@@ -156,16 +165,6 @@ def _level_coefficients_cached(model: IonModel):
     for a in (lin, static, b2):
         a.setflags(write=False)
     return lin, static, b2
-
-
-def level_coefficients(model: IonModel):
-    """Per-level frequency decomposition nu = lin*B + static + b2*B^2 (Hz).
-
-    ``lin`` is the linear Zeeman rate (Hz/T), ``static`` the quadrupole
-    shift at the model's true angle, ``b2`` the second-order Zeeman
-    coefficient (Hz/T^2); read-only arrays of length 8 in basis order.
-    """
-    return _level_coefficients_cached(model)
 
 
 @lru_cache(maxsize=256)

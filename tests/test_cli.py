@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -358,19 +359,83 @@ def test_removed_key_exits_2(runner, tmp_path, key):
         assert "valid keys: dez_dz, epsilon1, alpha" in err["message"]
 
 
-def test_run_campaign_and_fit_write_the_same_bootstrap_ci(runner, tmp_path):
+@pytest.fixture(scope="module")
+def bootstrap_runs(tmp_path_factory):
+    """Output directories of run-campaign and of a fit of its
+    campaign.csv, both with fit.bootstrap_resamples=100."""
+    tmp = tmp_path_factory.mktemp("bootstrap")
+    runner = CliRunner()
     args = ["--seed", "5", "--set", "fit.bootstrap_resamples=100"]
-    res = runner.invoke(main, ["run-campaign", "--out", str(tmp_path / "c")]
+    res = runner.invoke(main, ["run-campaign", "--out", str(tmp / "c")]
                         + args + SMALL_PLAN)
     assert res.exit_code == 0, res.output
-    res = runner.invoke(main, ["fit", "--out", str(tmp_path / "f"), "--data",
-                               str(tmp_path / "c" / "campaign.csv")] + args)
+    res = runner.invoke(main, ["fit", "--out", str(tmp / "f"), "--data",
+                               str(tmp / "c" / "campaign.csv")] + args)
     assert res.exit_code == 0, res.output
-    camp = json.loads((tmp_path / "c" / "fit.json").read_text())
-    refit = json.loads((tmp_path / "f" / "fit.json").read_text())
+    return tmp / "c", tmp / "f"
+
+
+def test_run_campaign_and_fit_write_the_same_bootstrap_ci(bootstrap_runs):
+    camp, refit = (json.loads((out / "fit.json").read_text())
+                   for out in bootstrap_runs)
     lo, hi = refit["bootstrap_ci95_theta"]
     assert lo < hi
     assert refit["bootstrap_ci95_theta"] == camp["bootstrap_ci95_theta"]
+
+
+def documented_keys(heading):
+    """Top-level keys of the JSON block in the docs/formats.md section
+    whose heading starts with ``heading``."""
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    block = doc.split(f"\n## {heading}", 1)[1].split("```json", 1)[1]
+    keys, depth = set(), 0
+    for m in re.finditer(r'[{}\[\]]|"(\w+)"\s*:', block.split("```", 1)[0]):
+        if m.group(1) is None:
+            depth += 1 if m.group(0) in "{[" else -1
+        elif depth == 1:
+            keys.add(m.group(1))
+    return keys
+
+
+def test_written_keys_match_the_documented_blocks(runner, tmp_path,
+                                                  bootstrap_runs):
+    fit_keys = documented_keys("fit.json")
+    assert {"bootstrap_ci95_theta", "two_stage"} <= fit_keys
+    for out in bootstrap_runs:          # run-campaign, then fit
+        assert set(json.loads((out / "fit.json").read_text())) == fit_keys
+    fringe_keys = documented_keys("fringe.csv / fringe_fit.json")
+    # the section documents that --no-reference omits these two
+    omitted = {"reference_fit", "phi_total"}
+    assert omitted <= fringe_keys
+    for flag, want in (("--reference", fringe_keys),
+                       ("--no-reference", fringe_keys - omitted)):
+        out = tmp_path / flag
+        res = runner.invoke(main, ["simulate-fringe", flag, "--out", str(out),
+                                   "--set", "plan.shots_per_point=50",
+                                   "--set", "plan.n_phases=6"])
+        assert res.exit_code == 0, res.output
+        assert set(json.loads((out / "fringe_fit.json").read_text())) == want
+
+
+def test_refit_from_own_artifacts_is_byte_identical(runner, tmp_path):
+    run, refit = tmp_path / "run", tmp_path / "refit"
+    res = runner.invoke(main, [
+        "run-campaign", "--out", str(run), "--seed", "5",
+        "--set", "plan.beta_list=0.0,0.75,1.5",
+        "--set", "plan.gradient_list=0.2e8",
+        "--set", "plan.tau_total_list=0.5e-3,1e-3",
+        "--set", "plan.n_phases=6", "--set", "plan.shots_per_point=60",
+        "--set", "fit.bootstrap_resamples=100",
+        "--set", "fit.float_epsilon1=true", "--set", "trap.alpha=0.3"])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["fit", "--out", str(refit),
+                               "--config", str(run / "resolved_config.ini"),
+                               "--data", str(run / "campaign.csv")])
+    assert res.exit_code == 0, res.output
+    assert "bootstrap_ci95_theta" in json.loads((run / "fit.json").read_text())
+    for name in ("fit.json", "phase_vs_tau.csv", "frequency_vs_gradient.csv",
+                 "phase_vs_beta.csv"):
+        assert (refit / name).read_bytes() == (run / name).read_bytes(), name
 
 
 def test_reproduce_paper_rejects_bootstrap(runner, tmp_path):
@@ -401,10 +466,13 @@ def one_json_error(res):
 
 
 @pytest.mark.parametrize("case", ["out_under_file", "undecodable_sequence",
-                                  "too_few_areas", "fit_error"])
+                                  "too_few_areas", "fit_error", "percent_set",
+                                  "percent_config"])
 def test_exit_code_table(runner, tmp_path, case):
     regular = tmp_path / "regular.txt"
     regular.write_text("x")
+    percent = tmp_path / "percent.ini"
+    percent.write_text("[trap]\nalpha = %x\n")
     undecodable = tmp_path / "seq.dd"
     undecodable.write_bytes(b"\xffinit S:-1/2\nmeasure\n")
     data = tmp_path / "campaign.csv"
@@ -421,6 +489,11 @@ def test_exit_code_table(runner, tmp_path, case):
                        "--set", "fit.float_epsilon1=true",
                        "--set", "trap.alpha=0.3"],
                       4, "NonIdentifiableError"),
+        # a '%' is a bad value, not configparser interpolation syntax
+        "percent_set": (["simulate-rabi", "--set", "trap.alpha=%x",
+                         "--out", out], 2, "ConfigError"),
+        "percent_config": (["simulate-rabi", "--config", str(percent),
+                            "--out", out], 2, "ConfigError"),
     }[case]
     res = runner.invoke(main, argv)
     assert res.exit_code == code, res.output

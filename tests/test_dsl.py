@@ -113,10 +113,39 @@ def test_syntax_errors(text):
     "init S:-1/2\nrepeat 0 {\nwait 1us\n}\nmeasure\n",  # zero repeats
     "init S:-1/2\npulse rf -pi phase 0\nmeasure\n",     # negative area
     "init S:-1/2\npulse optical -1 S:-1/2 D:-1/2 phase 0\nmeasure\n",
+    # numbers that are not finite
+    "init S:-1/2\nwait inf\nmeasure\n",
+    "init S:-1/2\nwait 1e400us\nmeasure\n",           # overflows to inf
+    "init S:-1/2\nwait 1e9999999us\nmeasure\n",       # past Decimal's range
+    "init S:-1/2\npulse rf 1e400 phase 0\nmeasure\n",
+    "init S:-1/2\npulse rf pi phase nan\nmeasure\n",
+    "init S:-1/2\npulse rf pi/0 phase 0\nmeasure\n",
+    "init S:-1/2\npulse rf pi phase $p\nmeasure\n",   # $p is bound to nan
 ])
 def test_semantic_errors(text):
     with pytest.raises(SequenceSemanticError):
-        dsl.parse_sequence_text(text)
+        dsl.parse_sequence_text(text, variables={"p": math.nan})
+
+
+def test_non_finite_number_names_its_line():
+    with pytest.raises(SequenceSemanticError,
+                       match=r"^line 3: 'inf' is not a finite number$"):
+        dsl.parse_sequence_text("init S:-1/2\nwait 1us\nwait inf\nmeasure\n")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sq.Wait(math.inf),
+    lambda: sq.Wait(math.nan),
+    lambda: sq.RFPulse(math.inf),
+    lambda: sq.RFPulse(math.pi, math.nan),
+    lambda: sq.OpticalPulse(-2.5, math.nan),
+    lambda: sq.OpticalPulse(-2.5, math.pi, -math.inf),
+], ids=["wait_inf", "wait_nan", "rf_area", "rf_phase", "optical_area",
+        "optical_phase"])
+def test_elements_reject_non_finite_values(make):
+    # an element the DSL cannot write as text that parses back
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_unbound_variable_message_names_it():
