@@ -473,8 +473,8 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
                                          model.species.reference_theta_values)
     reps = [{"seed": cfg.seed + rep, "theta": r.theta,
              "ci95_theta": list(r.ci95_theta), "theta_sigma": r.theta_sigma,
-             "covered_truth": (r.ci95_theta[0] <= cfg.theta_true
-                               <= r.ci95_theta[1]),
+             "covered_truth": bool(r.ci95_theta[0] <= cfg.theta_true
+                                   <= r.ci95_theta[1]),
              "chi2": r.chi2, "ndof": r.ndof} for rep, r in enumerate(results)]
     half_widths = [(r.ci95_theta[1] - r.ci95_theta[0]) / 2.0 for r in results]
     report = {
