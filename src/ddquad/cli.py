@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .atommodel import BASIS_LABELS, NoiseModel, arm_phase_rate
-from .config import (ScenarioConfig, config_hash, dump_config, load_config,
-                     paper_scenario)
+from .config import (ScenarioConfig, apply_settings, config_hash, dump_config,
+                     load_config, paper_scenario)
 from .dsl import parse_sequence_text, serialize_sequence
 from .errors import ConfigError, DDQuadError, FitError, SequenceSyntaxError, \
     SequenceSemanticError, SimulationError
@@ -77,21 +77,14 @@ def _load_scenario(config_path, seed, sets, base: ScenarioConfig | None = None):
     cfg = base or ScenarioConfig()
     if config_path is not None:
         cfg = load_config(Path(config_path).read_text(), base=cfg)
-    if sets:
-        override = io.StringIO()
-        sections: dict = {}
-        for item in sets:
-            if "=" not in item or "." not in item.split("=", 1)[0]:
-                raise ConfigError(
-                    f"--set expects section.key=value, got {item!r}")
-            key, value = item.split("=", 1)
-            section, name = key.split(".", 1)
-            sections.setdefault(section, []).append((name, value))
-        for section, pairs in sections.items():
-            override.write(f"[{section}]\n")
-            for name, value in pairs:
-                override.write(f"{name} = {value}\n")
-        cfg = load_config(override.getvalue(), base=cfg)
+    settings: dict = {}     # section -> [(key, value)], as in a file
+    for item in sets:
+        key, eq, value = item.partition("=")
+        section, dot, name = key.partition(".")
+        if not (eq and dot):
+            raise ConfigError(f"--set expects section.key=value, got {item!r}")
+        settings.setdefault(section, []).append((name, value))
+    cfg = apply_settings(cfg, settings)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     return cfg
@@ -307,14 +300,12 @@ def _figure_tables(out_dir: Path, cell_phases, model, meta: dict):
                 "model_phase"], beta_rows, meta)
 
 
-def _fit_options(cfg: ScenarioConfig, model, zeeman2_hz=None) -> dict:
+def _fit_options(cfg: ScenarioConfig, model) -> dict:
     """Keyword options of the joint fit and its bootstrap.  The known
-    second-order Zeeman shift C2*B^2 is the model's unless ``zeeman2_hz``
-    overrides it."""
-    if zeeman2_hz is None:
-        zeeman2_hz = model.species.c2_quad_zeeman * model.field_cfg.B ** 2
+    second-order Zeeman shift C2*B^2 is the model's."""
     return dict(alpha_trap=model.trap.alpha,
-                float_epsilon1=cfg.fit.float_epsilon1, zeeman2_hz=zeeman2_hz)
+                float_epsilon1=cfg.fit.float_epsilon1,
+                zeeman2_hz=model.species.c2_quad_zeeman * model.field_cfg.B ** 2)
 
 
 def _theta_text(result) -> str:
@@ -323,13 +314,13 @@ def _theta_text(result) -> str:
 
 
 def _fit_outputs(cfg: ScenarioConfig, model, campaign, csv_text: str,
-                 out_dir: Path, chash: str, zeeman2_hz=None):
+                 out_dir: Path, chash: str):
     """Joint fit of ``campaign`` (whose CSV is ``csv_text``) and every
     output it gives: fit.json, with the bootstrap CI when
     ``fit.bootstrap_resamples`` is set and the two-stage cross-check, and
     the figure tables.  Returns the fit result."""
     meta = {"config_hash": chash, "dataset_sha256": dataset_digest(csv_text)}
-    options = _fit_options(cfg, model, zeeman2_hz)
+    options = _fit_options(cfg, model)
     result, cells = joint_fit_campaign(campaign, **options)
     doc = {
         **meta,
@@ -398,10 +389,7 @@ def run_campaign_cmd(seed, config_path, out, sets, sequence_file, workers):
 @_common
 @click.option("--data", "data_path", type=click.Path(), required=True,
               help="campaign.csv produced by run-campaign (or hand-made).")
-@click.option("--zeeman2-hz", type=float, default=None, callback=_finite,
-              help="Known differential second-order Zeeman shift C2*B^2 "
-                   "(Hz) to remove; defaults to the configured model's.")
-def fit_cmd(seed, config_path, out, sets, data_path, zeeman2_hz):
+def fit_cmd(seed, config_path, out, sets, data_path):
     """Joint quadrupole-moment fit of an existing campaign CSV."""
     cfg = _load_scenario(config_path, seed, sets)
     out_dir, chash = _prepare_out(out, cfg)
@@ -411,7 +399,7 @@ def fit_cmd(seed, config_path, out, sets, data_path, zeeman2_hz):
     except (ValueError, KeyError, SimulationError) as exc:
         raise ConfigError(f"bad campaign CSV: {exc}") from None
     click.echo(_theta_text(_fit_outputs(cfg, cfg.ion_model(), campaign,
-                                        csv_text, out_dir, chash, zeeman2_hz)))
+                                        csv_text, out_dir, chash)))
 
 
 @main.command("reproduce-paper")

@@ -124,26 +124,27 @@ _FORMAT = {bool: lambda v: str(v).lower(), str: str,
            tuple: lambda v: " ".join(repr(x) for x in v)}    # else repr
 
 
-def load_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Parse INI text into a ScenarioConfig, overriding ``base`` defaults."""
-    cfg = base or ScenarioConfig()
-    # no interpolation: a '%' reaches the value's own parser, which rejects it
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from None
+def apply_settings(cfg: ScenarioConfig, settings: dict) -> ScenarioConfig:
+    """``cfg`` with ``settings`` applied through ``_SCHEMA``: a mapping of
+    section -> (key, raw value) pairs.  Keys are case-insensitive and raw
+    values are stripped.  An unknown section (even with no pairs), an
+    unknown or repeated key, or a bad value raises ConfigError."""
     changes: dict = {}      # owner -> {field: value}
-    for section in parser.sections():
+    for section, pairs in settings.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]; valid "
                               f"sections: {', '.join(_SECTIONS)}")
-        for key, raw in parser.items(section):
+        for key, raw in pairs:
+            key, raw = key.strip().lower(), raw.strip()
             if (section, key) not in _SCHEMA:
                 valid = ", ".join(k for s, k in _SCHEMA if s == section)
                 raise ConfigError(f"unknown key {key!r} in section "
                                   f"[{section}]; valid keys: {valid}")
             owner, name, parse = _SCHEMA[section, key]
+            fields = changes.setdefault(owner, {})
+            if name in fields:
+                raise ConfigError(f"option {key!r} in section {section!r} "
+                                  "already exists")
             try:
                 value = parse(raw)
             except (ValueError, ConfigError) as exc:
@@ -154,13 +155,28 @@ def load_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig
                    for v in values):
                 raise ConfigError(f"bad value for [{section}] {key}: "
                                   f"not finite: {raw!r}")
-            changes.setdefault(owner, {})[name] = value
+            fields[name] = value
     try:
         owned = {owner: replace(getattr(cfg, owner), **fields)
                  for owner, fields in changes.items() if owner is not None}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return replace(cfg, **owned, **changes.get(None, {}))
+
+
+def load_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
+    """Parse INI text into a ScenarioConfig, overriding ``base`` defaults."""
+    # no interpolation: a '%' reaches the value's own parser, which rejects
+    # it; and no default section (no header can hold a newline), so a
+    # [DEFAULT] section is an unknown section, not keys for every section
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="\n")
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config parse error: {exc}") from None
+    return apply_settings(base or ScenarioConfig(),
+                          {s: parser.items(s) for s in parser.sections()})
 
 
 def dump_config(cfg: ScenarioConfig) -> str:

@@ -5,8 +5,9 @@ Fringe fits maximize the binomial likelihood of the counts under
 p_i = offset + (contrast/2) cos(phi_i - phase).  The problem is solved
 by Newton iteration in the linear parameterization
 p_i = a + b cos(phi_i) + c sin(phi_i), which is free of the +-pi phase
-ambiguity; intervals come from the profile likelihood at
-delta(-2 ln L) = 3.84.
+ambiguity.  The phase sigma comes from the inverse (a, b, c) Hessian;
+intervals come from the profile likelihood at delta(-2 ln L) = 3.84,
+where the same Newton fits p_i = a + h cos(phi_i - phase).
 
 The joint fit maximizes the Gaussian likelihood of all reference-
 subtracted phases under
@@ -52,15 +53,11 @@ class FringeFit:
     contrast: float
     offset: float
     neg_log_likelihood: float
-    cov: np.ndarray = field(compare=False)   # 3x3 in (phase, contrast, offset)
+    phase_sigma: float = field(compare=False)   # from the (a, b, c) information
     ci95_phase: tuple = (0.0, 0.0)
     ci95_phase_clamped: tuple = ()   # "lower"/"upper": left at phase -+ pi
     iterations: int = field(compare=False, default=0)   # Newton iterations
     stop: str = field(compare=False, default="")   # why Newton stopped
-
-    @property
-    def phase_sigma(self) -> float:
-        return math.sqrt(max(self.cov[0, 0], 0.0))
 
 
 @dataclass(frozen=True)
@@ -92,10 +89,8 @@ class JointFitResult:
 
 
 def _nll_and_derivs(params, x, k, n):
-    """Binomial NLL with gradient/Hessian in (a, b, c).
-
-    ``x`` is the precomputed 3xP design matrix [1, cos(phi), sin(phi)].
-    """
+    """Binomial NLL of p = params @ x with its gradient and Hessian in
+    ``params``; ``x`` is the (m, P) design matrix of the m parameters."""
     p = np.asarray(params) @ x
     eps = 1e-12
     p = np.clip(p, eps, 1.0 - eps)
@@ -111,11 +106,11 @@ NEWTON_STOPS = ("gradient", "no_progress", "step_floor", "no_descent",
                 "max_iter")
 
 
-def _newton_abc(x, k, n, start, fix_phase=None, max_iter=200):
-    """Newton iteration on the linear parameters.
+def _newton(x, k, n, start, max_iter=200):
+    """Newton iteration on the parameters t of p = t @ x, where ``x`` is an
+    (m, P) design matrix: [1, cos phi, sin phi] for the fringe fit,
+    [1, cos(phi - phase)] for its phase profile.
 
-    With ``fix_phase`` set, optimizes only (a, h) with
-    b = h cos(phase), c = h sin(phase) (for profile-likelihood scans).
     Returns (parameters, NLL, iterations, stop), where ``stop`` is one of
     ``NEWTON_STOPS``: "gradient" (the gradient test passed),
     "no_progress" (an accepted step lowered the NLL by less than
@@ -123,20 +118,8 @@ def _newton_abc(x, k, n, start, fix_phase=None, max_iter=200):
     ULPs of the parameters before any candidate was accepted),
     "no_descent" (60 halvings found no lower NLL) or "max_iter".
     """
-    if fix_phase is None:
-        theta = np.asarray(start, dtype=float)
-        to_abc = lambda t: t
-        reduce_grad = lambda g: g
-        reduce_hess = lambda h: h
-    else:
-        cp, sp = math.cos(fix_phase), math.sin(fix_phase)
-        j = np.array([[1.0, 0.0], [0.0, cp], [0.0, sp]])  # (a,b,c) wrt (a,h)
-        theta = np.array([start[0], start[1] * cp + start[2] * sp])
-        to_abc = lambda t: np.array([t[0], t[1] * cp, t[1] * sp])
-        reduce_grad = lambda g: j.T @ g
-        reduce_hess = lambda h: j.T @ h @ j
-    nll, grad, hess = _nll_and_derivs(to_abc(theta), x, k, n)
-    grad, hess = reduce_grad(grad), reduce_hess(hess)
+    theta = np.asarray(start, dtype=float)
+    nll, grad, hess = _nll_and_derivs(theta, x, k, n)
     for iteration in range(max_iter):
         try:
             step = np.linalg.solve(hess, grad)
@@ -152,7 +135,7 @@ def _newton_abc(x, k, n, start, fix_phase=None, max_iter=200):
                 stop = "step_floor"
                 break
             cand = theta - scale * step
-            cand_nll, cand_grad, cand_hess = _nll_and_derivs(to_abc(cand), x, k, n)
+            cand_nll, cand_grad, cand_hess = _nll_and_derivs(cand, x, k, n)
             if cand_nll <= nll + 1e-15:
                 stop = None
                 break
@@ -160,8 +143,7 @@ def _newton_abc(x, k, n, start, fix_phase=None, max_iter=200):
         if stop:
             break
         improvement = nll - cand_nll
-        theta, nll = cand, cand_nll
-        grad, hess = reduce_grad(cand_grad), reduce_hess(cand_hess)
+        theta, nll, grad, hess = cand, cand_nll, cand_grad, cand_hess
         if np.max(np.abs(grad)) < 1e-9 * max(1.0, np.sum(n)):
             stop = "gradient"
             break
@@ -172,8 +154,7 @@ def _newton_abc(x, k, n, start, fix_phase=None, max_iter=200):
             break
     else:
         stop = "max_iter"
-    return (to_abc(theta) if fix_phase is not None else theta, nll,
-            iteration + 1, stop)
+    return theta, nll, iteration + 1, stop
 
 
 def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
@@ -203,40 +184,35 @@ def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
         b0 *= h_max / h0
         c0 *= h_max / h0
     x = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-    (a, b, c), nll, n_iter, stop = _newton_abc(x, k, n, (a0, b0, c0))
+    (a, b, c), nll, n_iter, stop = _newton(x, k, n, (a0, b0, c0))
 
     contrast = 2.0 * math.hypot(b, c)
     if contrast < 1e-9:
         raise DegenerateDataError("fitted contrast is zero; phase unidentifiable")
     phase = math.atan2(c, b)
 
-    # covariance in (phase, contrast, offset) from the exact (a,b,c) Hessian
-    _, _, hess_abc = _nll_and_derivs((a, b, c), x, k, n)
-    half = contrast / 2.0
-    jac = np.array([
-        [0.0, 0.0, 1.0],                                  # a row: (phase, C, offset)
-        [-half * math.sin(phase), 0.5 * math.cos(phase), 0.0],
-        [half * math.cos(phase), 0.5 * math.sin(phase), 0.0],
-    ])
-    hess_pco = jac.T @ hess_abc @ jac
+    # var(phase) = g^T H^-1 g with H the exact (a, b, c) Hessian and
+    # g = d phase / d(a, b, c)
+    _, _, hess = _nll_and_derivs((a, b, c), x, k, n)
+    g = np.array([0.0, -c, b]) / (b * b + c * c)
     try:
-        cov = np.linalg.inv(hess_pco)
+        sigma = math.sqrt(max(g @ np.linalg.solve(hess, g), 0.0))
     except np.linalg.LinAlgError:
         raise FitConvergenceError("singular information matrix",
                                   {"iterations": n_iter}) from None
 
-    sigma = math.sqrt(max(cov[0, 0], 1e-18))
     ci, clamped = (phase - 1.96 * sigma, phase + 1.96 * sigma), ()
     if compute_ci:    # profile likelihood; a side that never crosses is clamped
-        def q(phi):
-            nll_phi = _newton_abc(x, k, n, (a, b, c), fix_phase=phi,
-                                  max_iter=80)[1]
+        def q(phi):   # p = a + h cos(phi_i - phi), from h = (b, c) . e_phi
+            nll_phi = _newton(np.stack([x[0], np.cos(phis - phi)]), k, n,
+                              (a, b * math.cos(phi) + c * math.sin(phi)),
+                              max_iter=80)[1]
             return float(2.0 * (nll_phi - nll) - CHI2_95_1DOF)
 
         ci, clamped = _profile_interval(q, phase, max(sigma, 1e-9), 1e-8,
                                         math.pi)
     return FringeFit(phase=phase, contrast=min(contrast, 1.0), offset=a,
-                     neg_log_likelihood=nll, cov=cov, ci95_phase=ci,
+                     neg_log_likelihood=nll, phase_sigma=sigma, ci95_phase=ci,
                      ci95_phase_clamped=clamped, iterations=n_iter, stop=stop)
 
 
@@ -509,6 +485,11 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
             "with epsilon1 free the angular model has three parameters "
             "(Theta, beta0, epsilon1) but the phases give one slope per "
             f"field angle; need >= 3 angles, got {len(unique_angles)}")
+    cos2a = math.cos(2.0 * alpha_trap)
+    if float_epsilon1 and abs(cos2a) < 1e-12:
+        raise NonIdentifiableError(
+            "epsilon1 enters the model only as epsilon1 cos(2 alpha), and "
+            f"cos(2 alpha) = {cos2a:.2g} at alpha = {alpha_trap!r}")
     model = _JointModel(beta_nominal, gradients, tau_total, phases, sigmas,
                         angle_index, alpha_trap, float_epsilon1)
 

@@ -288,12 +288,15 @@ def campaign_from_csv(text: str) -> CampaignDataset:
         key = tuple(_finite(row, name)
                     for name in ("beta_nominal", "dEz_dz", "tau_total")
                     ) + (int(row["n_echo"]),)
-        is_ref = bool(int(row["is_reference"]))
+        flag = row["is_reference"].strip()
+        if flag not in ("0", "1"):
+            raise ValueError(f"is_reference must be 0 or 1, got "
+                             f"{row['is_reference']!r}")
         ks = row["k_D"]
         pt = FringePoint(phi_laser=float(row["phi_laser"]),
                          n_shots=int(row["n_shots"]),
                          k_D=int(ks) if ks.isdigit() else float(ks))
-        groups.setdefault(key, ([], []))[1 if is_ref else 0].append(pt)
+        groups.setdefault(key, ([], []))[int(flag)].append(pt)
     cells = []
     for (beta, grad, tau_total, n_echo), (sig, ref) in groups.items():
         if not sig or not ref:

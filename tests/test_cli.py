@@ -171,6 +171,20 @@ def test_fit_non_finite_csv_value_exits_2(runner, tmp_path, field):
     assert field in err["message"]
 
 
+@pytest.mark.parametrize("flag", ["7", "-1", "yes"])
+def test_fit_csv_is_reference_other_than_0_or_1_exits_2(runner, tmp_path,
+                                                          flag):
+    # bool(int(...)) read 7 and -1 as reference rows
+    data = tmp_path / "campaign.csv"
+    data.write_text(small_campaign_csv().replace(",1\n", f",{flag}\n"))
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert "is_reference" in err["message"]
+
+
 def test_fit_csv_missing_reference_exits_2(runner, tmp_path):
     data = tmp_path / "campaign.csv"
     lines = small_campaign_csv().splitlines()
@@ -467,12 +481,16 @@ def one_json_error(res):
 
 @pytest.mark.parametrize("case", ["out_under_file", "undecodable_sequence",
                                   "too_few_areas", "fit_error", "percent_set",
-                                  "percent_config"])
+                                  "percent_config", "newline_in_set",
+                                  "bracketed_set_key", "default_set",
+                                  "default_config", "epsilon1_at_pi_over_4"])
 def test_exit_code_table(runner, tmp_path, case):
     regular = tmp_path / "regular.txt"
     regular.write_text("x")
     percent = tmp_path / "percent.ini"
     percent.write_text("[trap]\nalpha = %x\n")
+    default = tmp_path / "default.ini"
+    default.write_text("[DEFAULT]\nalpha = 0.5\n[trap]\ndez_dz = 1e8\n")
     undecodable = tmp_path / "seq.dd"
     undecodable.write_bytes(b"\xffinit S:-1/2\nmeasure\n")
     data = tmp_path / "campaign.csv"
@@ -494,6 +512,25 @@ def test_exit_code_table(runner, tmp_path, case):
                          "--out", out], 2, "ConfigError"),
         "percent_config": (["simulate-rabi", "--config", str(percent),
                             "--out", out], 2, "ConfigError"),
+        # a --set value or key is never read as INI text: no new line or
+        # section header inside it sets another key
+        "newline_in_set": (["simulate-rabi", "--out", out, "--set",
+                            "trap.alpha=0.5\n[run]\nseed = 3"],
+                           2, "ConfigError"),
+        "bracketed_set_key": (["simulate-rabi", "--out", out,
+                               "--set", "trap.[run]=1",
+                               "--set", "trap.seed=5"], 2, "ConfigError"),
+        # [DEFAULT] is no section of the schema, in --set or in a file
+        "default_set": (["simulate-rabi", "--set", "DEFAULT.alpha=0.3",
+                         "--out", out], 2, "ConfigError"),
+        "default_config": (["simulate-rabi", "--config", str(default),
+                            "--out", out], 2, "ConfigError"),
+        # eps1 enters only as eps1 cos(2 alpha), zero at the default alpha
+        "epsilon1_at_pi_over_4": (["run-campaign", "--seed", "7", "--out", out,
+                                   "--set", "plan.shots_per_point=50",
+                                   "--set", "plan.n_phases=6",
+                                   "--set", "fit.float_epsilon1=true"],
+                                  4, "NonIdentifiableError"),
     }[case]
     res = runner.invoke(main, argv)
     assert res.exit_code == code, res.output
@@ -510,15 +547,10 @@ def test_exit_code_table(runner, tmp_path, case):
     ["simulate-fringe", "--tau-total", "nan"],
     ["run-campaign", "--set", "plan.tau_total_list=nan,1e-3"],
     ["simulate-rabi", "--max-area", "inf"],
-    ["fit", "--zeeman2-hz", "nan"],
 ], ids=["dez_dz", "b", "theta_true", "beta", "tau_total", "tau_total_list",
-        "max_area", "zeeman2_hz"])
+        "max_area"])
 def test_non_finite_value_exits_2(runner, tmp_path, argv):
     out = tmp_path / "o"
-    if argv[0] == "fit":
-        data = tmp_path / "campaign.csv"
-        data.write_text(small_campaign_csv())
-        argv = argv + ["--data", str(data)]
     res = runner.invoke(main, argv + ["--out", str(out)])
     assert res.exit_code == 2, res.output
     err = one_json_error(res)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddquad import config as cfg
+from ddquad.cli import _load_scenario
 from ddquad.errors import ConfigError
 
 
@@ -151,6 +152,12 @@ def test_dump_load_round_trip_property(scenario):
     back = cfg.load_config(text)
     assert back == scenario
     assert cfg.dump_config(back) == text
+    # the same entries as --set items give the same scenario
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    sets = [f"{section}.{key}={value}" for section in parser.sections()
+            for key, value in parser.items(section)]
+    assert _load_scenario(None, None, sets) == scenario
 
 
 def test_docs_scenario_table_matches_schema():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.optimize import minimize
 
 from ddquad import estimator as est
@@ -263,18 +263,25 @@ def test_joint_fit_single_angle_rejected():
                                  rows["phi"], rows["sigma"])
 
 
-@pytest.mark.parametrize("betas", [(0.0, 0.8), (0.3, 1.1)])
-def test_joint_fit_two_angles_with_free_epsilon1_rejected(betas):
-    """Two per-angle slopes cannot fix Theta, beta0 and eps1: a typed error
-    that says so, not a failed beta0 search.  Three angles fit."""
+@pytest.mark.parametrize("betas, alpha, message", [
+    ((0.0, 0.8), 0.3, ">= 3 angles, got 2"),
+    ((0.3, 1.1), 0.3, ">= 3 angles, got 2"),
+    ((0.0, 0.8, 1.5), math.pi / 4, r"cos\(2 alpha\) = 6.1e-17"),
+], ids=["betas0", "betas1", "alpha_pi_over_4"])
+def test_joint_fit_two_angles_with_free_epsilon1_rejected(betas, alpha,
+                                                          message):
+    """Two per-angle slopes cannot fix Theta, beta0 and eps1, and at
+    cos 2alpha = 0 eps1 drops out of the model: a typed error that says
+    so, not a failed beta0 search or a wild eps1.  A fixed eps1 fits, and
+    so do three angles at alpha = 0.3."""
     rows = make_noiseless_cells(betas=betas, beta0=0.05, epsilon1=0.08,
-                                alpha=0.3)
-    with pytest.raises(NonIdentifiableError, match=">= 3 angles, got 2"):
+                                alpha=alpha)
+    with pytest.raises(NonIdentifiableError, match=message):
         est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
-                                 rows["phi"], rows["sigma"], alpha_trap=0.3,
+                                 rows["phi"], rows["sigma"], alpha_trap=alpha,
                                  float_epsilon1=True)
     est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
-                             rows["phi"], rows["sigma"], alpha_trap=0.3)
+                             rows["phi"], rows["sigma"], alpha_trap=alpha)
     rows = make_noiseless_cells(betas=betas + (0.4,), beta0=0.05,
                                 epsilon1=0.08, alpha=0.3)
     res = est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
@@ -509,6 +516,28 @@ def test_fringe_fit_is_equivariant_under_a_global_phase_shift(fringe, delta):
     except DegenerateDataError:
         return
     _assert_moved_by(base, _fit_shifted(phis, n_shots, k, delta), delta)
+
+
+@given(binomial_fringes())
+def test_phase_sigma_matches_the_jacobian_formula(fringe):
+    """phase_sigma, from the (a, b, c) information, equals the phase entry
+    of the inverse information in (phase, contrast, offset), J^T H J with
+    J = d(a, b, c) / d(phase, contrast, offset), to 1e-12 relative."""
+    phis, n_shots, k = fringe
+    try:
+        fit = _fit_shifted(phis, n_shots, k, 0.0)
+    except DegenerateDataError:
+        return
+    assume(fit.contrast < 1.0)      # the reported contrast is capped at 1
+    half, cp, sp = fit.contrast / 2.0, math.cos(fit.phase), math.sin(fit.phase)
+    x = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+    p = np.array([fit.offset, half * cp, half * sp]) @ x
+    hess = (x * (k / p ** 2 + (n_shots - k) / (1.0 - p) ** 2)) @ x.T
+    jac = np.array([[0.0, 0.0, 1.0],
+                    [-half * sp, 0.5 * cp, 0.0],
+                    [half * cp, 0.5 * sp, 0.0]])
+    cov = np.linalg.inv(jac.T @ hess @ jac)
+    assert fit.phase_sigma == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
 
 
 def _fit_shifted(phis, n_shots, k, shift):
