@@ -18,14 +18,15 @@ subtracted phases under
 with per-angle intercepts c_k.  At fixed b0 the model is linear in
 (c_k, Theta, Theta*eps1); variable projection (Golub & Pereyra 1973)
 solves those in closed form from weighted moments of the data, and b0
-is the global minimum of what remains.  The asymmetric 95% CI on Theta
-profiles the same search with Theta fixed.
+is the global minimum of what remains.  Theta's sigma is
+sqrt(2 g^T H^-1 g), with H the exact Hessian of chi^2 in (a, b, b0)
+built from the same moments and g = dTheta, so no chi^2 is differenced.
+The asymmetric 95% CI on Theta profiles the same search with Theta fixed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -37,6 +38,7 @@ from .errors import (DegenerateDataError, FitConvergenceError,
 from .sampler import CampaignDataset, FringeDataset
 
 CHI2_95_1DOF = 3.841458820694124  # 95% quantile of chi^2 with 1 dof
+BOOTSTRAP_MAX_FAILURE_FRACTION = 0.05   # of resamples whose fit may fail
 
 
 def wrap_phase(phi: float) -> float:
@@ -373,15 +375,21 @@ class _JointModel:
         """``v`` (rows of per-point values) minus its weighted per-angle means."""
         return v - self._angle_means(v) @ self.groups
 
+    def _rotated(self, c, s):
+        """The moments at cos 2beta0 = ``c``, sin 2beta0 = ``s``: (h0, hv, hw,
+        g00, gv, gw, gvv, gvw, yy), where w = dv / d(2 beta0) = (-s, -c), so
+        d/d(2 beta0) takes hv, gv, gvv to hw, gw, 2 gvw."""
+        h0, h1, h2, g00, g01, g02, g11, g12, g22, yy = self.moments
+        return (h0, h1 * c - h2 * s, -h1 * s - h2 * c,
+                g00, g01 * c - g02 * s, -g01 * s - g02 * c,
+                g11 * c * c - 2.0 * g12 * c * s + g22 * s * s,
+                (g22 - g11) * c * s + g12 * (s * s - c * c), yy)
+
     def profile(self, c, s, theta=None):
         """chi^2 minimized over the intercepts and (a, b) at cos 2beta0 = ``c``,
         sin 2beta0 = ``s`` (floats, or arrays of many beta0), with Theta held
         at ``theta`` when given.  Returns (chi^2, d chi^2/d beta0, a, b)."""
-        h0, h1, h2, g00, g01, g02, g11, g12, g22, yy = self.moments
-        hv, hw = h1 * c - h2 * s, -h1 * s - h2 * c     # w = dv / d(2 beta0)
-        gv, gw = g01 * c - g02 * s, -g01 * s - g02 * c
-        gvv = g11 * c * c - 2.0 * g12 * c * s + g22 * s * s
-        gvw = (g22 - g11) * c * s + g12 * (s * s - c * c)
+        h0, hv, hw, g00, gv, gw, gvv, gvw, yy = self._rotated(c, s)
         if theta is None and self.float_epsilon1:
             det = g00 * gvv - gv * gv
             a, b = (gvv * h0 - gv * hv) / det, (g00 * hv - gv * h0) / det
@@ -397,12 +405,42 @@ class _JointModel:
         return (yy - a * (h0 + r0) - b * (hv + rv),
                 -4.0 * b * (hw - gw * a - gvw * b), a, b)
 
-    def chi2_and_offsets(self, params):
-        theta, beta0 = params[0], params[1]
-        e = params[2] * self.cos2a if self.float_epsilon1 else 0.0
+    def theta_sigma(self, beta0, a, b):
+        """Theta's sigma at the fit (beta0, a, b): sqrt(2 g^T H^-1 g), with H
+        the exact Hessian of the profiled chi^2 in (a, b, beta0), taken in
+        (Theta, beta0) through (a, b) = Theta (1, 3) / 2 when eps1 is fixed,
+        and g = dTheta.  With the intercepts profiled out, this is still the
+        Theta entry of the inverse Hessian in every parameter, intercepts
+        included (a Schur complement)."""
+        _, hv, hw, g00, gv, gw, gvv, gvw, _ = self._rotated(
+            math.cos(2.0 * beta0), math.sin(2.0 * beta0))
+        # d/d(2 beta0) takes hw, gw to -hv, -gv and gvw to gww - gvv, where
+        # gww + gvv = g11 + g22
+        dgvw = self.moments[6] + self.moments[8] - 2.0 * gvv
+        a_beta0, b_beta0 = 2.0 * b * gw, 2.0 * (a * gw - hw) + 4.0 * b * gvw
+        hess = 2.0 * np.array([[g00, gv, a_beta0], [gv, gvv, b_beta0],
+                               [a_beta0, b_beta0,
+                                4.0 * b * (hv - a * gv + b * dgvw)]])
+        if self.float_epsilon1:     # at fixed eps1, Theta moves along d
+            g, d = np.array([0.5, 0.5, 0.0]), np.array([a, b, 0.0])
+        else:
+            jac = np.array([[0.5, 0.0], [1.5, 0.0], [0.0, 1.0]])
+            hess, g = jac.T @ hess @ jac, np.array([1.0, 0.0])
+            d = g
+        # chi^2's curvature along d per unit Theta (a step d moves Theta by
+        # g . d), compared without dividing by Theta
+        if not d @ hess @ d > 1e-10 * (g @ d) ** 2:
+            raise NonIdentifiableError(
+                "likelihood is flat in Theta (e.g. all angles at the magic angle)")
+        try:
+            return math.sqrt(max(2.0 * g @ np.linalg.solve(hess, g), 0.0))
+        except np.linalg.LinAlgError:
+            raise NonIdentifiableError(
+                "singular joint-fit information matrix") from None
+
+    def chi2_and_offsets(self, beta0, a, b):
         v = (math.cos(2.0 * beta0), -math.sin(2.0 * beta0))
-        resid = self.phi - 0.5 * theta * ((1.0 + e) * self.basis[0]
-                                          + (3.0 - e) * (v @ self.basis[1:]))
+        resid = self.phi - a * self.basis[0] - b * (v @ self.basis[1:])
         offsets = self._angle_means(resid)
         resid = resid - offsets @ self.groups
         return float(np.sum(self.w * resid ** 2)), offsets
@@ -451,17 +489,6 @@ def _search_beta0(model, theta=None):
     return best + (evaluations, sum(not big_eps1(f) for f in tied))
 
 
-def _numeric_hessian(fun, x, rel_step=1e-5):
-    x = np.asarray(x, dtype=float)
-    steps = np.diag(np.maximum(np.abs(x), 1.0) * rel_step)
-    hess = np.empty((len(x), len(x)))
-    for i, j in itertools.combinations_with_replacement(range(len(x)), 2):
-        ei, ej = steps[i], steps[j]
-        f = [fun(x + si * ei + sj * ej) for si in (1, -1) for sj in (1, -1)]
-        hess[i, j] = hess[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4 * ei[i] * ej[j])
-    return hess
-
-
 def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
                          alpha_trap: float = math.pi / 4,
                          float_epsilon1: bool = False,
@@ -494,20 +521,10 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
                         angle_index, alpha_trap, float_epsilon1)
 
     beta0, chi2_search, a, b, evaluations, tied = _search_beta0(model)
-    x = np.array([(a + b) / 2.0, beta0]
-                 + ([(3.0 * a - b) / (model.cos2a * (a + b))]
-                    if float_epsilon1 else []))
-    chi2_min, offsets = model.chi2_and_offsets(x)
-    hess = _numeric_hessian(lambda p: model.chi2_and_offsets(p)[0], x)
-    if not np.isfinite(hess[0, 0]) or hess[0, 0] <= 1e-10:
-        raise NonIdentifiableError(
-            "likelihood is flat in Theta (e.g. all angles at the magic angle)")
-    try:   # chi2 = -2 lnL => information = H/2
-        theta_sigma = math.sqrt(max(np.linalg.inv(hess / 2.0)[0, 0], 0.0))
-    except np.linalg.LinAlgError:
-        raise NonIdentifiableError("singular joint-fit information matrix") from None
+    chi2_min, offsets = model.chi2_and_offsets(beta0, a, b)
+    theta_sigma = model.theta_sigma(beta0, a, b)
 
-    theta_hat = float(x[0])
+    theta_hat = (a + b) / 2.0
     ci = (theta_hat - 1.96 * theta_sigma, theta_hat + 1.96 * theta_sigma)
     samples = []    # (Theta, delta chi^2) along the profile
     if compute_ci:  # else Gaussian; used by e.g. bootstrap resampling
@@ -522,11 +539,12 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
             raise FitConvergenceError("profile likelihood never crossed the "
                                       "95% threshold", {"sides": list(clamped)})
     return JointFitResult(
-        theta=theta_hat, beta0=float(x[1]),
-        epsilon1=float(x[2]) if float_epsilon1 else 0.0,
+        theta=theta_hat, beta0=beta0,
+        epsilon1=(3.0 * a - b) / (cos2a * (a + b)) if float_epsilon1 else 0.0,
         per_angle_offsets=tuple(float(c) for c in offsets),
         ci95_theta=ci, theta_sigma=theta_sigma,
-        chi2=chi2_min, ndof=len(phases) - len(x) - len(unique_angles),
+        chi2=chi2_min,
+        ndof=len(phases) - (3 if float_epsilon1 else 2) - len(unique_angles),
         fit_diagnostics={"iterations": evaluations, "converged": True,
                          "tied_minima": tied,
                          "profile_samples": sorted(samples),
@@ -630,26 +648,24 @@ def two_stage_theta(cell_phases, alpha_trap: float = math.pi / 4) -> dict:
                         np.ones(len(slopes)), [s[1] for s in slopes],
                         [s[2] for s in slopes], None, alpha_trap, False)
     beta0, _, a, b = _search_beta0(model)[:4]
-    x = [(a + b) / 2.0, beta0]
-    hess = _numeric_hessian(lambda p: model.chi2_and_offsets(p)[0], x)
     try:
-        sigma_theta = math.sqrt(max(np.linalg.inv(hess / 2.0)[0, 0], 0.0))
-    except np.linalg.LinAlgError:
+        sigma_theta = model.theta_sigma(beta0, a, b)
+    except NonIdentifiableError:
         sigma_theta = float("nan")
-    return {"theta": float(x[0]), "beta0": float(x[1]),
-            "theta_sigma": sigma_theta,
+    return {"theta": (a + b) / 2.0, "beta0": beta0, "theta_sigma": sigma_theta,
             "frequency_by_angle": freq_points, "slopes": slopes}
 
 
 def bootstrap_ci(campaign: CampaignDataset, n_resamples: int, seed: int,
                  alpha_trap: float = math.pi / 4,
                  float_epsilon1: bool = False,
-                 zeeman2_hz: float = 0.0,
-                 max_failure_fraction: float = 0.05) -> tuple:
+                 zeeman2_hz: float = 0.0) -> tuple:
     """Percentile bootstrap on Theta via per-point binomial resampling.
 
     Exact-probability datasets (real-valued counts) pass through
-    unchanged, so the interval collapses onto the point estimate.
+    unchanged, so the interval collapses onto the point estimate.  Raises
+    ``FitConvergenceError`` when the fits of more than
+    ``BOOTSTRAP_MAX_FAILURE_FRACTION`` of the resamples fail.
     """
     if n_resamples < 100:
         raise ValueError("n_resamples must be >= 100")
@@ -666,7 +682,7 @@ def bootstrap_ci(campaign: CampaignDataset, n_resamples: int, seed: int,
             thetas.append(result.theta)
         except (DegenerateDataError, FitConvergenceError, NonIdentifiableError):
             failures += 1
-    if failures > max_failure_fraction * n_resamples:
+    if failures > BOOTSTRAP_MAX_FAILURE_FRACTION * n_resamples:
         raise FitConvergenceError(
             f"{failures}/{n_resamples} bootstrap resamples failed to fit",
             {"failures": failures})

@@ -285,6 +285,10 @@ def campaign_from_csv(text: str) -> CampaignDataset:
     reader = csv.DictReader(io.StringIO(text))
     groups: dict = {}
     for row in reader:
+        # DictReader files extra fields under None and fills missing ones with None
+        if None in row or None in row.values():
+            raise ValueError(f"line {reader.line_num}: field count differs "
+                             f"from the header's {len(reader.fieldnames)}")
         key = tuple(_finite(row, name)
                     for name in ("beta_nominal", "dEz_dz", "tau_total")
                     ) + (int(row["n_echo"]),)

@@ -185,6 +185,24 @@ def test_fit_csv_is_reference_other_than_0_or_1_exits_2(runner, tmp_path,
     assert "is_reference" in err["message"]
 
 
+@pytest.mark.parametrize("edit", [
+    lambda row: row.rsplit(",", 2)[0],      # cut after n_shots
+    lambda row: row + ",0",                 # one field more than the header
+], ids=["short_row", "long_row"])
+def test_fit_csv_row_field_count_other_than_header_exits_2(runner, tmp_path,
+                                                           edit):
+    lines = small_campaign_csv().splitlines()
+    lines[5] = edit(lines[5])
+    data = tmp_path / "campaign.csv"
+    data.write_text("\n".join(lines) + "\n")
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert "line 6" in err["message"]
+
+
 def test_fit_csv_missing_reference_exits_2(runner, tmp_path):
     data = tmp_path / "campaign.csv"
     lines = small_campaign_csv().splitlines()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -11,8 +12,8 @@ from ddquad.atommodel import (FieldConfig, IonModel, IonSpecies, NoiseModel,
                               TrapConfig, arm_phase_rate, quadrupole_geometry)
 from ddquad.errors import (DegenerateDataError, FitConvergenceError,
                            NonIdentifiableError)
-from ddquad.sampler import (CampaignPlan, FringeDataset, FringePoint,
-                            default_phi_grid, run_campaign)
+from ddquad.sampler import (CampaignDataset, CampaignPlan, FringeDataset,
+                            FringePoint, default_phi_grid, run_campaign)
 from ddquad.sequence import analytic_phase
 
 
@@ -298,6 +299,16 @@ def test_joint_fit_zero_gradients_rejected():
                                  rows["phi"], rows["sigma"])
 
 
+def test_joint_fit_zero_phases_with_free_epsilon1_rejected():
+    # Theta = 0 leaves eps1 = (3a - b) / (cos 2alpha (a + b)) undefined: a
+    # typed error, not ZeroDivisionError
+    rows = make_noiseless_cells(theta=0.0, alpha=0.3)
+    with pytest.raises(NonIdentifiableError):
+        est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
+                                 rows["phi"], rows["sigma"], alpha_trap=0.3,
+                                 float_epsilon1=True)
+
+
 @pytest.mark.parametrize("float_epsilon1", [False, True])
 def test_joint_fit_minimizes_full_chi2(float_epsilon1):
     """The fit is the minimum of chi^2 written out in every parameter,
@@ -333,6 +344,75 @@ def test_joint_fit_minimizes_full_chi2(float_epsilon1):
     for bound in res.ci95_theta:
         prof = minimize(lambda nu: chi2(bound, nu), nuisance, method="BFGS")
         assert prof.fun - chi2_min == pytest.approx(est.CHI2_95_1DOF, abs=1e-4)
+
+
+def _numeric_hessian(fun, x, rel_step=1e-5):
+    """Central-difference Hessian of ``fun`` at ``x``, each step
+    ``rel_step`` max(|x_i|, 1)."""
+    x = np.asarray(x, dtype=float)
+    steps = np.diag(np.maximum(np.abs(x), 1.0) * rel_step)
+    hess = np.empty((len(x), len(x)))
+    for i, j in itertools.combinations_with_replacement(range(len(x)), 2):
+        ei, ej = steps[i], steps[j]
+        f = [fun(x + si * ei + sj * ej) for si in (1, -1) for sj in (1, -1)]
+        hess[i, j] = hess[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4 * ei[i] * ej[j])
+    return hess
+
+
+def _sigma_from_numeric_hessian(chi2, x):
+    """sqrt(2 [H^-1]_00) of the chi^2 ``chi2`` of the parameters ``x``."""
+    return math.sqrt(2.0 * np.linalg.inv(_numeric_hessian(chi2, x))[0, 0])
+
+
+@given(beta0=st.floats(-math.pi / 2, math.pi / 2),
+       float_epsilon1=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_theta_sigma_matches_the_full_chi2_hessian(beta0, float_epsilon1,
+                                                   seed):
+    """theta_sigma of the joint fit, and of two_stage_theta, is
+    sqrt(2 [H^-1]_00) with H the Hessian of chi^2 written out in every
+    parameter (Theta, beta0[, eps1], c_k), here by central differences,
+    to 1e-6 relative, on noisy phases."""
+    sigma, alpha = 0.02, 0.3
+    rows = make_noiseless_cells(beta0=beta0, offsets=(0.05, -0.1, 0.15, 0.0),
+                                sigma=sigma, alpha=alpha,
+                                epsilon1=0.08 if float_epsilon1 else 0.0)
+    rng = np.random.default_rng(seed)
+    phi = np.asarray(rows["phi"]) + rng.normal(0.0, sigma, len(rows["phi"]))
+    res = est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
+                                   phi, rows["sigma"], alpha_trap=alpha,
+                                   float_epsilon1=float_epsilon1,
+                                   compute_ci=False)
+    betas = np.asarray(rows["beta"])
+    angle = np.unique(betas, return_inverse=True)[1]
+    scale = (np.asarray(rows["tau"]) * est.ARM_RATE_PER_GRADIENT_THETA
+             * np.asarray(rows["grad"]))
+
+    def chi2(p):    # p = (Theta, beta0[, eps1], c_0 .. c_3)
+        eps1 = p[2] if float_epsilon1 else 0.0
+        geom = np.array([quadrupole_geometry(b + p[1], eps1, alpha=alpha)
+                         for b in betas])
+        model = scale * p[0] * geom + p[-4:][angle]
+        return float(np.sum((phi - model) ** 2)) / sigma ** 2
+
+    x = ([res.theta, res.beta0] + ([res.epsilon1] if float_epsilon1 else [])
+         + list(res.per_angle_offsets))
+    assert res.theta_sigma == pytest.approx(_sigma_from_numeric_hessian(chi2, x),
+                                            rel=1e-6)
+
+    out = est.two_stage_theta(
+        [est.CellPhase(*cell, sigma=sigma, ambiguous=False)
+         for cell in zip(rows["beta"], rows["grad"], rows["tau"], phi)],
+        alpha_trap=alpha)
+    slope_betas, slopes, slope_sigmas = map(np.asarray, zip(*out["slopes"]))
+
+    def chi2_slopes(p):     # p = (Theta, beta0); slopes in Hz per gradient
+        geom = np.array([quadrupole_geometry(b + p[1]) for b in slope_betas])
+        model = p[0] * est.ARM_RATE_PER_GRADIENT_THETA * geom / (2.0 * math.pi)
+        return float(np.sum(((slopes - model) / slope_sigmas) ** 2))
+
+    assert out["theta_sigma"] == pytest.approx(
+        _sigma_from_numeric_hessian(chi2_slopes, [out["theta"], out["beta0"]]),
+        rel=1e-6)
 
 
 def test_joint_fit_float_epsilon1():
@@ -433,6 +513,34 @@ def test_bootstrap_noisy_campaign():
     assert lo < point.theta < hi
     # small campaign: just check the interval is finite and non-degenerate
     assert 0.0 < hi - lo < 5.0
+
+
+@pytest.mark.parametrize("failures", [5, 6])
+def test_bootstrap_fails_past_its_failure_fraction(monkeypatch, failures):
+    """Of 100 resamples, 5 failed fits still give an interval; 6 raise."""
+    errors = (DegenerateDataError("d"), FitConvergenceError("c"),
+              NonIdentifiableError("n"))
+    calls = []
+
+    def fit(campaign, **options):
+        calls.append(campaign)
+        if len(calls) <= failures:
+            raise errors[len(calls) % len(errors)]
+        return est.JointFitResult(
+            theta=float(len(calls)), beta0=0.0, epsilon1=0.0,
+            per_angle_offsets=(), ci95_theta=(0.0, 0.0), theta_sigma=1.0,
+            chi2=0.0, ndof=1), []
+
+    monkeypatch.setattr(est, "joint_fit_campaign", fit)
+    assert est.BOOTSTRAP_MAX_FAILURE_FRACTION == 0.05
+    camp = CampaignDataset(())     # resampled as is; the fit is the stub
+    if failures > 5:
+        with pytest.raises(FitConvergenceError, match=f"{failures}/100"):
+            est.bootstrap_ci(camp, 100, 3)
+    else:
+        lo, hi = est.bootstrap_ci(camp, 100, 3)
+        assert failures + 1 < lo < hi < 100
+    assert len(calls) == 100
 
 
 def test_cramer_rao_bound_value():
