@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -38,8 +37,7 @@ from .estimator import (bootstrap_ci, dataset_digest, fit_fringe_mle,
                         two_stage_theta)
 from .sampler import (campaign_from_csv, campaign_to_csv, campaign_to_json,
                       default_phi_grid, run_campaign, run_fringe_scan)
-from .sequence import (analytic_phase, build_quadrupole_dd_sequence,
-                       initial_state)
+from .sequence import analytic_phase, initial_state
 from .spincore import rotation_unitary
 
 EXIT_CONFIG = 2
@@ -348,31 +346,11 @@ def _fit_outputs(cfg: ScenarioConfig, model, campaign, csv_text: str,
 
 @main.command("run-campaign")
 @_common
-@click.option("--sequence-file", type=click.Path(), default=None,
-              help="DSL file of the built-in echo sequence; it sets n_echo "
-                   "only (tau comes from plan.tau_total_list). Any other "
-                   "sequence exits 2.")
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Accepted for compatibility; cells always run serially.")
-def run_campaign_cmd(seed, config_path, out, sets, sequence_file, workers):
+def run_campaign_cmd(seed, config_path, out, sets, workers):
     """Simulate the full (beta, gradient, tau_total) campaign and fit it."""
     cfg = _load_scenario(config_path, seed, sets)
-    if sequence_file is not None:
-        seq = parse_sequence_text(Path(sequence_file).read_text(),
-                                  variables={"phi_laser": 0.0})
-        if seq.n_echo is None:
-            raise ConfigError(
-                "sequence file has no echo block; cannot set n_echo")
-        builtin = build_quadrupole_dd_sequence(seq.n_echo, seq.tau or 0.0)
-        for i, (got, want) in enumerate(itertools.zip_longest(
-                seq.elements, builtin.elements), start=1):
-            if got != want:
-                raise ConfigError(
-                    f"sequence file differs from the built-in echo "
-                    f"sequence at element {i}: {got or 'nothing'} where "
-                    f"the built-in has {want or 'nothing'}; only its "
-                    f"n_echo is used, so it must be that sequence")
-        cfg = replace(cfg, plan=replace(cfg.plan, n_echo=seq.n_echo))
     out_dir, chash = _prepare_out(out, cfg)
     model = cfg.ion_model()
     campaign = run_campaign(cfg.plan, model, cfg.noise, cfg.seed,
@@ -493,10 +471,10 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
 
 @main.command("parse")
 @_common
-@click.argument("sequence_file", type=click.Path())
+@click.argument("dsl_file", type=click.Path())
 @click.option("--var", "variables", multiple=True, metavar="NAME=VALUE",
               help="Bind a $variable used by the sequence (repeatable).")
-def parse_cmd(seed, config_path, out, sets, sequence_file, variables):
+def parse_cmd(seed, config_path, out, sets, dsl_file, variables):
     """Validate a pulse-sequence DSL file and echo its canonical form."""
     _ = _load_scenario(config_path, seed, sets)   # config errors still exit 2
     bindings = {}
@@ -508,7 +486,7 @@ def parse_cmd(seed, config_path, out, sets, sequence_file, variables):
             bindings[name] = float(value)
         except ValueError:
             raise ConfigError(f"--var {name}: not a number: {value!r}") from None
-    seq = parse_sequence_text(Path(sequence_file).read_text(),
+    seq = parse_sequence_text(Path(dsl_file).read_text(),
                               variables=bindings)
     canonical = serialize_sequence(seq)
     out_dir = Path(out)
@@ -516,7 +494,7 @@ def parse_cmd(seed, config_path, out, sets, sequence_file, variables):
     (out_dir / "canonical_sequence.dd").write_text(canonical)
     click.echo(canonical, nl=False)
     click.echo(f"ok: {len(seq.elements)} elements, duration "
-               f"{seq.duration():.6g} s, n_echo={seq.n_echo}")
+               f"{seq.duration():.6g} s")
 
 
 if __name__ == "__main__":

@@ -46,6 +46,12 @@ class ScenarioConfig:
     theta_true: float = 2.973
     seed: int = 20160401
 
+    def __post_init__(self):
+        # the sampler seeds with the low 32 bits; a wider seed would
+        # alias a narrower one under a different config hash
+        if not 0 <= self.seed < 2 ** 32:
+            raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
+
     def ion_model(self) -> IonModel:
         return IonModel(species=self.ion, trap=self.trap,
                         field_cfg=self.field_cfg, theta=self.theta_true)

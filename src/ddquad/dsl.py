@@ -14,11 +14,9 @@ decimal radians.  Durations take ns/us/ms/s suffixes.  Inside a repeat
 block, ``alt(a,b)`` alternates a phase per iteration.  ``$name`` marks a
 scan variable bound at parse time through the ``variables`` mapping.
 
-The serializer writes one statement per element, floats via repr.  The
-echo block that the sequence metadata ``n_echo``/``tau`` names (the
-block of ``build_quadrupole_dd_sequence``) is written as a
-``repeat``/``alt`` block, so the metadata survives the round trip; the
-text parses back to an equal sequence.
+The format holds elements only: the parser returns a sequence with no
+``n_echo``/``tau``, and the serializer writes one statement per element,
+floats via repr, so its text parses back to the same elements.
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ from decimal import Decimal, Overflow
 
 from .atommodel import BASIS_LABELS, D_INDEX
 from .errors import SequenceSemanticError, SequenceSyntaxError
-from .sequence import (Measure, OpticalPulse, PulseSequence, RFPulse, Wait,
-                       build_quadrupole_dd_sequence)
+from .sequence import Measure, OpticalPulse, PulseSequence, RFPulse, Wait
 
 _TIME_SUFFIXES = {"ns": "1e-9", "us": "1e-6", "ms": "1e-3", "s": "1"}
 _PI_RE = re.compile(r"^([+-]?)(\d+\.?\d*|\.\d+)?pi(?:/(\d+\.?\d*))?$")
@@ -165,7 +162,6 @@ def parse_sequence_text(text: str, variables: dict | None = None) -> PulseSequen
     """
     elements: list = []
     block = None        # open repeat block: (header line, count, body)
-    n_echo = echo_tau = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         raw = line.split("#", 1)[0].strip()
         if not raw:
@@ -192,10 +188,6 @@ def parse_sequence_text(text: str, variables: dict | None = None) -> PulseSequen
                     f"an even number of times, got {count}")
             elements += [stmt[k % 2] if isinstance(stmt, tuple) else stmt
                          for k in range(count) for stmt in body]
-            if has_alt:
-                n_echo = count
-                echo_tau = next((stmt.tau for stmt in body
-                                 if isinstance(stmt, Wait)), None)
         elif block is not None and raw.startswith("repeat"):
             raise SequenceSyntaxError("nested repeat is not supported",
                                       line=line_no, column=1)
@@ -208,7 +200,7 @@ def parse_sequence_text(text: str, variables: dict | None = None) -> PulseSequen
         raise SequenceSyntaxError("unterminated repeat block", line=block[0], column=1)
     if any(isinstance(e, Measure) for e in elements[:-1]):
         raise SequenceSemanticError("measure must be the final statement")
-    return PulseSequence(tuple(elements), n_echo=n_echo, tau=echo_tau)
+    return PulseSequence(tuple(elements))
 
 
 def _format_area(area: float) -> str:
@@ -223,39 +215,11 @@ def _format_phase(phase: float) -> str:
     return _format_area(phase) if phase != 0.0 else "0"
 
 
-def _echo_block_span(seq: PulseSequence):
-    """(start, end) of the echo block that the metadata names: the
-    elements of ``build_quadrupole_dd_sequence(n_echo, tau)`` between its
-    preparation and its closing pulses.  None when the metadata names no
-    builder block (n_echo odd or < 2, tau unset, negative or not finite)
-    or the sequence does not hold that block."""
-    n, tau = seq.n_echo, seq.tau
-    if not (n and n >= 2 and n % 2 == 0 and tau is not None
-            and math.isfinite(tau) and tau >= 0):
-        return None
-    block = build_quadrupole_dd_sequence(n, tau).elements[2:2 + 3 * n]
-    for start in range(len(seq.elements) - len(block) + 1):
-        if seq.elements[start:start + len(block)] == block:
-            return start, start + len(block)
-    return None
-
-
 def serialize_sequence(seq: PulseSequence) -> str:
-    """Canonical DSL text; parse(serialize(seq)) has the same elements,
-    and equals seq, metadata included, when the metadata names a builder
-    echo block (see ``_echo_block_span``), which is written as a
-    repeat/alt block.  Serializing the parsed text gives the same text."""
-    span = _echo_block_span(seq)
+    """Canonical DSL text, one statement per element; parsing it gives
+    the same elements, and serializing those gives the same text."""
     out = ["init S:-1/2"]
-    for idx, e in enumerate(seq.elements):
-        if span and span[0] <= idx < span[1]:
-            if idx == span[0]:
-                out.append(f"repeat {seq.n_echo} {{")
-                out.append(f"  wait {repr(seq.tau)}s")
-                out.append("  pulse rf pi phase alt(0,pi)")
-                out.append(f"  wait {repr(seq.tau)}s")
-                out.append("}")
-            continue
+    for e in seq.elements:
         if isinstance(e, OpticalPulse):
             out.append(f"pulse optical {_format_area(e.area)} S:-1/2 "
                        f"{BASIS_LABELS[D_INDEX[e.target_m]]} "

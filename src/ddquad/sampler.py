@@ -104,10 +104,14 @@ class CampaignPlan:
     def __post_init__(self):
         if not (self.beta_list and self.gradient_list and self.tau_total_list):
             raise ValueError("plan grids must be non-empty")
+        if any(t < 0 for t in self.tau_total_list):
+            raise ValueError("tau_total_list entries must be >= 0")
         if self.n_echo < 2 or self.n_echo % 2:
             raise ValueError("n_echo must be even and >= 2")
         if self.shots_per_point < 1:
             raise ValueError("shots_per_point must be >= 1")
+        if self.n_phases < 1:
+            raise ValueError("n_phases must be >= 1")
         if self.per_angle_offsets is not None \
                 and len(self.per_angle_offsets) != len(self.beta_list):
             raise ValueError("per_angle_offsets must match beta_list length")
@@ -209,11 +213,10 @@ def _cell_model(model: IonModel, beta_nominal: float, gradient: float) -> IonMod
 
 def run_campaign(plan: CampaignPlan, model: IonModel, noise: NoiseModel,
                  rng_seed, detection: DetectionModel | None = None,
-                 phi_grid=None, workers: int = 1) -> CampaignDataset:
+                 phi_grid=None) -> CampaignDataset:
     """Simulate every (beta, gradient, tau_total) cell plus its tau=0
     reference fringe, one cell after another; each cell draws from its
-    own seed substream.  ``workers`` is accepted for compatibility and
-    ignored: a thread pool over cells made campaigns slower."""
+    own seed substream."""
     if phi_grid is None:
         phi_grid = default_phi_grid(plan.n_phases)
     cells = []

@@ -103,6 +103,10 @@ class Measure:
 
 @dataclass(frozen=True)
 class PulseSequence:
+    """The elements, run in order.  ``n_echo`` and ``tau`` are the
+    parameters ``build_quadrupole_dd_sequence`` was called with (None for
+    any other sequence); no executor or serializer reads them."""
+
     elements: tuple
     n_echo: int | None = None
     tau: float | None = None

@@ -109,7 +109,8 @@ STRATEGIES = {
     ("detection", "eps_dark"): st.floats(0.0, 0.5),
     ("plan", "beta_list"): float_tuple,
     ("plan", "gradient_list"): float_tuple,
-    ("plan", "tau_total_list"): float_tuple,
+    ("plan", "tau_total_list"): st.lists(
+        st.floats(0.0, 1e300), min_size=1, max_size=4).map(tuple),
     ("plan", "n_echo"): st.integers(1, 10 ** 6).map(lambda k: 2 * k),
     ("plan", "shots_per_point"): st.integers(1, 10 ** 9),
     ("plan", "n_phases"): st.integers(1, 10 ** 6),
@@ -118,7 +119,7 @@ STRATEGIES = {
     ("fit", "float_epsilon1"): st.booleans(),
     ("fit", "bootstrap_resamples"): st.integers(100, 10 ** 6),
     ("run", "theta_true"): finite,
-    ("run", "seed"): st.integers(0, 2 ** 63),
+    ("run", "seed"): st.integers(0, 2 ** 32 - 1),
 }
 
 

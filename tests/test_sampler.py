@@ -100,15 +100,6 @@ def test_campaign_shapes_and_context():
     assert camp.model_snapshot["theta"] == MODEL.theta
 
 
-def test_campaign_workers_equivalence():
-    plan = sp.CampaignPlan(beta_list=(0.0, 0.8), gradient_list=(0.7e8, 1e8),
-                           tau_total_list=(1e-3,), n_echo=4,
-                           shots_per_point=60, n_phases=6)
-    a = sp.run_campaign(plan, MODEL, NOISE, 5, workers=1)
-    b = sp.run_campaign(plan, MODEL, NOISE, 5, workers=3)
-    assert a.cells == b.cells
-
-
 def test_seeded_counts_are_pinned():
     # one seeded quasi-static campaign's counts, pinned: a faster
     # executor must reproduce them draw for draw
