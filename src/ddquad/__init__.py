@@ -3,7 +3,7 @@ measurement of the D_5/2 electric quadrupole moment in a trapped ion.
 
 Layers, bottom up:
 
-- ``spincore``: exact spin-j rotation algebra (Wigner d, rotation unitaries)
+- ``spincore``: exact spin-j rotation algebra (spin operators, rotation unitaries)
 - ``atommodel``: level shifts, trap geometry, field-noise processes
 - ``sequence``: pulse-sequence construction and state evolution
 - ``dsl``: the text format for sequences
@@ -15,9 +15,8 @@ Layers, bottom up:
 __version__ = "0.1.0"
 
 from .atommodel import (FieldConfig, IonModel, IonSpecies, NoiseModel,
-                        TrapConfig, arm_phase_rate, gradient_from_trap_frequency,
-                        quadrupole_geometry, quadrupole_shift,
-                        second_order_zeeman_shift, zeeman_splitting)
+                        TrapConfig, arm_phase_rate, quadrupole_geometry,
+                        quadrupole_shift)
 from .config import ScenarioConfig, config_hash, dump_config, load_config, \
     paper_scenario
 from .dsl import parse_sequence_text, serialize_sequence
@@ -38,6 +37,6 @@ from .sampler import (CampaignDataset, CampaignPlan, DetectionModel,
 from .sequence import (PulseSequence, analytic_phase,
                        build_quadrupole_dd_sequence, initial_state,
                        run_sequence)
-from .spincore import rotation_unitary, spin_operators, wigner_d_matrix
+from .spincore import rotation_unitary, spin_operators
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""Physics-to-numbers layer: level shifts, calibrations and field noise.
+"""Physics-to-numbers layer: level shifts, trap geometry and field noise.
 
 All quantities are SI except quadrupole moments, which are expressed in
 e*a0^2 at every interface (converted through ``constants.EA0_SQUARED``).
@@ -48,16 +48,10 @@ DEFAULT_THETA_REFERENCES = (
 class IonSpecies:
     """Static atomic parameters of the probe ion (defaults: 88Sr+)."""
 
-    mass: float = 87.905612 * const.ATOMIC_MASS_UNIT          # kg
-    charge: float = const.ELEMENTARY_CHARGE                   # C
     g_ground: float = 2.0025                                  # S_1/2 Lande factor
     g_D: float = 1.2                                          # D_5/2 Lande factor
     c2_quad_zeeman: float = 3.1e6                              # Hz/T^2 differential
     reference_theta_values: tuple = DEFAULT_THETA_REFERENCES
-
-    def __post_init__(self):
-        if self.mass <= 0 or self.charge <= 0:
-            raise ValueError("mass and charge must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,11 +108,6 @@ class IonModel:
     theta: float = 2.973             # quadrupole moment, e*a0^2
 
 
-def zeeman_splitting(field_cfg: FieldConfig, g: float) -> float:
-    """Adjacent-sublevel Zeeman splitting g * mu_B * B / h in Hz."""
-    return g * const.MU_B_OVER_H * field_cfg.B
-
-
 def quadrupole_geometry(beta: float, epsilon1: float = 0.0, alpha: float = math.pi / 4) -> float:
     """Angular bracket (3 cos^2(beta) - 1) + eps1 sin^2(beta) cos(2 alpha)."""
     c = math.cos(beta)
@@ -138,27 +127,6 @@ def quadrupole_shift(m: float, trap: TrapConfig, theta_q: float, beta: float) ->
     m_factor = (35.0 - 12.0 * m * m) / 40.0
     bracket = quadrupole_geometry(beta, trap.epsilon1, trap.alpha)
     return trap.dEz_dz * theta_si * m_factor * bracket / (4.0 * const.PLANCK_H)
-
-
-def second_order_zeeman_shift(m: float, field_cfg: FieldConfig, species: IonSpecies) -> float:
-    """Second-order Zeeman shift of |D, m> in Hz.
-
-    Proportional to m^2 B^2 and normalized so that the echo-mapped
-    {5/2, 1/2} arm pair sees the configured differential coefficient:
-    nu(5/2) - nu(1/2) = c2_quad_zeeman * B^2.
-    """
-    if m not in D_INDEX:
-        raise ValueError(f"m={m} is not a D_5/2 sublevel")
-    # (25/4 - 1/4) / 6 = 1, hence the /6 normalization
-    return species.c2_quad_zeeman * field_cfg.B ** 2 * m * m / 6.0
-
-
-def gradient_from_trap_frequency(omega_z: float, species: IonSpecies,
-                                 rf_correction: float = 0.0) -> float:
-    """DC field gradient dEz/dz = (1 - rf_correction) m omega^2 / q in V/m^2."""
-    if omega_z <= 0:
-        raise ValueError("omega_z must be positive")
-    return (1.0 - rf_correction) * species.mass * omega_z ** 2 / species.charge
 
 
 def arm_phase_rate(trap: TrapConfig, theta_q: float, beta: float) -> float:

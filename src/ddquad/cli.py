@@ -173,10 +173,10 @@ def simulate_rabi(seed, config_path, out, sets, max_area, n_areas):
     stretched initial state |D,-5/2> and for the echo superposition
     psi_i = (|D,-5/2> + |D,-1/2>)/sqrt(2).
     """
+    if n_areas < 2 or max_area <= 0:
+        raise ConfigError("need n_areas >= 2 and max_area > 0")
     cfg = _load_scenario(config_path, seed, sets)
     out_dir, chash = _prepare_out(out, cfg)
-    if n_areas < 2 or max_area <= 0:
-        raise SimulationError("need n_areas >= 2 and max_area > 0")
     inits = {
         "-5/2": initial_state("D:-5/2")[2:8],
         "psi_i": (initial_state("D:-5/2")[2:8]
@@ -204,13 +204,13 @@ def simulate_rabi(seed, config_path, out, sets, max_area, n_areas):
               help="Also simulate and fit the tau=0 reference fringe.")
 def simulate_fringe(seed, config_path, out, sets, tau_total, reference):
     """One laser-phase fringe scan plus its maximum-likelihood fit."""
+    if tau_total is not None and tau_total < 0:
+        raise ConfigError("--tau-total must be >= 0")
     cfg = _load_scenario(config_path, seed, sets)
     out_dir, chash = _prepare_out(out, cfg)
     plan = cfg.plan
     if tau_total is None:
         tau_total = plan.tau_total_list[0]
-    if tau_total < 0:
-        raise SimulationError("tau_total must be >= 0")
     tau = tau_total / (2.0 * plan.n_echo)
     model = cfg.ion_model()
     phis = default_phi_grid(plan.n_phases)
@@ -403,6 +403,10 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
     cfg = _load_scenario(config_path, seed, sets, base=base)
     if replications < 1:
         raise ConfigError("replications must be >= 1")
+    # replication k runs seed + k, and the sampler reads 32 bits of it
+    if cfg.seed + replications - 1 >= 2 ** 32:
+        raise ConfigError(f"seed + replications - 1 must be < 2**32, got "
+                          f"{cfg.seed} + {replications} - 1")
     if cfg.fit.bootstrap_resamples:
         raise ConfigError("reproduce-paper runs no bootstrap; leave "
                           "fit.bootstrap_resamples at 0")

@@ -12,7 +12,6 @@ HBAR = PLANCK_H / (2.0 * math.pi)   # J s (1.054571817e-34)
 BOHR_MAGNETON = 9.274010078e-24     # J / T
 ELEMENTARY_CHARGE = 1.602176634e-19  # C (exact)
 BOHR_RADIUS = 5.291772109e-11       # m
-ATOMIC_MASS_UNIT = 1.660539067e-27  # kg
 
 # Zeeman splitting per unit field, Hz/T
 MU_B_OVER_H = BOHR_MAGNETON / PLANCK_H

@@ -113,7 +113,8 @@ def _newton(x, k, n, start, max_iter=200):
     (m, P) design matrix: [1, cos phi, sin phi] for the fringe fit,
     [1, cos(phi - phase)] for its phase profile.
 
-    Returns (parameters, NLL, iterations, stop), where ``stop`` is one of
+    Returns (parameters, NLL, Hessian, iterations, stop), the NLL and its
+    Hessian at the returned parameters, where ``stop`` is one of
     ``NEWTON_STOPS``: "gradient" (the gradient test passed),
     "no_progress" (an accepted step lowered the NLL by less than
     1e-13 (1 + |NLL|)), "step_floor" (the backtracked step fell below 4
@@ -156,7 +157,7 @@ def _newton(x, k, n, start, max_iter=200):
             break
     else:
         stop = "max_iter"
-    return theta, nll, iteration + 1, stop
+    return theta, nll, hess, iteration + 1, stop
 
 
 def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
@@ -186,7 +187,7 @@ def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
         b0 *= h_max / h0
         c0 *= h_max / h0
     x = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-    (a, b, c), nll, n_iter, stop = _newton(x, k, n, (a0, b0, c0))
+    (a, b, c), nll, hess, n_iter, stop = _newton(x, k, n, (a0, b0, c0))
 
     contrast = 2.0 * math.hypot(b, c)
     if contrast < 1e-9:
@@ -195,7 +196,6 @@ def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
 
     # var(phase) = g^T H^-1 g with H the exact (a, b, c) Hessian and
     # g = d phase / d(a, b, c)
-    _, _, hess = _nll_and_derivs((a, b, c), x, k, n)
     g = np.array([0.0, -c, b]) / (b * b + c * c)
     try:
         sigma = math.sqrt(max(g @ np.linalg.solve(hess, g), 0.0))

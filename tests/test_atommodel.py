@@ -5,12 +5,12 @@ import pytest
 
 from ddquad import atommodel as am
 from ddquad import constants as const
+from ddquad.sequence import level_coefficients
 
 
-def test_zeeman_splitting_value():
-    f = am.FieldConfig(B=3e-4)
-    # g * mu_B * B / h with g = 1.2
-    assert am.zeeman_splitting(f, 1.2) == pytest.approx(5.038648e6, rel=1e-6)
+def test_mu_b_over_h_value():
+    # adjacent-sublevel Zeeman splitting g * mu_B * B / h with g = 1.2
+    assert 1.2 * const.MU_B_OVER_H * 3e-4 == pytest.approx(5.038648e6, rel=1e-6)
 
 
 def test_quadrupole_shift_reference_values():
@@ -79,29 +79,41 @@ def test_arm_phase_rate_value_and_identity():
     assert rate == pytest.approx(via_shifts, rel=1e-12)
 
 
-def test_gradient_calibration():
-    sp = am.IonSpecies()
-    omega = 2 * math.pi * 1.6674e6
-    grad = am.gradient_from_trap_frequency(omega, sp)
-    assert grad == pytest.approx(1.000e8, rel=1e-3)
-    # invertibility
-    omega_back = math.sqrt(grad * sp.charge / sp.mass)
-    assert omega_back == pytest.approx(omega, rel=1e-12)
-    # RF correction reduces the DC gradient
-    grad_corr = am.gradient_from_trap_frequency(omega, sp, rf_correction=0.001)
-    assert grad_corr == pytest.approx(grad * 0.999, rel=1e-12)
+def second_order_zeeman_shift(m: float, field_cfg: am.FieldConfig,
+                              species: am.IonSpecies) -> float:
+    """Second-order Zeeman shift of |D, m> in Hz.
+
+    Proportional to m^2 B^2 and normalized so that the echo-mapped
+    {5/2, 1/2} arm pair sees the configured differential coefficient:
+    nu(5/2) - nu(1/2) = c2_quad_zeeman * B^2.
+    """
+    if m not in am.D_INDEX:
+        raise ValueError(f"m={m} is not a D_5/2 sublevel")
+    # (25/4 - 1/4) / 6 = 1, hence the /6 normalization
+    return species.c2_quad_zeeman * field_cfg.B ** 2 * m * m / 6.0
 
 
 def test_second_order_zeeman_differential():
     sp = am.IonSpecies()
     f = am.FieldConfig(B=3e-4)
     # differential between the m=-5/2 and m=-1/2 arms is C2*B^2 = 0.279 Hz
-    diff = am.second_order_zeeman_shift(-2.5, f, sp) - am.second_order_zeeman_shift(-0.5, f, sp)
+    diff = second_order_zeeman_shift(-2.5, f, sp) - second_order_zeeman_shift(-0.5, f, sp)
     assert diff == pytest.approx(3.1e6 * (3e-4) ** 2, rel=1e-12)
     assert diff == pytest.approx(0.279, abs=1e-6)
     # even in m
-    assert am.second_order_zeeman_shift(1.5, f, sp) \
-        == pytest.approx(am.second_order_zeeman_shift(-1.5, f, sp), rel=1e-12)
+    assert second_order_zeeman_shift(1.5, f, sp) \
+        == pytest.approx(second_order_zeeman_shift(-1.5, f, sp), rel=1e-12)
+
+
+def test_level_coefficients_b2_matches_second_order_zeeman():
+    model = am.IonModel(field_cfg=am.FieldConfig(B=4.2e-4))
+    b2 = level_coefficients(model)[2]
+    B = model.field_cfg.B
+    for m, i in am.D_INDEX.items():
+        assert b2[i] * B ** 2 == pytest.approx(
+            second_order_zeeman_shift(m, model.field_cfg, model.species), rel=1e-12)
+    for i in am.S_INDEX.values():
+        assert b2[i] == 0.0
 
 
 def test_validation_errors():

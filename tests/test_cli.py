@@ -352,8 +352,13 @@ SMALL_PLAN = ["--set", "plan.beta_list=0.0,0.8",
     ["run-campaign", "--seed", "4294967296"],
     ["run-campaign", "--set", "run.seed=-1"],
     ["reproduce-paper", "--seed", "-1"],
+    # the last replication would run seed 2**32, which the sampler reads as 0
+    ["reproduce-paper", "--seed", "4294967295", "--replications", "2"],
+    ["simulate-fringe", "--tau-total", "-1"],
+    ["simulate-rabi", "--n-areas", "1"],
 ], ids=["n_phases_0", "negative_tau_total", "seed_2_32", "run_seed_negative",
-        "reproduce_seed_negative"])
+        "reproduce_seed_negative", "replication_seed_wraps",
+        "negative_tau_total_option", "too_few_areas"])
 def test_values_the_simulation_rejects_exit_2_at_load(runner, tmp_path, args):
     out = tmp_path / "o"
     res = runner.invoke(main, args + ["--out", str(out)])
@@ -505,7 +510,7 @@ def test_exit_code_table(runner, tmp_path, case):
         "undecodable_sequence": (["parse", str(undecodable), "--out", out],
                                  2, "ConfigError"),
         "too_few_areas": (["simulate-rabi", "--n-areas", "1", "--out", out],
-                          3, "SimulationError"),
+                          2, "ConfigError"),
         "fit_error": (["fit", "--data", str(data), "--out", out,
                        "--set", "fit.float_epsilon1=true",
                        "--set", "trap.alpha=0.3"],

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from ddquad import atommodel as am
 from ddquad import sequence as sq
-from ddquad.spincore import wigner_d_matrix
+from wigner import wigner_d_matrix
 
 
 MODEL = am.IonModel()

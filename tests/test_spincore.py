@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from ddquad import spincore
+from wigner import wigner_d_element, wigner_d_matrix
 
 
 JS = [0.5, 1.0, 1.5, 2.5]
@@ -39,16 +40,16 @@ def test_ladder_matrix_elements():
 def test_wigner_d_matches_expm(j, theta):
     jy = spincore.spin_operators(j)["Jy"]
     ref = expm(-1j * theta * jy).real
-    assert np.max(np.abs(spincore.wigner_d_matrix(j, theta) - ref)) < 1e-10
+    assert np.max(np.abs(wigner_d_matrix(j, theta) - ref)) < 1e-10
 
 
 def test_wigner_d_element_matches_matrix():
     theta = 1.234
-    d = spincore.wigner_d_matrix(2.5, theta)
+    d = wigner_d_matrix(2.5, theta)
     m = spincore.m_values(2.5)
     for i, m_to in enumerate(m):
         for k, m_from in enumerate(m):
-            assert spincore.wigner_d_element(2.5, m_to, m_from, theta) \
+            assert wigner_d_element(2.5, m_to, m_from, theta) \
                 == pytest.approx(d[i, k], abs=1e-14)
 
 
