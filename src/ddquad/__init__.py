@@ -6,7 +6,6 @@ Layers, bottom up:
 - ``spincore``: exact spin-j rotation algebra (spin operators, rotation unitaries)
 - ``atommodel``: level shifts, trap geometry, field-noise processes
 - ``sequence``: pulse-sequence construction and state evolution
-- ``dsl``: the text format for sequences
 - ``sampler``: quantum-projection-noise shot sampling and campaign runs
 - ``estimator``: fringe MLE, phase unwrapping, joint quadrupole fit
 - ``cli``: command-line front end
@@ -19,10 +18,8 @@ from .atommodel import (FieldConfig, IonModel, IonSpecies, NoiseModel,
                         quadrupole_shift)
 from .config import ScenarioConfig, config_hash, dump_config, load_config, \
     paper_scenario
-from .dsl import parse_sequence_text, serialize_sequence
 from .errors import (ConfigError, DDQuadError, DegenerateDataError, FitError,
                      FitConvergenceError, NonIdentifiableError,
-                     SequenceSemanticError, SequenceSyntaxError,
                      SimulationError)
 from .estimator import (FringeFit, JointFitResult, bootstrap_ci,
                         fit_fringe_mle, fit_phase_vs_time,

@@ -5,7 +5,7 @@ Every subcommand takes ``--seed``, ``--config`` (INI scenario file) and
 configuration it ran with, and embeds that config's hash in each output
 so any run can be reproduced byte-identically from its own artifacts.
 
-Exit codes: 0 success, 2 configuration/parse error, 3 simulation error,
+Exit codes: 0 success, 2 configuration or input error, 3 simulation error,
 4 fit error.  The command group's ``invoke`` holds the one table that
 maps errors to codes; a failing command prints one JSON line on stderr.
 """
@@ -28,9 +28,7 @@ from . import __version__
 from .atommodel import BASIS_LABELS, NoiseModel, arm_phase_rate
 from .config import (ScenarioConfig, apply_settings, config_hash, dump_config,
                      load_config, paper_scenario)
-from .dsl import parse_sequence_text, serialize_sequence
-from .errors import ConfigError, DDQuadError, FitError, SequenceSyntaxError, \
-    SequenceSemanticError, SimulationError
+from .errors import ConfigError, DDQuadError, FitError, SimulationError
 from .estimator import (bootstrap_ci, dataset_digest, fit_fringe_mle,
                         fit_phase_vs_time, joint_fit_campaign,
                         phase_difference, theta_comparison_report,
@@ -50,9 +48,6 @@ D_M_LABELS = [label.split(":")[1] for label in BASIS_LABELS[2:]]
 def _fail(exc: DDQuadError, code: int):
     payload = {"error_type": type(exc).__name__, "message": str(exc),
                "exit_code": code}
-    if isinstance(exc, SequenceSyntaxError):
-        payload["line"] = exc.line
-        payload["column"] = exc.column
     if isinstance(exc, FitError) and getattr(exc, "diagnostics", None):
         payload["diagnostics"] = _jsonable(exc.diagnostics)
     click.echo(json.dumps(payload, sort_keys=True), err=True)
@@ -122,7 +117,7 @@ class _Main(click.Group):
         # file errors; UnicodeError is a ValueError, so it is caught first
         except (OSError, UnicodeError) as exc:
             _fail(ConfigError(str(exc)), EXIT_CONFIG)
-        except (ConfigError, SequenceSyntaxError, SequenceSemanticError) as exc:
+        except ConfigError as exc:
             _fail(exc, EXIT_CONFIG)
         except FitError as exc:
             _fail(exc, EXIT_FIT)
@@ -471,34 +466,6 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
                f"{report['coverage_count']}/{replications} covered)")
     for row in report["comparison"]:
         click.echo(f"  {row['text']} ({row['value']} ± {row['sigma']})")
-
-
-@main.command("parse")
-@_common
-@click.argument("dsl_file", type=click.Path())
-@click.option("--var", "variables", multiple=True, metavar="NAME=VALUE",
-              help="Bind a $variable used by the sequence (repeatable).")
-def parse_cmd(seed, config_path, out, sets, dsl_file, variables):
-    """Validate a pulse-sequence DSL file and echo its canonical form."""
-    _ = _load_scenario(config_path, seed, sets)   # config errors still exit 2
-    bindings = {}
-    for item in variables:
-        if "=" not in item:
-            raise ConfigError(f"--var expects NAME=VALUE, got {item!r}")
-        name, value = item.split("=", 1)
-        try:
-            bindings[name] = float(value)
-        except ValueError:
-            raise ConfigError(f"--var {name}: not a number: {value!r}") from None
-    seq = parse_sequence_text(Path(dsl_file).read_text(),
-                              variables=bindings)
-    canonical = serialize_sequence(seq)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "canonical_sequence.dd").write_text(canonical)
-    click.echo(canonical, nl=False)
-    click.echo(f"ok: {len(seq.elements)} elements, duration "
-               f"{seq.duration():.6g} s")
 
 
 if __name__ == "__main__":

@@ -13,21 +13,6 @@ class SimulationError(DDQuadError):
     """A sequence or campaign could not be executed."""
 
 
-class SequenceSyntaxError(DDQuadError):
-    """Sequence DSL text failed to tokenize/parse."""
-
-    def __init__(self, message, line=None, column=None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"line {line}, col {column}: {message}"
-        super().__init__(message)
-
-
-class SequenceSemanticError(DDQuadError):
-    """Sequence DSL parsed but violates a semantic rule."""
-
-
 class FitError(DDQuadError):
     """Base class for estimation failures."""
 

@@ -105,7 +105,7 @@ class Measure:
 class PulseSequence:
     """The elements, run in order.  ``n_echo`` and ``tau`` are the
     parameters ``build_quadrupole_dd_sequence`` was called with (None for
-    any other sequence); no executor or serializer reads them."""
+    any other sequence); the executor does not read them."""
 
     elements: tuple
     n_echo: int | None = None

@@ -97,44 +97,6 @@ def test_bad_set_value_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
-def test_parse_ok_and_canonical(runner, tmp_path):
-    seq = tmp_path / "seq.dd"
-    seq.write_text("init S:-1/2\n"
-                   "pulse optical pi/2 S:-1/2 D:-5/2 phase 0\n"
-                   "pulse optical pi S:-1/2 D:-1/2 phase 0\n"
-                   "repeat 4 {\n"
-                   "  wait 250us\n"
-                   "  pulse rf pi phase alt(0,pi)\n"
-                   "  wait 250us\n"
-                   "}\n"
-                   "pulse optical pi S:-1/2 D:-5/2 phase 0\n"
-                   "pulse optical pi/2 S:-1/2 D:-1/2 phase $phi\n"
-                   "measure\n")
-    out = tmp_path / "o"
-    res = runner.invoke(main, ["parse", str(seq), "--var", "phi=0.5",
-                               "--out", str(out)])
-    assert res.exit_code == 0, res.output
-    canonical = (out / "canonical_sequence.dd").read_text()
-    # one statement per element: the repeat block is written out
-    assert canonical.count("\npulse rf pi phase ") == 4
-    # canonical output parses back to the same canonical form
-    seq2 = tmp_path / "seq2.dd"
-    seq2.write_text(canonical)
-    res2 = runner.invoke(main, ["parse", str(seq2),
-                                "--out", str(tmp_path / "o2")])
-    assert res2.exit_code == 0
-    assert (tmp_path / "o2" / "canonical_sequence.dd").read_text() == canonical
-
-
-def test_parse_syntax_error_reports_line(runner, tmp_path):
-    seq = tmp_path / "seq.dd"
-    seq.write_text("init D:-5/2\nwait 10 parsecs\nmeasure\n")
-    res = runner.invoke(main, ["parse", str(seq), "--out", str(tmp_path / "o")])
-    assert res.exit_code == 2
-    err = json.loads(res.stderr.strip().splitlines()[-1])
-    assert err["line"] == 2
-
-
 def test_fit_garbage_data_exits_2(runner, tmp_path):
     data = tmp_path / "junk.csv"
     data.write_text("this,is,not\na,campaign,file\n")
@@ -419,6 +381,22 @@ def documented_keys(heading):
     return keys
 
 
+def test_docs_name_exactly_the_registered_commands():
+    root = Path(__file__).parents[1]
+    # formats.md headings name their commands in parentheses, e.g.
+    # "## report.json (`reproduce-paper`)"
+    headings = re.findall(r"(?m)^## .*\((.*)\)$",
+                          (root / "docs" / "formats.md").read_text())
+    documented = {word for paren in headings
+                  for word in re.findall(r"`([a-z][a-z-]*)`", paren)}
+    assert documented == set(main.commands)
+    blocks = re.findall(r"(?s)```\w*\n(.*?)```",
+                        (root / "README.md").read_text())
+    quick = {word for block in blocks
+             for word in re.findall(r"(?m)^ddquad (\S+)", block)}
+    assert quick and quick <= set(main.commands)
+
+
 def test_written_keys_match_the_documented_blocks(runner, tmp_path,
                                                   bootstrap_runs):
     fit_keys = documented_keys("fit.json")
@@ -499,15 +477,16 @@ def test_exit_code_table(runner, tmp_path, case):
     percent.write_text("[trap]\nalpha = %x\n")
     default = tmp_path / "default.ini"
     default.write_text("[DEFAULT]\nalpha = 0.5\n[trap]\ndez_dz = 1e8\n")
-    undecodable = tmp_path / "seq.dd"
-    undecodable.write_bytes(b"\xffinit S:-1/2\nmeasure\n")
+    undecodable = tmp_path / "undecodable.ini"
+    undecodable.write_bytes(b"\xff[trap]\nalpha = 0.5\n")
     data = tmp_path / "campaign.csv"
     data.write_text(small_campaign_csv())
     out = str(tmp_path / "o")
     argv, code, error_type = {
         "out_under_file": (["simulate-rabi", "--out", str(regular / "o")],
                            2, "ConfigError"),
-        "undecodable_sequence": (["parse", str(undecodable), "--out", out],
+        "undecodable_sequence": (["simulate-rabi", "--config",
+                                  str(undecodable), "--out", out],
                                  2, "ConfigError"),
         "too_few_areas": (["simulate-rabi", "--n-areas", "1", "--out", out],
                           2, "ConfigError"),
