@@ -29,19 +29,13 @@ def test_builder_rejects_odd_or_small_n():
         sq.build_quadrupole_dd_sequence(n_echo=0, tau=1e-4)
 
 
+# the non-finite values are checked in test_dsl.py
 @pytest.mark.parametrize("make, match", [
-    (lambda: sq.Wait(math.inf), "finite"),
-    (lambda: sq.Wait(math.nan), "finite"),
     (lambda: sq.Wait(-1e-6), ">= 0"),
-    (lambda: sq.RFPulse(math.inf), "finite"),
     (lambda: sq.RFPulse(-math.pi), ">= 0"),
-    (lambda: sq.RFPulse(math.pi, math.nan), "finite"),
-    (lambda: sq.OpticalPulse(-2.5, math.nan), "finite"),
     (lambda: sq.OpticalPulse(-2.5, -math.pi / 2), ">= 0"),
-    (lambda: sq.OpticalPulse(-2.5, math.pi, -math.inf), "finite"),
     (lambda: sq.OpticalPulse(-3.5, math.pi), "not a D sublevel"),
-], ids=["wait_inf", "wait_nan", "wait_negative", "rf_area", "rf_negative_area",
-        "rf_phase", "optical_area", "optical_negative_area", "optical_phase",
+], ids=["wait_negative", "rf_negative_area", "optical_negative_area",
         "optical_target"])
 def test_elements_reject_invalid_values(make, match):
     with pytest.raises(ValueError, match=match):
