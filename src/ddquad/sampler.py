@@ -11,9 +11,8 @@ detection draw, again in point order.  A scan without a wait (the tau = 0
 reference) runs the sequence on one state, which no trajectory can
 change, but still draws each point's trajectories in point order: they
 are drawn only so that the detection draws keep their stream positions.
-Results are therefore
-bit-identical for a given (plan, model, noise, seed), independent of how
-the points are batched and of scheduling: cells may run concurrently.
+Results are therefore bit-identical for a given (plan, model, noise,
+seed), independent of how the points are batched.
 
 An exact-probability mode replaces sampled counts with real-valued
 n * p computed on the noise-free trajectory; it separates dynamics bugs
@@ -102,16 +101,21 @@ class CampaignPlan:
     per_angle_offsets: tuple | None = None  # extra rad per angle, signal only
 
     def __post_init__(self):
-        if not (self.beta_list and self.gradient_list and self.tau_total_list):
-            raise ValueError("plan grids must be non-empty")
+        for name in ("beta_list", "gradient_list", "tau_total_list"):
+            grid = getattr(self, name)
+            if not grid:
+                raise ValueError("plan grids must be non-empty")
+            # a campaign CSV keys its cells by (beta, gradient, tau_total)
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"{name} entries must be distinct")
         if any(t < 0 for t in self.tau_total_list):
             raise ValueError("tau_total_list entries must be >= 0")
         if self.n_echo < 2 or self.n_echo % 2:
             raise ValueError("n_echo must be even and >= 2")
         if self.shots_per_point < 1:
             raise ValueError("shots_per_point must be >= 1")
-        if self.n_phases < 1:
-            raise ValueError("n_phases must be >= 1")
+        if self.n_phases < 3:     # the fringe fit needs 3 distinct phases
+            raise ValueError("n_phases must be >= 3")
         if self.per_angle_offsets is not None \
                 and len(self.per_angle_offsets) != len(self.beta_list):
             raise ValueError("per_angle_offsets must match beta_list length")
@@ -163,8 +167,7 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     rngs, trajectories = [], None
     if not exact:
         rngs = [np.random.default_rng(np.random.SeedSequence(
-                    [np.uint32(s) for s in
-                     _entropy(rng_seed, seed_context, point_idx)]))
+                    _entropy(rng_seed, seed_context, point_idx)))
                 for point_idx in range(phi_grid.size)]
         trajectories = (sample_noise_trajectory(noise, duration, rng,
                                                 n_shots=shots_per_point)

@@ -7,12 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddquad
-from ddquad.cli import main
+from ddquad.cli import _write_json, main
 from ddquad.config import ScenarioConfig, dump_config
+from ddquad.errors import FitConvergenceError
 from ddquad.estimator import NEWTON_STOPS
 
 
@@ -318,9 +322,18 @@ SMALL_PLAN = ["--set", "plan.beta_list=0.0,0.8",
     ["reproduce-paper", "--seed", "4294967295", "--replications", "2"],
     ["simulate-fringe", "--tau-total", "-1"],
     ["simulate-rabi", "--n-areas", "1"],
+    # the fringe fit needs 3 distinct laser phases
+    ["simulate-fringe", "--set", "plan.n_phases=1"],
+    ["run-campaign", "--set", "plan.n_phases=2"],
+    # a campaign CSV keys its cells by (beta, gradient, tau_total), so a
+    # repeated entry could not be refitted; -0.0 == 0.0
+    ["run-campaign", "--set", "plan.beta_list=0.0,0.5,-0.0"],
+    ["run-campaign", "--set", "plan.gradient_list=1e8,2e8,1e8"],
+    ["run-campaign", "--set", "plan.tau_total_list=1e-3,1e-3,2e-3"],
 ], ids=["n_phases_0", "negative_tau_total", "seed_2_32", "run_seed_negative",
         "reproduce_seed_negative", "replication_seed_wraps",
-        "negative_tau_total_option", "too_few_areas"])
+        "negative_tau_total_option", "too_few_areas", "n_phases_1",
+        "n_phases_2", "repeated_beta", "repeated_gradient", "repeated_tau"])
 def test_values_the_simulation_rejects_exit_2_at_load(runner, tmp_path, args):
     out = tmp_path / "o"
     res = runner.invoke(main, args + ["--out", str(out)])
@@ -367,16 +380,21 @@ def test_run_campaign_and_fit_write_the_same_bootstrap_ci(bootstrap_runs):
     assert refit["bootstrap_ci95_theta"] == camp["bootstrap_ci95_theta"]
 
 
-def documented_keys(heading):
-    """Top-level keys of the JSON block in the docs/formats.md section
-    whose heading starts with ``heading``."""
+def documented_keys(heading, within=None):
+    """Keys of the JSON block in the docs/formats.md section whose heading
+    starts with ``heading``: its top-level keys, or with ``within`` the
+    keys of the object under that top-level key."""
     doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
     block = doc.split(f"\n## {heading}", 1)[1].split("```json", 1)[1]
-    keys, depth = set(), 0
+    keys, depth, parent = set(), 0, None
     for m in re.finditer(r'[{}\[\]]|"(\w+)"\s*:', block.split("```", 1)[0]):
         if m.group(1) is None:
             depth += 1 if m.group(0) in "{[" else -1
         elif depth == 1:
+            parent = m.group(1)
+            if within is None:
+                keys.add(parent)
+        elif depth == 2 and parent == within:
             keys.add(m.group(1))
     return keys
 
@@ -404,6 +422,9 @@ def test_written_keys_match_the_documented_blocks(runner, tmp_path,
     for out in bootstrap_runs:          # run-campaign, then fit
         assert set(json.loads((out / "fit.json").read_text())) == fit_keys
     fringe_keys = documented_keys("fringe.csv / fringe_fit.json")
+    # the fringe fit's own keys; "reference_fit" has the same shape
+    fit_keys = documented_keys("fringe.csv / fringe_fit.json", within="fit")
+    assert {"phase", "ci95_phase", "stop"} <= fit_keys
     # the section documents that --no-reference omits these two
     omitted = {"reference_fit", "phi_total"}
     assert omitted <= fringe_keys
@@ -414,7 +435,10 @@ def test_written_keys_match_the_documented_blocks(runner, tmp_path,
                                    "--set", "plan.shots_per_point=50",
                                    "--set", "plan.n_phases=6"])
         assert res.exit_code == 0, res.output
-        assert set(json.loads((out / "fringe_fit.json").read_text())) == want
+        doc = json.loads((out / "fringe_fit.json").read_text())
+        assert set(doc) == want
+        for name in {"fit", "reference_fit"} & want:
+            assert set(doc[name]) == fit_keys, name
 
 
 def test_refit_from_own_artifacts_is_byte_identical(runner, tmp_path):
@@ -456,6 +480,65 @@ def test_two_angles_with_free_epsilon1_exit_4_non_identifiable(runner,
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err["error_type"] == "NonIdentifiableError"
     assert ">= 3 angles" in err["message"]
+
+
+def container_walk(obj):
+    """The CLI's former conversion to plain JSON values, which walked
+    dicts, lists and tuples itself: the reference for json's traversal."""
+    if isinstance(obj, dict):
+        return {str(k): container_walk(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [container_walk(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
+JSON_LEAVES = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), st.text(),
+    st.sampled_from([math.nan, -0.0, math.inf, -math.inf, 0.1, 1e-17,
+                     1.0 / 3.0]),
+    st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.floats(), max_size=4).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=4).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool)))
+JSON_DOCS = st.dictionaries(st.text(), st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_DOCS)
+def test_write_json_matches_the_container_walk(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    _write_json(path, doc)
+    # the walk left np.bool_ to json, which rejected it; the CLI's hook
+    # writes it as a bool
+    want = json.dumps(container_walk(doc), sort_keys=True, indent=1,
+                      default=np.bool_.item) + "\n"
+    assert path.read_text() == want
+
+
+def test_fit_error_diagnostics_are_written_as_plain_values(runner, tmp_path,
+                                                           monkeypatch):
+    def fail(*args, **kwargs):
+        raise FitConvergenceError("x", {"bracket": [np.float64(1.0), 2.0],
+                                        "n": np.int64(3)})
+
+    monkeypatch.setattr("ddquad.cli.joint_fit_campaign", fail)
+    res = runner.invoke(main, ["run-campaign", "--out", str(tmp_path / "o")]
+                        + SMALL_PLAN)
+    assert res.exit_code == 4
+    assert res.stderr == json.dumps(
+        {"diagnostics": {"bracket": [1.0, 2.0], "n": 3},
+         "error_type": "FitConvergenceError", "exit_code": 4, "message": "x"},
+        sort_keys=True) + "\n"
 
 
 def one_json_error(res):

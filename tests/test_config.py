@@ -92,6 +92,8 @@ def test_bootstrap_resamples_below_100_rejected():
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 float_tuple = st.lists(finite, min_size=1, max_size=4).map(tuple)
+# a plan grid's entries are distinct
+grid_tuple = st.lists(finite, min_size=1, max_size=4, unique=True).map(tuple)
 # one strategy of valid values per scenario key
 STRATEGIES = {
     ("ion", "g_ground"): finite, ("ion", "g_d"): finite,
@@ -107,13 +109,13 @@ STRATEGIES = {
     ("noise", "step_dt"): st.floats(0.0, 1e300, exclude_min=True),
     ("detection", "eps_bright"): st.floats(0.0, 0.5),
     ("detection", "eps_dark"): st.floats(0.0, 0.5),
-    ("plan", "beta_list"): float_tuple,
-    ("plan", "gradient_list"): float_tuple,
+    ("plan", "beta_list"): grid_tuple,
+    ("plan", "gradient_list"): grid_tuple,
     ("plan", "tau_total_list"): st.lists(
-        st.floats(0.0, 1e300), min_size=1, max_size=4).map(tuple),
+        st.floats(0.0, 1e300), min_size=1, max_size=4, unique=True).map(tuple),
     ("plan", "n_echo"): st.integers(1, 10 ** 6).map(lambda k: 2 * k),
     ("plan", "shots_per_point"): st.integers(1, 10 ** 9),
-    ("plan", "n_phases"): st.integers(1, 10 ** 6),
+    ("plan", "n_phases"): st.integers(3, 10 ** 6),
     ("plan", "exact_probabilities"): st.booleans(),
     ("plan", "per_angle_offsets"): float_tuple,  # resized to beta_list below
     ("fit", "float_epsilon1"): st.booleans(),
