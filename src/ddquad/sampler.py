@@ -4,15 +4,18 @@ Determinism contract: each fringe point draws from its own generator,
 seeded by ``SeedSequence([seed, *context, point_index])``; a campaign's
 context is ``(2 * cell_index + is_reference,)``.  A point draws its noise
 trajectories first (one per shot, a vectorized array indexed by shot)
-and its detection draws second.  In between, the points of a scan run
-as one batch: the trajectories are drawn in point order, the sequence
-runs once on every point's shots stacked, and then each point makes its
-detection draw, again in point order.  A scan without a wait (the tau = 0
-reference) runs the sequence on one state, which no trajectory can
-change, but still draws each point's trajectories in point order: they
-are drawn only so that the detection draws keep their stream positions.
-Results are therefore bit-identical for a given (plan, model, noise,
-seed), independent of how the points are batched.
+and its detection draws second.  A scan draws its points' trajectories
+in point order and runs the sequence on each point's shots in one of two
+ways, chosen by the trajectories' segment count.  A time-varying
+trajectory (several segments) runs as soon as it is drawn, on its
+point's shots alone.  One-segment trajectories are concatenated, and the
+sequence runs once on every point's shots stacked.  Each point then
+makes its detection draw, in point order.  A scan without a wait (the
+tau = 0 reference) runs the sequence on one state, which no trajectory
+can change, but still draws each point's trajectories: they are drawn
+only so that the detection draws keep their stream positions.  Every
+executor step acts row by row, so results are bit-identical for a given
+(plan, model, noise, seed) on either path.
 
 An exact-probability mode replaces sampled counts with real-valued
 n * p computed on the noise-free trajectory; it separates dynamics bugs
@@ -29,7 +32,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .atommodel import IonModel, NoiseModel, sample_noise_trajectory
+from .atommodel import (IonModel, NoiseModel, NoiseTrajectory,
+                        sample_noise_trajectory)
 from .errors import SimulationError
 from .sequence import (D_BLOCK, PulseSequence, apply_pulses,
                        build_quadrupole_dd_sequence, initial_state,
@@ -145,12 +149,22 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     sequence run, Bernoulli detection, counts aggregated per phase.
 
     Only the closing pi/2 pulse's laser phase differs between points, so
-    the sequence up to it runs once on every point's shots stacked (one
-    state in exact mode), and the P closing pulses are one stacked matmul.
-    A scan without a wait (tau = 0, the reference fringe) runs one state
-    too, since no trajectory can act on it: each point's shots share one
-    detection probability.  It still draws every point's trajectories, in
-    point order, only to keep the detection draws in place.
+    the sequence is built once and split before that pulse.  How the
+    shared prefix runs depends on each point's trajectory:
+
+    - several segments (a random walk): each point runs the prefix on its
+      own shots, as soon as its trajectory is drawn, and then its closing
+      pulse, so only one point's walk, wait integrals and state are held;
+    - one segment (no noise, a quasi-static offset, or a walk shorter
+      than one step): the points' offsets are concatenated into one
+      trajectory, the prefix runs once on every point's shots stacked,
+      and the P closing pulses are one stacked matmul.
+
+    Exact mode and a scan without a wait (tau = 0, the reference fringe)
+    run the prefix on one state, since no trajectory can act on it: each
+    point's shots share one detection probability.  Such a scan still
+    draws every point's trajectories, only to keep the detection draws in
+    place.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
@@ -161,29 +175,34 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     *shared, closing, measure = build_quadrupole_dd_sequence(
         n_echo, tau).elements
     prefix = PulseSequence(tuple(shared) + (measure,))
-    # without a wait no trajectory reaches the state: one state serves
-    # every shot, as in exact mode
-    single = exact or tau == 0
-    rngs, trajectories = [], None
-    if not exact:
-        rngs = [np.random.default_rng(np.random.SeedSequence(
-                    _entropy(rng_seed, seed_context, point_idx)))
-                for point_idx in range(phi_grid.size)]
-        trajectories = (sample_noise_trajectory(noise, duration, rng,
-                                                n_shots=shots_per_point)
-                        for rng in rngs)
-        if single:
-            # drawn only so that each point's detection draws keep their
-            # place in its stream
-            for _ in trajectories:
-                pass
-            trajectories = None
-    state = run_sequence(initial_state("S:-1/2"), prefix, model, trajectories)
-    states = apply_pulses(
-        np.broadcast_to(state, (phi_grid.size, 8)) if single
-        else state.reshape(phi_grid.size, shots_per_point, 8),
-        [replace(closing, laser_phase=phi + extra_phase) for phi in phi_grid])
-    p = np.clip(measure_population_D(states, detection), 0.0, 1.0)
+    closings = [replace(closing, laser_phase=phi + extra_phase)
+                for phi in phi_grid]
+    init = initial_state("S:-1/2")
+    rngs = [] if exact else [
+        np.random.default_rng(np.random.SeedSequence(
+            _entropy(rng_seed, seed_context, point_idx)))
+        for point_idx in range(phi_grid.size)]
+    p, offsets = [], []
+    for rng, pulse in zip(rngs, closings):
+        trajectory = sample_noise_trajectory(noise, duration, rng,
+                                             n_shots=shots_per_point)
+        if tau == 0:
+            continue   # drawn only to keep the detection draws in place
+        if trajectory.values.shape[-1] == 1:
+            offsets.append(trajectory.values)
+        else:
+            p.append(_probabilities(run_sequence(
+                init, prefix, model, trajectory)[None], [pulse], detection)[0])
+        del trajectory   # not held while the next point's is drawn
+    if offsets:
+        states = run_sequence(init, prefix, model, NoiseTrajectory(
+            [0.0, np.inf], np.concatenate(offsets)))
+        p = _probabilities(states.reshape(phi_grid.size, shots_per_point, 8),
+                           closings, detection)
+    elif not p:   # exact mode, or no wait: one state serves every shot
+        p = _probabilities(np.broadcast_to(run_sequence(init, prefix, model),
+                                           (phi_grid.size, 8)),
+                           closings, detection)
     if exact:
         counts = [float(shots_per_point * p_point) for p_point in p]
     else:
@@ -196,6 +215,13 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
         "beta": model.field_cfg.beta, "dEz_dz": model.trap.dEz_dz,
         "B": model.field_cfg.B,
     })
+
+
+def _probabilities(states: np.ndarray, closings, detection) -> np.ndarray:
+    """Detection probability of each state after its point's closing
+    pulse; ``states`` has shape (P, ..., 8) for the P pulses."""
+    return np.clip(measure_population_D(apply_pulses(states, closings),
+                                        detection), 0.0, 1.0)
 
 
 def _entropy(seed, context, point_idx):
@@ -287,7 +313,8 @@ def campaign_to_csv(campaign: CampaignDataset) -> str:
 
 
 def campaign_from_csv(text: str) -> CampaignDataset:
-    """Rebuild a CampaignDataset from its CSV serialization."""
+    """Rebuild a CampaignDataset from its CSV serialization.  Rows may
+    come in any order: each fringe's points are sorted by laser phase."""
     reader = csv.DictReader(io.StringIO(text))
     groups: dict = {}
     for row in reader:
@@ -317,9 +344,14 @@ def campaign_from_csv(text: str) -> CampaignDataset:
         ctx = {"n_echo": n_echo, "tau": tau}
         cells.append(CampaignCell(
             beta_nominal=beta, dEz_dz=grad, tau_total=tau_total,
-            fringe=FringeDataset(tuple(sig), context=dict(ctx)),
-            reference_fringe=FringeDataset(tuple(ref), context=dict(ctx, tau=0.0))))
+            fringe=FringeDataset(_by_phase(sig), context=dict(ctx)),
+            reference_fringe=FringeDataset(_by_phase(ref),
+                                           context=dict(ctx, tau=0.0))))
     return CampaignDataset(tuple(cells))
+
+
+def _by_phase(points: list) -> tuple:
+    return tuple(sorted(points, key=lambda pt: pt.phi_laser))
 
 
 def _finite(row: dict, name: str) -> float:

@@ -29,12 +29,12 @@ each merged wait is one in-place ``free_evolve``.  Called on their own,
 ``free_evolve``, ``apply_rf_pulse`` and ``apply_optical_pulse`` return a
 new array.
 
-A fringe scan compiles its sequence once: it runs everything before the
-closing pi/2 pulse once, on the rows of every scan point stacked (the
-trajectory may be an iterable of per-point blocks, each reduced to its
-wait integrals as it is read), and then applies the points' closing
-pulses, which differ only in laser phase, in one stacked matmul
-(``apply_pulses``).
+``run_sequence`` takes one trajectory.  A fringe scan runs everything
+before the closing pi/2 pulse either once, on the rows of every scan
+point stacked into one one-segment trajectory, or once per point on a
+time-varying trajectory (see ``sampler.run_fringe_scan``).  The closing
+pulses differ only in laser phase; ``apply_pulses`` applies those of a
+stacked run in one stacked matmul.
 """
 
 from __future__ import annotations
@@ -328,57 +328,34 @@ def _values_shape(trajectory: NoiseTrajectory) -> tuple:
     return shape[:-1], f"the trajectory values have shape {shape}"
 
 
-def _read_blocks(blocks, taus, starts, ends) -> tuple:
-    """Read trajectory blocks whose rows stack in order.  Returns their
-    row shape with the words ``_check_shapes`` uses, whether they have one
-    segment each, and each block's wait integrals ([] without waits):
-    (L, rows..., 2) over the L distinct wait lengths when the blocks have
-    one segment (in the order the lengths first occur), else (W, rows...,
-    2) over the merged waits.  A one-segment block's value v holds at all
-    times, so its integrals are the closed form [v L, v^2 L] of each
-    length L (``_constant_integrals``) and no overlap of segments with
-    waits is formed.  Each block is reduced to its integrals before the
-    next one is read."""
-    lengths = np.array(list(dict.fromkeys(taus)))
-    rows, kinds, parts = [], set(), []
-    for block in blocks:
-        static = block.values.shape[-1] == 1
-        kinds.add(static)
-        rows.append(_values_shape(block))
-        if taus:
-            parts.append(_constant_integrals(lengths, block.values[..., 0])
-                         if static else
-                         _wait_integrals(starts, ends, block, False))
-        del block   # not held while the next block is drawn
-    if len(rows) == 1:
-        return rows[0], static, parts
-    if not rows or any(len(r) != 1 for r, _ in rows):
-        raise SimulationError(
-            "stacked trajectories need one or more blocks, each with one "
-            f"row per shot; got row shapes {[r for r, _ in rows]}")
-    if len(kinds) > 1:
-        raise SimulationError("stacked trajectories must all have one "
-                              "segment, or all have several")
-    total = sum(r[0] for r, _ in rows)
-    return ((total,), f"the stacked trajectories have {total} rows"), \
-        static, parts
+def _read_trajectory(trajectory: NoiseTrajectory, taus, starts,
+                     ends) -> tuple:
+    """Whether the trajectory has one segment, and its wait integrals:
+    (L, rows..., 2) over the L distinct wait lengths for one segment (in
+    the order the lengths first occur), else (W, rows..., 2) over the
+    merged waits.  A one-segment trajectory's value v holds at all times,
+    so its integrals are the closed form [v L, v^2 L] of each length L
+    (``_constant_integrals``) and no overlap of segments with waits is
+    formed."""
+    if trajectory.values.shape[-1] == 1:
+        return True, _constant_integrals(np.array(list(dict.fromkeys(taus))),
+                                         trajectory.values[..., 0])
+    return False, _wait_integrals(starts, ends, trajectory, False)
 
 
 def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
-                 trajectory=None) -> np.ndarray:
+                 trajectory: NoiseTrajectory | None = None) -> np.ndarray:
     """Run the sequence on the state; returns the pre-measurement state.
 
-    ``initial`` may be a single state (8,) or a batch (n_shots, 8).
-    ``trajectory`` is one ``NoiseTrajectory``, or an iterable of batched
-    ones whose rows are stacked in order; each is reduced to its wait
-    integrals as it is read, so only one is held at a time.  A batched
-    trajectory applies row-wise and needs one row per batch row.  A single
-    state run against N > 1 trajectory rows returns a new (N, 8) batch,
-    with or without waits: every step before the first wait acts on the
-    one state, and the rows appear at the first wait (or at return).
+    ``initial`` may be a single state (8,) or a batch (n_shots, 8).  A
+    batched ``trajectory`` applies row-wise and needs one row per batch
+    row.  A single state run against N > 1 trajectory rows returns a new
+    (N, 8) batch, with or without waits: every step before the first wait
+    acts on the one state, and the rows appear at the first wait (or at
+    return).
 
     The sequence is compiled once (see ``_compile``) and every step then
-    updates the state in place.  On one-segment trajectories the offset is
+    updates the state in place.  On a one-segment trajectory the offset is
     constant in time, so each distinct merged-wait length gets one
     ``free_evolve`` of an all-ones state, and every wait of that length
     multiplies the state by those factors; otherwise each merged wait is
@@ -389,26 +366,17 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
     _check_shapes(state)
     if trajectory is None:
         trajectory = zero_trajectory()
-    blocks = (trajectory,) if isinstance(trajectory, NoiseTrajectory) \
-        else trajectory
-    (rows, described), static, parts = _read_blocks(blocks, taus, starts,
-                                                    ends)
+    rows, described = _values_shape(trajectory)
+    static, integrals = _read_trajectory(trajectory, taus, starts, ends)
     if state.ndim == 1 and rows == (1,):
         # a one-row batched trajectory drives a single state
-        rows, parts = (), [part[:, 0] for part in parts]
+        rows, integrals = (), integrals[:, 0]
     _check_shapes(state, rows, described)
     shape = np.broadcast_shapes(state.shape, rows + (8,))
-
-    def integrals(i):
-        # the blocks' integrals of wait (or length) i, stacked one wait at
-        # a time so that no stacked copy of every wait is held
-        return parts[0][i] if len(parts) == 1 else \
-            np.concatenate([part[i] for part in parts])
-
-    if taus and static:
+    if static:
         ones = np.ones(rows + (8,), dtype=complex)
-        factors = {tau: free_evolve(ones, tau, model, integrals=integrals(i))
-                   for i, tau in enumerate(dict.fromkeys(taus))}
+        factors = {tau: free_evolve(ones, tau, model, integrals=part)
+                   for tau, part in zip(dict.fromkeys(taus), integrals)}
         steps = [factors[taus[s]] if isinstance(s, int) else s
                  for s in steps]
     for step in steps:
@@ -421,7 +389,7 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
             state = np.multiply(state, step, out=out)
         else:
             state = free_evolve(state, taus[step], model,
-                                integrals=integrals(step), out=out)
+                                integrals=integrals[step], out=out)
     if state.shape != shape:
         state = np.array(np.broadcast_to(state, shape))
     return state

@@ -462,6 +462,53 @@ def test_refit_from_own_artifacts_is_byte_identical(runner, tmp_path):
         assert (refit / name).read_bytes() == (run / name).read_bytes(), name
 
 
+def assert_same_doc(got, want, path="fit.json"):
+    """Equal documents, floats to 1e-12 relative: a file whose cells come
+    in another order sums over them in another order."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_same_doc(got[key], want[key], f"{path}[{key!r}]")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_doc(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    else:
+        assert got == want, path
+
+
+def test_fit_reads_campaign_rows_in_any_order(runner, tmp_path):
+    run = tmp_path / "run"
+    res = runner.invoke(main, [
+        "run-campaign", "--out", str(run), "--seed", "3",
+        "--set", "plan.beta_list=0.0,0.8",
+        "--set", "plan.gradient_list=0.2e8,0.4e8",
+        "--set", "plan.tau_total_list=0.5e-3,1e-3",
+        "--set", "plan.n_phases=6", "--set", "plan.shots_per_point=60"])
+    assert res.exit_code == 0, res.output
+    header, *rows = (run / "campaign.csv").read_text().splitlines()
+    reversed_csv = tmp_path / "reversed.csv"
+    reversed_csv.write_text("\n".join([header] + rows[::-1]) + "\n")
+    docs = []
+    for data in (run / "campaign.csv", reversed_csv):
+        out = tmp_path / data.stem
+        res = runner.invoke(main, ["fit", "--data", str(data),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        docs.append(json.loads((out / "fit.json").read_text()))
+    want, got = docs
+    assert got.pop("dataset_sha256") != want.pop("dataset_sha256")
+    assert_same_doc(got, want)
+    # a phase repeated within one fringe still exits 2
+    reversed_csv.write_text("\n".join([header, rows[0]] + rows) + "\n")
+    res = runner.invoke(main, ["fit", "--data", str(reversed_csv),
+                               "--out", str(tmp_path / "repeated")])
+    assert res.exit_code == 2, res.output
+    assert "phi_laser" in one_json_error(res)["message"]
+
+
 def test_reproduce_paper_rejects_bootstrap(runner, tmp_path):
     res = runner.invoke(main, ["reproduce-paper", "--out", str(tmp_path / "o"),
                                "--set", "fit.bootstrap_resamples=100"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -184,6 +185,13 @@ DETECTIONS = st.one_of(st.none(), st.builds(sp.DetectionModel,
          shots=64, seed=20160401,
          detection=sp.DetectionModel(eps_bright=0.02, eps_dark=0.05),
          exact=False, extra_phase=0.3, context=[3])
+# a random walk of 100 segments: each point runs on its own shots
+@example(n_echo=8, tau=1.25e-4,
+         noise=am.NoiseModel(kind="random_walk", drift_rate_sigma=1e-6,
+                             step_dt=2e-5),
+         n_phases=8, phase_shift=0.1, shots=64, seed=20160401,
+         detection=sp.DetectionModel(eps_bright=0.02, eps_dark=0.05),
+         exact=False, extra_phase=0.3, context=[3])
 def test_batched_scan_matches_per_point_loop(n_echo, tau, noise, n_phases,
                                              phase_shift, shots, seed,
                                              detection, exact, extra_phase,
@@ -196,6 +204,25 @@ def test_batched_scan_matches_per_point_loop(n_echo, tau, noise, n_phases,
                   seed_context=tuple(context))
     assert sp.run_fringe_scan(*args, **kwargs) == \
         per_point_scan(*args, **kwargs)
+
+
+def test_random_walk_scan_holds_one_point_at_a_time():
+    """A time-varying scan's traced peak does not grow with its points:
+    each point's walk, wait integrals and state are let go before the
+    next point's walk is drawn."""
+    walk = am.NoiseModel(kind="random_walk", drift_rate_sigma=1e-6,
+                         step_dt=1e-5)   # 200 segments over 16 waits
+
+    def peak(n_phases):
+        tracemalloc.start()
+        try:
+            sp.run_fringe_scan(8, 1.25e-4, MODEL, walk,
+                               sp.default_phi_grid(n_phases), 500, 7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) <= 1.25 * peak(2)
 
 
 def test_per_angle_offsets_shift_signal_only():

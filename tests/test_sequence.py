@@ -437,41 +437,6 @@ def test_rows_appear_at_the_first_wait(monkeypatch):
     assert shapes == [(8,)] * 6 and out.shape == (30, 8)
 
 
-@given(sequences(), st.sampled_from(["none", "constant", "walk"]),
-       st.lists(st.integers(1, 4), min_size=1, max_size=4),
-       st.integers(0, 2 ** 32 - 1))
-def test_stacked_trajectories_match_separate_runs(seq, kind, rows, seed):
-    """Trajectory blocks given as an iterable run as their rows stacked
-    (one row in all still drives a single state)."""
-    rng = np.random.default_rng(seed)
-    edges = [0.0, np.inf] if kind != "walk" else \
-        np.concatenate([[0.0], np.cumsum(rng.uniform(1e-5, 2e-4, 3))])
-    blocks = [am.NoiseTrajectory(edges, (0.0 if kind == "none" else 1.0)
-                                 * rng.normal(0.0, 3e-7, (n, len(edges) - 1)))
-              for n in rows]
-    initial = sq.initial_state()
-    got = sq.run_sequence(initial, seq, MODEL, iter(blocks))
-    want = np.concatenate([np.broadcast_to(
-        sq.run_sequence(initial, seq, MODEL, b), (len(b.values), 8))
-        for b in blocks])
-    assert got.shape == ((sum(rows), 8) if sum(rows) > 1 else (8,))
-    assert np.max(np.abs(got - want)) <= 1e-12
-
-
-@pytest.mark.parametrize("blocks, match", [
-    ([], "one or more blocks"),
-    ([am.zero_trajectory(2), am.zero_trajectory()], "one row per shot"),
-    ([am.zero_trajectory(2), am.NoiseTrajectory([0.0, 1e-4, 2e-4],
-                                                np.zeros((2, 2)))],
-     "all have one segment"),
-], ids=["empty", "single_row_block", "mixed_segments"])
-def test_stacked_trajectories_rejected(blocks, match):
-    from ddquad.errors import SimulationError
-    with pytest.raises(SimulationError, match=match):
-        sq.run_sequence(sq.initial_state(), sq.build_quadrupole_dd_sequence(
-            2, 1e-4), MODEL, blocks)
-
-
 @given(st.lists(PHASES, min_size=1, max_size=6), AREAS,
        st.sampled_from(am.D_M_VALUES), st.sampled_from([(), (1,), (5,)]),
        st.integers(0, 2 ** 32 - 1))
@@ -509,18 +474,20 @@ def test_apply_pulses_rejects_mismatches(states, pulses, match):
 @pytest.mark.parametrize("last, exact", [(np.inf, True), (1.5e-4, False)],
                          ids=["infinite_edge", "finite_edge"])
 def test_one_segment_integrals_match_the_overlap(values, last, exact):
-    """A one-segment block's closed-form [v L, v^2 L] equals the general
-    overlap integrals over [0, L]: bit for bit when the segment's edge is
-    infinite, to rounding when the waits run past a finite last edge."""
+    """A one-segment trajectory's closed-form [v L, v^2 L] equals the
+    general overlap integrals over [0, L]: bit for bit when the segment's
+    edge is infinite, to rounding when the waits run past a finite last
+    edge."""
     seq = sq.build_quadrupole_dd_sequence(4, 1e-4, laser_phase=0.7)
     _, taus, starts, ends = sq._compile(seq.elements)
     lengths = list(dict.fromkeys(taus))
-    block = am.NoiseTrajectory([0.0, last], values)
-    _, static, parts = sq._read_blocks([block], taus, starts, ends)
-    want = sq._wait_integrals([0.0] * len(lengths), lengths, block, False)
-    assert static and len(parts) == 1
-    assert parts[0].shape == want.shape == (2,) + values.shape[:-1] + (2,)
+    trajectory = am.NoiseTrajectory([0.0, last], values)
+    static, got = sq._read_trajectory(trajectory, taus, starts, ends)
+    want = sq._wait_integrals([0.0] * len(lengths), lengths, trajectory,
+                              False)
+    assert static
+    assert got.shape == want.shape == (2,) + values.shape[:-1] + (2,)
     if exact:
-        assert np.array_equal(parts[0], want)
+        assert np.array_equal(got, want)
     else:
-        np.testing.assert_allclose(parts[0], want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
