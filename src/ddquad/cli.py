@@ -19,6 +19,8 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import click
@@ -244,40 +246,35 @@ def simulate_fringe(seed, config_path, out, sets, tau_total, reference):
 
 def _figure_tables(out_dir: Path, cell_phases, model, meta: dict):
     """Plot-ready tables: phase vs tau per gradient, frequency vs
-    gradient, and phase vs beta per gradient."""
+    gradient, and phase vs beta per gradient.  ``cell_phases`` come in
+    campaign order: by angle, then gradient, then tau_total."""
     rows = [[repr(c.beta_nominal), repr(c.dEz_dz), repr(c.tau_total),
              repr(c.phi_total), repr(c.sigma), int(c.ambiguous)]
-            for c in sorted(cell_phases,
-                            key=lambda c: (c.beta_nominal, c.dEz_dz,
-                                           c.tau_total))]
+            for c in cell_phases]
     _write_csv(out_dir / "phase_vs_tau.csv",
                ["beta_nominal", "dEz_dz", "tau_total", "phi_total", "sigma",
                 "ambiguous"], rows, meta)
 
-    freq_rows = []
-    groups: dict = {}
-    for c in cell_phases:
-        groups.setdefault((c.beta_nominal, c.dEz_dz), []).append(c)
-    for (beta, grad), recs in sorted(groups.items()):
-        if len({r.tau_total for r in recs}) < 2:
-            continue
-        fit = fit_phase_vs_time([(r.tau_total, r.phi_total, r.sigma)
-                                 for r in recs])
-        freq_rows.append([repr(beta), repr(grad), repr(fit["slope_hz"]),
-                          repr(fit["slope_hz_sigma"]),
-                          repr(fit["fit"].reduced_chi2)])
-    _write_csv(out_dir / "frequency_vs_gradient.csv",
-               ["beta_nominal", "dEz_dz", "frequency_hz", "sigma_hz",
-                "reduced_chi2"], freq_rows, meta)
-
-    beta_rows = []
-    for (beta, grad), recs in sorted(groups.items()):
-        r = max(recs, key=lambda c: c.tau_total)
+    freq_rows, beta_rows = [], []
+    for (beta, grad), recs in groupby(cell_phases,
+                                      attrgetter("beta_nominal", "dEz_dz")):
+        recs = list(recs)
+        if len({c.tau_total for c in recs}) >= 2:
+            fit = fit_phase_vs_time([(c.tau_total, c.phi_total, c.sigma)
+                                     for c in recs])
+            freq_rows.append([repr(beta), repr(grad), repr(fit["slope_hz"]),
+                              repr(fit["slope_hz_sigma"]),
+                              repr(fit["fit"].reduced_chi2)])
+        r = recs[-1]    # the longest precession time
+        # the scenario's own prediction: its Theta and beta0, no offsets
         rate = arm_phase_rate(replace(model.trap, dEz_dz=grad), model.theta,
                               beta + model.field_cfg.beta0)
         pred = r.tau_total * rate  # phi = 2*n*tau*rate, tau_total = 2*n*tau
         beta_rows.append([repr(beta), repr(grad), repr(r.tau_total),
                           repr(r.phi_total), repr(r.sigma), repr(pred)])
+    _write_csv(out_dir / "frequency_vs_gradient.csv",
+               ["beta_nominal", "dEz_dz", "frequency_hz", "sigma_hz",
+                "reduced_chi2"], freq_rows, meta)
     _write_csv(out_dir / "phase_vs_beta.csv",
                ["beta_nominal", "dEz_dz", "tau_total", "phi_total", "sigma",
                 "model_phase"], beta_rows, meta)

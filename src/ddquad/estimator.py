@@ -29,6 +29,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -168,8 +170,6 @@ def fit_fringe_mle(data: FringeDataset, compute_ci: bool = True) -> FringeFit:
     phis = np.array([p.phi_laser for p in pts])
     k = np.array([p.k_D for p in pts], dtype=float)
     n = np.array([p.n_shots for p in pts], dtype=float)
-    if np.any(n < 1):
-        raise DegenerateDataError("every point needs at least one shot")
     frac = k / n
     if np.all(k == 0) or np.all(k == n):
         raise DegenerateDataError("all counts saturated; contrast unidentifiable")
@@ -578,23 +578,22 @@ def extract_cell_phases(campaign: CampaignDataset,
     C2*B^2; it enters the accumulated phase with sign opposite to the
     quadrupole term and is removed here as a deterministic systematic.
     """
-    groups: dict = {}
-    for cell in campaign.cells:
-        sig = fit_fringe_mle(cell.fringe, compute_ci=False)
-        ref = fit_fringe_mle(cell.reference_fringe, compute_ci=False)
-        phi = (phase_difference(sig, ref)
-               + 2.0 * math.pi * zeeman2_hz * cell.tau_total)
-        groups.setdefault((cell.beta_nominal, cell.dEz_dz), []).append(
-            (cell, phi, sig, ref))
-    out = []
-    for recs in groups.values():
+    out = []   # cells of one (angle, gradient) come together, by tau_total
+    for _, cells in groupby(campaign.cells,
+                            attrgetter("beta_nominal", "dEz_dz")):
+        fits = [(cell, fit_fringe_mle(cell.fringe, compute_ci=False),
+                 fit_fringe_mle(cell.reference_fringe, compute_ci=False))
+                for cell in cells]
         unwrapped, ambiguous = unwrap_by_continuity(
-            [r[0].tau_total for r in recs], [r[1] for r in recs])
+            [cell.tau_total for cell, _, _ in fits],
+            [phase_difference(sig, ref)
+             + 2.0 * math.pi * zeeman2_hz * cell.tau_total
+             for cell, sig, ref in fits])
         out += [CellPhase(beta_nominal=cell.beta_nominal, dEz_dz=cell.dEz_dz,
                           tau_total=cell.tau_total, phi_total=float(phi_u),
                           sigma=math.hypot(sig.phase_sigma, ref.phase_sigma),
                           ambiguous=ambiguous, signal_fit=sig, reference_fit=ref)
-                for (cell, _, sig, ref), phi_u in zip(recs, unwrapped)]
+                for (cell, sig, ref), phi_u in zip(fits, unwrapped)]
     return out
 
 
@@ -628,18 +627,18 @@ def joint_fit_campaign(campaign: CampaignDataset,
 def two_stage_theta(cell_phases, alpha_trap: float = math.pi / 4) -> dict:
     """Chained estimate: phase->frequency per (angle, gradient), then
     frequency->gradient slope per angle, then the angular fit of the
-    slopes for (Theta, beta0).  Cross-check for the joint fit."""
+    slopes for (Theta, beta0).  Cross-check for the joint fit.
+    ``cell_phases`` come in campaign order, as ``extract_cell_phases``
+    gives them."""
     freq_points: dict = {}
-    for key in {(c.beta_nominal, c.dEz_dz) for c in cell_phases}:
-        recs = sorted((c for c in cell_phases
-                       if (c.beta_nominal, c.dEz_dz) == key),
-                      key=lambda c: c.tau_total)
+    for (beta, grad), recs in groupby(cell_phases,
+                                      attrgetter("beta_nominal", "dEz_dz")):
         fit = fit_phase_vs_time([(c.tau_total, c.phi_total, c.sigma) for c in recs])
-        freq_points.setdefault(key[0], []).append(
-            (key[1], fit["slope_hz"], fit["slope_hz_sigma"]))
+        freq_points.setdefault(beta, []).append(
+            (grad, fit["slope_hz"], fit["slope_hz_sigma"]))
 
     slopes = []
-    for beta, pts in sorted(freq_points.items()):
+    for beta, pts in freq_points.items():
         fit = fit_frequency_vs_gradient(pts)
         slopes.append((beta, fit["slope"], fit["slope_sigma"]))
 

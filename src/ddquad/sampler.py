@@ -2,20 +2,21 @@
 
 Determinism contract: each fringe point draws from its own generator,
 seeded by ``SeedSequence([seed, *context, point_index])``; a campaign's
-context is ``(2 * cell_index + is_reference,)``.  A point draws its noise
-trajectories first (one per shot, a vectorized array indexed by shot)
-and its detection draws second.  A scan draws its points' trajectories
-in point order and runs the sequence on each point's shots in one of two
-ways, chosen by the trajectories' segment count.  A time-varying
-trajectory (several segments) runs as soon as it is drawn, on its
-point's shots alone.  One-segment trajectories are concatenated, and the
-sequence runs once on every point's shots stacked.  Each point then
-makes its detection draw, in point order.  A scan without a wait (the
-tau = 0 reference) runs the sequence on one state, which no trajectory
-can change, but still draws each point's trajectories: they are drawn
-only so that the detection draws keep their stream positions.  Every
-executor step acts row by row, so results are bit-identical for a given
-(plan, model, noise, seed) on either path.
+context is ``(2 * cell_index + is_reference,)``, with cells numbered in
+plan order.  A point draws its noise trajectories first (one per shot, a
+vectorized array indexed by shot) and its detection draws second.  A
+scan draws its points' trajectories in point order and runs the sequence
+on each point's shots in one of two ways, chosen by the trajectories'
+segment count.  A time-varying trajectory (several segments) runs as
+soon as it is drawn, on its point's shots alone.  One-segment
+trajectories are concatenated, and the sequence runs once on every
+point's shots stacked.  Each point then makes its detection draw, in
+point order.  A scan without a wait (the tau = 0 reference) runs the
+sequence on one state, which no trajectory can change, but still draws
+each point's trajectories: they are drawn only so that the detection
+draws keep their stream positions.  Every executor step acts row by row,
+so results are bit-identical for a given (plan, model, noise, seed) on
+either path.
 
 An exact-probability mode replaces sampled counts with real-valued
 n * p computed on the noise-free trajectory; it separates dynamics bugs
@@ -71,6 +72,8 @@ class FringeDataset:
         if any(p2 <= p1 for p1, p2 in zip(phis, phis[1:])):
             raise ValueError("phi_laser grid must be strictly increasing")
         for p in self.points:
+            if p.n_shots < 1:
+                raise ValueError("every point needs n_shots >= 1")
             if not 0.0 <= p.k_D <= p.n_shots:
                 raise ValueError("counts must satisfy 0 <= k_D <= n_shots")
 
@@ -86,9 +89,18 @@ class CampaignCell:
 
 @dataclass(frozen=True)
 class CampaignDataset:
+    """A campaign's cells, held in (beta_nominal, dEz_dz, tau_total) order
+    whatever order they are given in; cells that tie on that key keep
+    theirs.  The estimator sums and draws over cells in this order, so
+    two datasets of the same cells fit to the same bytes."""
+
     cells: tuple
     plan_snapshot: dict = field(default_factory=dict, compare=False)
     model_snapshot: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", tuple(sorted(
+            self.cells, key=lambda c: (c.beta_nominal, c.dEz_dz, c.tau_total))))
 
 
 @dataclass(frozen=True)
@@ -244,8 +256,9 @@ def run_campaign(plan: CampaignPlan, model: IonModel, noise: NoiseModel,
                  rng_seed, detection: DetectionModel | None = None,
                  phi_grid=None) -> CampaignDataset:
     """Simulate every (beta, gradient, tau_total) cell plus its tau=0
-    reference fringe, one cell after another; each cell draws from its
-    own seed substream."""
+    reference fringe, one cell after another in plan order; each cell
+    draws from its own seed substream, numbered in plan order.  The
+    dataset holds the cells in (beta, gradient, tau_total) order."""
     if phi_grid is None:
         phi_grid = default_phi_grid(plan.n_phases)
     cells = []
@@ -314,8 +327,13 @@ def campaign_to_csv(campaign: CampaignDataset) -> str:
 
 def campaign_from_csv(text: str) -> CampaignDataset:
     """Rebuild a CampaignDataset from its CSV serialization.  Rows may
-    come in any order: each fringe's points are sorted by laser phase."""
+    come in any order: each fringe's points are sorted by laser phase,
+    and the dataset sorts the cells."""
     reader = csv.DictReader(io.StringIO(text))
+    missing = [name for name in CSV_COLUMNS
+               if name not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"header lacks column(s) {', '.join(missing)}")
     groups: dict = {}
     for row in reader:
         # DictReader files extra fields under None and fills missing ones with None
@@ -334,6 +352,8 @@ def campaign_from_csv(text: str) -> CampaignDataset:
                          n_shots=int(row["n_shots"]),
                          k_D=int(ks) if ks.isdigit() else float(ks))
         groups.setdefault(key, ([], []))[int(flag)].append(pt)
+    if not groups:
+        raise ValueError("no data rows")
     cells = []
     for (beta, grad, tau_total, n_echo), (sig, ref) in groups.items():
         if not sig or not ref:

@@ -18,6 +18,7 @@ from ddquad.cli import _write_json, main
 from ddquad.config import ScenarioConfig, dump_config
 from ddquad.errors import FitConvergenceError
 from ddquad.estimator import NEWTON_STOPS
+from ddquad.sampler import CSV_COLUMNS
 
 
 @pytest.fixture
@@ -101,12 +102,23 @@ def test_bad_set_value_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
-def test_fit_garbage_data_exits_2(runner, tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("this,is,not\na,campaign,file\n", "beta_nominal"),
+    # the three below have no data rows; they exited 4, "need phases at
+    # >= 2 magnetic-field angles"
+    ("", "beta_nominal"),
+    (",".join(CSV_COLUMNS) + "\n", "no data rows"),
+    ("foo,bar\n", "is_reference"),
+], ids=["wrong_header", "empty", "header_only", "wrong_header_only"])
+def test_fit_garbage_data_exits_2(runner, tmp_path, text, message):
     data = tmp_path / "junk.csv"
-    data.write_text("this,is,not\na,campaign,file\n")
+    data.write_text(text)
     res = runner.invoke(main, ["fit", "--data", str(data),
                                "--out", str(tmp_path / "o")])
-    assert res.exit_code == 2
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert message in err["message"]
 
 
 def small_campaign_csv(poison_field=None):
@@ -180,6 +192,21 @@ def test_fit_csv_missing_reference_exits_2(runner, tmp_path):
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err["error_type"] == "ConfigError"
     assert "reference" in err["message"]
+
+
+def test_fit_csv_zero_shot_row_exits_2(runner, tmp_path):
+    # the fringe fit rejected it, and the command exited 4
+    lines = small_campaign_csv().splitlines()
+    assert lines[1].endswith(",100,20,0")
+    lines[1] = lines[1].removesuffix("100,20,0") + "0,0,0"
+    data = tmp_path / "campaign.csv"
+    data.write_text("\n".join(lines) + "\n")
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert "n_shots" in err["message"]
 
 
 def test_fit_missing_data_exits_2(runner, tmp_path):
@@ -462,23 +489,6 @@ def test_refit_from_own_artifacts_is_byte_identical(runner, tmp_path):
         assert (refit / name).read_bytes() == (run / name).read_bytes(), name
 
 
-def assert_same_doc(got, want, path="fit.json"):
-    """Equal documents, floats to 1e-12 relative: a file whose cells come
-    in another order sums over them in another order."""
-    if isinstance(want, dict):
-        assert got.keys() == want.keys(), path
-        for key in want:
-            assert_same_doc(got[key], want[key], f"{path}[{key!r}]")
-    elif isinstance(want, list):
-        assert len(got) == len(want), path
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_same_doc(g, w, f"{path}[{i}]")
-    elif isinstance(want, float):
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
-    else:
-        assert got == want, path
-
-
 def test_fit_reads_campaign_rows_in_any_order(runner, tmp_path):
     run = tmp_path / "run"
     res = runner.invoke(main, [
@@ -489,21 +499,31 @@ def test_fit_reads_campaign_rows_in_any_order(runner, tmp_path):
         "--set", "plan.n_phases=6", "--set", "plan.shots_per_point=60"])
     assert res.exit_code == 0, res.output
     header, *rows = (run / "campaign.csv").read_text().splitlines()
-    reversed_csv = tmp_path / "reversed.csv"
-    reversed_csv.write_text("\n".join([header] + rows[::-1]) + "\n")
-    docs = []
-    for data in (run / "campaign.csv", reversed_csv):
-        out = tmp_path / data.stem
+    shuffled = list(rows)
+    np.random.default_rng(5).shuffle(shuffled)
+    outputs = []
+    for name, order in (("campaign", rows), ("reversed", rows[::-1]),
+                        ("shuffled", shuffled)):
+        data = tmp_path / f"{name}.csv"
+        data.write_text("\n".join([header] + order) + "\n")
+        out = tmp_path / name
         res = runner.invoke(main, ["fit", "--data", str(data),
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
-        docs.append(json.loads((out / "fit.json").read_text()))
-    want, got = docs
-    assert got.pop("dataset_sha256") != want.pop("dataset_sha256")
-    assert_same_doc(got, want)
+        # every byte but the input's hash, and the tables below their
+        # metadata line, which holds it
+        outputs.append([[line for line in (out / "fit.json").read_text()
+                         .splitlines() if '"dataset_sha256"' not in line]]
+                       + [(out / table).read_text().split("\n", 1)[1]
+                          for table in ("phase_vs_tau.csv",
+                                        "frequency_vs_gradient.csv",
+                                        "phase_vs_beta.csv")])
+    want, *others = outputs
+    for got in others:
+        assert got == want
     # a phase repeated within one fringe still exits 2
-    reversed_csv.write_text("\n".join([header, rows[0]] + rows) + "\n")
-    res = runner.invoke(main, ["fit", "--data", str(reversed_csv),
+    data.write_text("\n".join([header, rows[0]] + rows) + "\n")
+    res = runner.invoke(main, ["fit", "--data", str(data),
                                "--out", str(tmp_path / "repeated")])
     assert res.exit_code == 2, res.output
     assert "phi_laser" in one_json_error(res)["message"]

@@ -515,6 +515,27 @@ def test_bootstrap_noisy_campaign():
     assert 0.0 < hi - lo < 5.0
 
 
+@pytest.mark.parametrize("order", [
+    (7, 6, 5, 4, 3, 2, 1, 0), (3, 0, 6, 1, 7, 4, 2, 5), (5, 2, 7, 0, 4, 1, 6, 3),
+], ids=["reversed", "shuffle_a", "shuffle_b"])
+def test_campaign_fits_and_resamples_alike_in_any_cell_order(order):
+    # the joint fit sums, and the bootstrap draws, over cells in the
+    # dataset's own order; a reversed campaign moved ci95_theta[0] and
+    # theta_sigma in their last digits, and drew other counts
+    plan = replace(EXACT_PLAN, exact_probabilities=False, shots_per_point=60,
+                   beta_list=(0.0, 0.8), tau_total_list=(0.5e-3, 1e-3))
+    camp = run_campaign(plan, IonModel(),
+                        NoiseModel(kind="quasi_static", sigma_B=5e-8), 3)
+    reordered = CampaignDataset(tuple(camp.cells[i] for i in order))
+    assert est.joint_fit_campaign(reordered)[0] == \
+        est.joint_fit_campaign(camp)[0]
+    by_key = lambda ds: {(c.beta_nominal, c.dEz_dz, c.tau_total): c
+                         for c in ds.cells}
+    draws = [by_key(est._resample_campaign(ds, np.random.default_rng(9)))
+             for ds in (camp, reordered)]
+    assert draws[0] == draws[1]
+
+
 @pytest.mark.parametrize("failures", [5, 6])
 def test_bootstrap_fails_past_its_failure_fraction(monkeypatch, failures):
     """Of 100 resamples, 5 failed fits still give an interval; 6 raise."""

@@ -42,6 +42,9 @@ def test_fringe_dataset_validation():
         sp.FringeDataset((sp.FringePoint(1.0, 10, 3), sp.FringePoint(0.5, 10, 4)))
     with pytest.raises(ValueError):
         sp.FringeDataset((sp.FringePoint(0.0, 10, 11),))
+    # a zero-shot point gave a fringe fit error, not an input error
+    with pytest.raises(ValueError, match="n_shots"):
+        sp.FringeDataset((sp.FringePoint(0.0, 10, 3), sp.FringePoint(1.0, 0, 0)))
     # NaN compares false, so it would slip through the ordering check
     with pytest.raises(ValueError, match="phi_laser"):
         sp.FringeDataset((sp.FringePoint(0.0, 10, 3),
@@ -99,6 +102,24 @@ def test_campaign_shapes_and_context():
     assert cell.reference_fringe.context["tau"] == 0.0
     assert camp.plan_snapshot["seed"] == 9
     assert camp.model_snapshot["theta"] == MODEL.theta
+
+
+def test_campaign_holds_its_cells_in_key_order():
+    # plan order numbers the seed substreams; the dataset sorts the cells
+    plan = sp.CampaignPlan(beta_list=(0.8, 0.0), gradient_list=(1e8,),
+                           tau_total_list=(2e-3, 1e-3), n_echo=4,
+                           shots_per_point=20, n_phases=4)
+    camp = sp.run_campaign(plan, MODEL, NOISE, 9)
+    assert [(c.beta_nominal, c.tau_total) for c in camp.cells] == [
+        (0.0, 1e-3), (0.0, 2e-3), (0.8, 1e-3), (0.8, 2e-3)]
+    first = sp.run_campaign(replace(plan, beta_list=(0.8,),
+                                    tau_total_list=(2e-3,)), MODEL, NOISE, 9)
+    assert camp.cells[3] == first.cells[0]
+    # cells that tie on the key keep the order they are given in
+    a, c = camp.cells[0], camp.cells[2]
+    b = replace(a, fringe=camp.cells[1].fringe)
+    assert sp.CampaignDataset((b, c, a)).cells == (b, a, c)
+    assert sp.CampaignDataset((a, c, b)).cells == (a, b, c)
 
 
 def test_seeded_counts_are_pinned():
