@@ -65,8 +65,10 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _load_scenario(config_path, seed, sets, base: ScenarioConfig | None = None):
-    cfg = base or ScenarioConfig()
+def _load_scenario(config_path, seed, sets, scenario=ScenarioConfig):
+    """The configuration a command runs with: ``scenario()`` (the defaults
+    or ``paper_scenario``), then ``--config``, ``--set`` and ``--seed``."""
+    cfg = scenario()
     if config_path is not None:
         cfg = load_config(Path(config_path).read_text(), base=cfg)
     settings: dict = {}     # section -> [(key, value)], as in a file
@@ -90,7 +92,7 @@ def _prepare_out(out, cfg: ScenarioConfig) -> tuple:
     return out_dir, config_hash(cfg)
 
 
-def _write_csv(path: Path, header, rows, meta: dict):
+def _csv_table(header, rows, meta: dict) -> str:
     """CSV with a leading '#' metadata line so the hash travels with it."""
     buf = io.StringIO()
     buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
@@ -98,7 +100,12 @@ def _write_csv(path: Path, header, rows, meta: dict):
     writer.writerow(header)
     for row in rows:
         writer.writerow(row)
-    path.write_text(buf.getvalue())
+    return buf.getvalue()
+
+
+def _write_csv(path: Path, text: str):
+    """Every CSV output, the tables and campaign.csv alike."""
+    path.write_text(text)
 
 
 def _write_json(path: Path, doc: dict):
@@ -186,7 +193,8 @@ def simulate_rabi(seed, config_path, out, sets, max_area, n_areas):
             rows.append([label, repr(float(area))]
                         + [repr(float(p)) for p in pops])
     header = ["init_state", "area"] + [f"p_m_{m}" for m in D_M_LABELS]
-    _write_csv(out_dir / "rabi.csv", header, rows, {"config_hash": chash})
+    _write_csv(out_dir / "rabi.csv",
+               _csv_table(header, rows, {"config_hash": chash}))
     click.echo(f"wrote {out_dir / 'rabi.csv'}")
 
 
@@ -223,10 +231,9 @@ def simulate_fringe(seed, config_path, out, sets, tau_total, reference):
     if ref is not None:
         rows += [[repr(p.phi_laser), p.n_shots, repr(p.k_D), 1]
                  for p in ref.points]
-    _write_csv(out_dir / "fringe.csv",
-               ["phi_laser", "n_shots", "k_D", "is_reference"], rows,
-               {"config_hash": chash, "tau_total": tau_total,
-                "n_echo": plan.n_echo})
+    _write_csv(out_dir / "fringe.csv", _csv_table(
+        ["phi_laser", "n_shots", "k_D", "is_reference"], rows,
+        {"config_hash": chash, "tau_total": tau_total, "n_echo": plan.n_echo}))
 
     fit = fit_fringe_mle(data)
     doc = {"config_hash": chash, "tau_total": tau_total,
@@ -251,9 +258,9 @@ def _figure_tables(out_dir: Path, cell_phases, model, meta: dict):
     rows = [[repr(c.beta_nominal), repr(c.dEz_dz), repr(c.tau_total),
              repr(c.phi_total), repr(c.sigma), int(c.ambiguous)]
             for c in cell_phases]
-    _write_csv(out_dir / "phase_vs_tau.csv",
-               ["beta_nominal", "dEz_dz", "tau_total", "phi_total", "sigma",
-                "ambiguous"], rows, meta)
+    _write_csv(out_dir / "phase_vs_tau.csv", _csv_table(
+        ["beta_nominal", "dEz_dz", "tau_total", "phi_total", "sigma",
+         "ambiguous"], rows, meta))
 
     freq_rows, beta_rows = [], []
     for (beta, grad), recs in groupby(cell_phases,
@@ -272,12 +279,12 @@ def _figure_tables(out_dir: Path, cell_phases, model, meta: dict):
         pred = r.tau_total * rate  # phi = 2*n*tau*rate, tau_total = 2*n*tau
         beta_rows.append([repr(beta), repr(grad), repr(r.tau_total),
                           repr(r.phi_total), repr(r.sigma), repr(pred)])
-    _write_csv(out_dir / "frequency_vs_gradient.csv",
-               ["beta_nominal", "dEz_dz", "frequency_hz", "sigma_hz",
-                "reduced_chi2"], freq_rows, meta)
-    _write_csv(out_dir / "phase_vs_beta.csv",
-               ["beta_nominal", "dEz_dz", "tau_total", "phi_total", "sigma",
-                "model_phase"], beta_rows, meta)
+    _write_csv(out_dir / "frequency_vs_gradient.csv", _csv_table(
+        ["beta_nominal", "dEz_dz", "frequency_hz", "sigma_hz",
+         "reduced_chi2"], freq_rows, meta))
+    _write_csv(out_dir / "phase_vs_beta.csv", _csv_table(
+        ["beta_nominal", "dEz_dz", "tau_total", "phi_total", "sigma",
+         "model_phase"], beta_rows, meta))
 
 
 def _fit_options(cfg: ScenarioConfig, model) -> dict:
@@ -332,7 +339,7 @@ def run_campaign_cmd(seed, config_path, out, sets, workers):
     campaign = run_campaign(cfg.plan, model, cfg.noise, cfg.seed,
                             detection=cfg.detection)
     csv_text = campaign_to_csv(campaign)
-    (out_dir / "campaign.csv").write_text(csv_text)
+    _write_csv(out_dir / "campaign.csv", csv_text)
     (out_dir / "campaign.json").write_text(campaign_to_json(campaign))
     result = _fit_outputs(cfg, model, campaign, csv_text, out_dir, chash)
     click.echo(f"wrote campaign + fit + figure tables to {out_dir}")
@@ -375,8 +382,7 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
     with its asymmetric 95% CI and a comparison against reference
     values, including the deviation in combined-sigma units.
     """
-    base = paper_scenario()
-    cfg = _load_scenario(config_path, seed, sets, base=base)
+    cfg = _load_scenario(config_path, seed, sets, scenario=paper_scenario)
     if replications < 1:
         raise ConfigError("replications must be >= 1")
     # replication k runs seed + k, and the sampler reads 32 bits of it
@@ -410,7 +416,7 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
 
     campaign, primary, cells = replicate(cfg.seed)
     csv_text = campaign_to_csv(campaign)
-    (out_dir / "campaign.csv").write_text(csv_text)
+    _write_csv(out_dir / "campaign.csv", csv_text)
     meta = {"config_hash": chash, "dataset_sha256": dataset_digest(csv_text)}
     results = [primary] + [replicate(cfg.seed + rep)[1]
                            for rep in range(1, replications)]
