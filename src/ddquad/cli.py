@@ -357,7 +357,7 @@ def fit_cmd(seed, config_path, out, sets, data_path):
     try:
         csv_text = Path(data_path).read_text()
         campaign = campaign_from_csv(csv_text)
-    except (ValueError, KeyError, SimulationError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad campaign CSV: {exc}") from None
     click.echo(_theta_text(_fit_outputs(cfg, cfg.ion_model(), campaign,
                                         csv_text, out_dir, chash)))

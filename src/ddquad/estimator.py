@@ -70,7 +70,6 @@ class LinearFit:
     intercept: float
     slope_sigma: float
     intercept_sigma: float
-    ci95_slope: tuple
     chi2: float
     ndof: int
 
@@ -289,11 +288,9 @@ def weighted_linear_fit(x, y, sigma) -> LinearFit:
     slope, intercept = cov @ b
     resid = y - (slope * x + intercept)
     chi2 = float(np.sum(w * resid ** 2))
-    s_sl = math.sqrt(cov[0, 0])
-    s_ic = math.sqrt(cov[1, 1])
     return LinearFit(slope=float(slope), intercept=float(intercept),
-                     slope_sigma=s_sl, intercept_sigma=s_ic,
-                     ci95_slope=(slope - 1.96 * s_sl, slope + 1.96 * s_sl),
+                     slope_sigma=math.sqrt(cov[0, 0]),
+                     intercept_sigma=math.sqrt(cov[1, 1]),
                      chi2=chi2, ndof=len(x) - 2)
 
 

@@ -35,8 +35,7 @@ import numpy as np
 
 from .atommodel import (IonModel, NoiseModel, NoiseTrajectory,
                         sample_noise_trajectory)
-from .errors import SimulationError
-from .sequence import (D_BLOCK, PulseSequence, apply_pulses,
+from .sequence import (D_BLOCK, PulseSequence, apply_optical_pulse,
                        build_quadrupole_dd_sequence, initial_state,
                        run_sequence)
 
@@ -169,8 +168,13 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
       pulse, so only one point's walk, wait integrals and state are held;
     - one segment (no noise, a quasi-static offset, or a walk shorter
       than one step): the points' offsets are concatenated into one
-      trajectory, the prefix runs once on every point's shots stacked,
-      and the P closing pulses are one stacked matmul.
+      trajectory, and the prefix runs once on every point's shots
+      stacked.
+
+    Each point's closing pulse is then one ``apply_optical_pulse`` on
+    that point's own shots.  Points that ran stacked are then measured
+    together, in one call per scan: measuring each point on its own
+    costs a paper campaign about 4% more time.
 
     Exact mode and a scan without a wait (tau = 0, the reference fringe)
     run the prefix on one state, since no trajectory can act on it: each
@@ -203,18 +207,20 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
         if trajectory.values.shape[-1] == 1:
             offsets.append(trajectory.values)
         else:
-            p.append(_probabilities(run_sequence(
-                init, prefix, model, trajectory)[None], [pulse], detection)[0])
+            p.append(_probabilities(apply_optical_pulse(
+                run_sequence(init, prefix, model, trajectory), pulse),
+                detection))
         del trajectory   # not held while the next point's is drawn
-    if offsets:
-        states = run_sequence(init, prefix, model, NoiseTrajectory(
-            [0.0, np.inf], np.concatenate(offsets)))
-        p = _probabilities(states.reshape(phi_grid.size, shots_per_point, 8),
-                           closings, detection)
-    elif not p:   # exact mode, or no wait: one state serves every shot
-        p = _probabilities(np.broadcast_to(run_sequence(init, prefix, model),
-                                           (phi_grid.size, 8)),
-                           closings, detection)
+    if not p:   # no point ran on its own: stacked rows, or one state
+        if offsets:
+            states = run_sequence(init, prefix, model, NoiseTrajectory(
+                [0.0, np.inf], np.concatenate(offsets))).reshape(
+                    phi_grid.size, shots_per_point, 8)
+        else:   # exact mode, or no wait: one state serves every shot
+            states = [run_sequence(init, prefix, model)] * phi_grid.size
+        p = _probabilities(np.stack([
+            apply_optical_pulse(state, pulse)
+            for state, pulse in zip(states, closings)]), detection)
     if exact:
         counts = [float(shots_per_point * p_point) for p_point in p]
     else:
@@ -229,11 +235,9 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     })
 
 
-def _probabilities(states: np.ndarray, closings, detection) -> np.ndarray:
-    """Detection probability of each state after its point's closing
-    pulse; ``states`` has shape (P, ..., 8) for the P pulses."""
-    return np.clip(measure_population_D(apply_pulses(states, closings),
-                                        detection), 0.0, 1.0)
+def _probabilities(states: np.ndarray, detection) -> np.ndarray:
+    """Detection probability of states after their closing pulses."""
+    return np.clip(measure_population_D(states, detection), 0.0, 1.0)
 
 
 def _entropy(seed, context, point_idx):
@@ -336,28 +340,25 @@ def campaign_from_csv(text: str) -> CampaignDataset:
         raise ValueError(f"header lacks column(s) {', '.join(missing)}")
     groups: dict = {}
     for row in reader:
+        line = reader.line_num
         # DictReader files extra fields under None and fills missing ones with None
         if None in row or None in row.values():
-            raise ValueError(f"line {reader.line_num}: field count differs "
+            raise ValueError(f"line {line}: field count differs "
                              f"from the header's {len(reader.fieldnames)}")
-        key = tuple(_finite(row, name)
+        key = tuple(_parse(row, name, line)
                     for name in ("beta_nominal", "dEz_dz", "tau_total")
-                    ) + (int(row["n_echo"]),)
-        flag = row["is_reference"].strip()
-        if flag not in ("0", "1"):
-            raise ValueError(f"is_reference must be 0 or 1, got "
-                             f"{row['is_reference']!r}")
-        ks = row["k_D"]
-        pt = FringePoint(phi_laser=float(row["phi_laser"]),
-                         n_shots=int(row["n_shots"]),
-                         k_D=int(ks) if ks.isdigit() else float(ks))
-        groups.setdefault(key, ([], []))[int(flag)].append(pt)
+                    ) + (_parse(row, "n_echo", line, int),)
+        pt = FringePoint(phi_laser=_parse(row, "phi_laser", line),
+                         n_shots=_parse(row, "n_shots", line, int),
+                         k_D=_parse(row, "k_D", line, _count))
+        flag = _parse(row, "is_reference", line, _flag)
+        groups.setdefault(key, ([], []))[flag].append(pt)
     if not groups:
         raise ValueError("no data rows")
     cells = []
     for (beta, grad, tau_total, n_echo), (sig, ref) in groups.items():
         if not sig or not ref:
-            raise SimulationError(
+            raise ValueError(
                 f"cell (beta={beta}, dEz_dz={grad}, tau_total={tau_total}) "
                 "is missing its signal or reference fringe")
         tau = tau_total / (2.0 * n_echo) if n_echo else 0.0
@@ -374,11 +375,28 @@ def _by_phase(points: list) -> tuple:
     return tuple(sorted(points, key=lambda pt: pt.phi_laser))
 
 
-def _finite(row: dict, name: str) -> float:
-    value = float(row[name])
+def _parse(row: dict, name: str, line: int, parse=float):
+    """``parse`` of the row's ``name`` field, which must be finite; a
+    bad value's error names its line and column."""
+    try:
+        value = parse(row[name])
+    except ValueError as exc:
+        raise ValueError(f"line {line}, {name}: {exc}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {row[name]!r}")
+        raise ValueError(f"line {line}, {name}: must be finite, got "
+                         f"{row[name]!r}")
     return value
+
+
+def _count(text: str):
+    """An integer count, or real-valued n * p in exact mode."""
+    return int(text) if text.isdigit() else float(text)
+
+
+def _flag(text: str) -> int:
+    if text.strip() not in ("0", "1"):
+        raise ValueError(f"must be 0 or 1, got {text!r}")
+    return int(text)
 
 
 def campaign_to_json(campaign: CampaignDataset) -> str:

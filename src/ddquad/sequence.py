@@ -33,8 +33,8 @@ new array.
 before the closing pi/2 pulse either once, on the rows of every scan
 point stacked into one one-segment trajectory, or once per point on a
 time-varying trajectory (see ``sampler.run_fringe_scan``).  The closing
-pulses differ only in laser phase; ``apply_pulses`` applies those of a
-stacked run in one stacked matmul.
+pulses differ only in laser phase; each point's is one
+``apply_optical_pulse`` on that point's rows.
 """
 
 from __future__ import annotations
@@ -110,9 +110,6 @@ class PulseSequence:
     elements: tuple
     n_echo: int | None = None
     tau: float | None = None
-
-    def duration(self) -> float:
-        return sum(e.tau for e in self.elements if isinstance(e, Wait))
 
 
 def build_quadrupole_dd_sequence(n_echo: int, tau: float,
@@ -393,28 +390,6 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
     if state.shape != shape:
         state = np.array(np.broadcast_to(state, shape))
     return state
-
-
-def apply_pulses(states: np.ndarray, pulses) -> np.ndarray:
-    """Pulse p on the states ``states[p]``, for all P pulses in one stacked
-    matmul; returns a new array.  ``states`` has shape (P, ..., 8), and the
-    pulses must act on the same columns (optical pulses to one D sublevel
-    may differ in area and laser phase)."""
-    states = np.array(states, dtype=complex)
-    ops = [_pulse_op(pulse) for pulse in pulses]
-    _check_shapes(states)
-    if states.ndim < 2 or states.shape[0] != len(ops):
-        raise SimulationError(f"{len(ops)} pulses need states of shape "
-                              f"({len(ops)}, ..., 8), got {states.shape}")
-    columns = ops[0][0]
-    if any(c != columns for c, _ in ops):
-        raise SimulationError("stacked pulses must act on the same columns")
-    # each U^T keeps the memory layout it has alone, so a block of one
-    # state runs the same BLAS call as a lone pulse on one state would
-    u_t = np.stack([u.T for _, u in ops]).transpose(0, 2, 1)
-    blocks = states.reshape(len(ops), -1, 8)
-    blocks[..., columns] = blocks[..., columns] @ u_t
-    return states
 
 
 def analytic_phase(n_echo: int, tau: float, model: IonModel) -> float:

@@ -121,8 +121,9 @@ def test_fit_garbage_data_exits_2(runner, tmp_path, text, message):
     assert message in err["message"]
 
 
-def small_campaign_csv(poison_field=None):
-    """Two-angle campaign CSV; ``poison_field`` is set to nan in one row."""
+def small_campaign_csv(poison_field=None, poison="nan"):
+    """Two-angle campaign CSV; ``poison_field`` is set to ``poison`` in
+    one row, line 9 of the file."""
     lines = ["beta_nominal,dEz_dz,tau_total,n_echo,phi_laser,n_shots,k_D,"
              "is_reference"]
     for beta in (0.0, 0.8):
@@ -132,7 +133,7 @@ def small_campaign_csv(poison_field=None):
                        "n_echo": 8, "phi_laser": phi, "n_shots": 100,
                        "k_D": 20 + 30 * i, "is_reference": is_ref}
                 if poison_field and (beta, is_ref, i) == (0.8, 0, 1):
-                    row[poison_field] = "nan"
+                    row[poison_field] = poison
                 lines.append(",".join(str(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
@@ -148,6 +149,20 @@ def test_fit_non_finite_csv_value_exits_2(runner, tmp_path, field):
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err["error_type"] == "ConfigError"
     assert field in err["message"]
+
+
+@pytest.mark.parametrize("field", ["beta_nominal", "dEz_dz", "tau_total",
+                                   "n_echo", "phi_laser", "n_shots", "k_D"])
+def test_fit_csv_parse_error_names_line_and_column(runner, tmp_path, field):
+    # the errors of int() and float() name neither the line nor the column
+    data = tmp_path / "campaign.csv"
+    data.write_text(small_campaign_csv(field, poison="x"))
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert f"line 9, {field}: " in err["message"]
 
 
 @pytest.mark.parametrize("flag", ["7", "-1", "yes"])

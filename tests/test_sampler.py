@@ -213,6 +213,12 @@ DETECTIONS = st.one_of(st.none(), st.builds(sp.DetectionModel,
          n_phases=8, phase_shift=0.1, shots=64, seed=20160401,
          detection=sp.DetectionModel(eps_bright=0.02, eps_dark=0.05),
          exact=False, extra_phase=0.3, context=[3])
+# exact mode: one noise-free state, each point's n * p through the
+# detection errors
+@example(n_echo=8, tau=1.25e-4, noise=NOISE, n_phases=8, phase_shift=0.1,
+         shots=64, seed=20160401,
+         detection=sp.DetectionModel(eps_bright=0.02, eps_dark=0.05),
+         exact=True, extra_phase=0.3, context=[3])
 def test_batched_scan_matches_per_point_loop(n_echo, tau, noise, n_phases,
                                              phase_shift, shots, seed,
                                              detection, exact, extra_phase,
@@ -273,6 +279,17 @@ def test_csv_round_trip():
     assert back.cells == camp.cells
     # serialization itself is stable
     assert sp.campaign_to_csv(back) == text
+
+
+def test_csv_cell_without_reference_is_a_value_error():
+    plan = sp.CampaignPlan(beta_list=(0.0,), gradient_list=(1e8,),
+                           tau_total_list=(1e-3,), n_echo=4,
+                           shots_per_point=10, n_phases=3)
+    lines = sp.campaign_to_csv(sp.run_campaign(plan, MODEL, NONE, 1)
+                               ).splitlines()
+    signal = [line for line in lines[1:] if line.endswith(",0")]
+    with pytest.raises(ValueError, match="reference"):
+        sp.campaign_from_csv("\n".join(lines[:1] + signal) + "\n")
 
 
 @st.composite

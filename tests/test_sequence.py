@@ -18,7 +18,8 @@ def test_builder_shape_and_duration():
     seq = sq.build_quadrupole_dd_sequence(n_echo=2, tau=1e-4, laser_phase=0.3)
     assert len(seq.elements) == 11
     assert seq.n_echo == 2 and seq.tau == 1e-4
-    assert seq.duration() == pytest.approx(4e-4, rel=1e-12)
+    assert sum(e.tau for e in seq.elements if isinstance(e, sq.Wait)) == \
+        pytest.approx(4e-4, rel=1e-12)
     assert isinstance(seq.elements[-1], sq.Measure)
 
 
@@ -91,7 +92,7 @@ def test_rf_rabi_matches_wigner_law():
 def test_norm_preserved_with_noise():
     seq = sq.build_quadrupole_dd_sequence(n_echo=4, tau=2e-4, laser_phase=0.9)
     noise = am.NoiseModel(kind="random_walk", drift_rate_sigma=1e-4, step_dt=5e-5)
-    tr = am.sample_noise_trajectory(noise, seq.duration(), 3, n_shots=16)
+    tr = am.sample_noise_trajectory(noise, 1.6e-3, 3, n_shots=16)
     states = np.tile(sq.initial_state(), (16, 1)).astype(complex)
     out = sq.run_sequence(states, seq, MODEL, trajectory=tr)
     assert np.allclose(np.sum(np.abs(out) ** 2, axis=-1), 1.0, atol=1e-10)
@@ -100,7 +101,7 @@ def test_norm_preserved_with_noise():
 def test_batched_matches_single_shot():
     seq = sq.build_quadrupole_dd_sequence(n_echo=2, tau=1e-4, laser_phase=0.4)
     noise = am.NoiseModel(kind="quasi_static", sigma_B=2e-7)
-    tr = am.sample_noise_trajectory(noise, seq.duration(), 5, n_shots=4)
+    tr = am.sample_noise_trajectory(noise, 4e-4, 5, n_shots=4)
     batch = sq.run_sequence(np.tile(sq.initial_state(), (4, 1)), seq, MODEL,
                             trajectory=tr)
     for i in range(4):
@@ -312,7 +313,7 @@ def test_echo_cancels_any_static_offset(n_echo, tau, laser_phase, sigma_b,
     from ddquad.sampler import measure_population_D
     seq = sq.build_quadrupole_dd_sequence(n_echo, tau, laser_phase)
     noise = am.NoiseModel(kind="quasi_static", sigma_B=sigma_b)
-    tr = am.sample_noise_trajectory(noise, seq.duration(), seed, n_shots=4)
+    tr = am.sample_noise_trajectory(noise, 2 * n_echo * tau, seed, n_shots=4)
     batch = np.tile(sq.initial_state(), (4, 1))
     p_noisy = measure_population_D(sq.run_sequence(batch, seq, NO_C2, tr))
     p_quiet = measure_population_D(sq.run_sequence(sq.initial_state(), seq,
@@ -345,7 +346,7 @@ def test_static_trajectory_computes_each_wait_length_once(monkeypatch):
 
     def count(tau, noise):
         seq = sq.build_quadrupole_dd_sequence(8, tau, laser_phase=0.7)
-        tr = am.sample_noise_trajectory(noise, seq.duration(), 4, n_shots=300)
+        tr = am.sample_noise_trajectory(noise, 16 * tau, 4, n_shots=300)
         calls.clear()
         sq.run_sequence(batch, seq, MODEL, tr)
         return len(calls)
@@ -435,32 +436,6 @@ def test_rows_appear_at_the_first_wait(monkeypatch):
     out = sq.run_sequence(sq.initial_state(), sq.build_quadrupole_dd_sequence(
         2, 0.0), MODEL, tr)
     assert shapes == [(8,)] * 6 and out.shape == (30, 8)
-
-
-@given(st.lists(PHASES, min_size=1, max_size=6), AREAS,
-       st.sampled_from(am.D_M_VALUES), st.sampled_from([(), (1,), (5,)]),
-       st.integers(0, 2 ** 32 - 1))
-def test_apply_pulses_matches_one_pulse_at_a_time(phases, area, target, rows,
-                                                  seed):
-    rng = np.random.default_rng(seed)
-    shape = (len(phases),) + rows + (8,)
-    states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    pulses = [sq.OpticalPulse(target, area, phase) for phase in phases]
-    got = sq.apply_pulses(states, pulses)
-    for state, pulse, row in zip(states, pulses, got):
-        assert np.array_equal(row, sq.apply_optical_pulse(state, pulse))
-
-
-@pytest.mark.parametrize("states, pulses, match", [
-    (np.ones((2, 8)), [sq.OpticalPulse(-2.5, 1.0)], r"\(1, ..., 8\)"),
-    (np.ones((2, 8)), [sq.OpticalPulse(-2.5, 1.0), sq.OpticalPulse(-0.5, 1.0)],
-     "same columns"),
-    (np.ones((2, 6)), [sq.RFPulse(1.0)] * 2, r"\(2, 6\)"),
-], ids=["count", "columns", "last_axis"])
-def test_apply_pulses_rejects_mismatches(states, pulses, match):
-    from ddquad.errors import SimulationError
-    with pytest.raises(SimulationError, match=match):
-        sq.apply_pulses(states, pulses)
 
 
 # -- closed-form integrals of a constant offset --------------------------------
