@@ -150,7 +150,9 @@ def _finite(ctx, param, value):
 def _common(fn):
     fn = click.option("--seed", type=int, default=None,
                       help="Override the scenario RNG seed.")(fn)
-    fn = click.option("--config", "config_path", type=click.Path(),
+    # plain strings, not click.Path: an unreadable file then fails where it
+    # is read, through the exit-code table, not as a click usage error
+    fn = click.option("--config", "config_path", metavar="PATH",
                       default=None, help="Scenario INI file.")(fn)
     fn = click.option("--out", default="ddquad-out", show_default=True,
                       help="Output directory.")(fn)
@@ -348,7 +350,7 @@ def run_campaign_cmd(seed, config_path, out, sets, workers):
 
 @main.command("fit")
 @_common
-@click.option("--data", "data_path", type=click.Path(), required=True,
+@click.option("--data", "data_path", metavar="PATH", required=True,
               help="campaign.csv produced by run-campaign (or hand-made).")
 def fit_cmd(seed, config_path, out, sets, data_path):
     """Joint quadrupole-moment fit of an existing campaign CSV."""
@@ -359,8 +361,9 @@ def fit_cmd(seed, config_path, out, sets, data_path):
         campaign = campaign_from_csv(csv_text)
     except ValueError as exc:
         raise ConfigError(f"bad campaign CSV: {exc}") from None
-    click.echo(_theta_text(_fit_outputs(cfg, cfg.ion_model(), campaign,
-                                        csv_text, out_dir, chash)))
+    # the line is ASCII, so print needs none of click.echo's stream set-up
+    print(_theta_text(_fit_outputs(cfg, cfg.ion_model(), campaign,
+                                   csv_text, out_dir, chash)))
 
 
 @main.command("reproduce-paper")
