@@ -688,18 +688,23 @@ def bootstrap_ci(campaign: CampaignDataset, n_resamples: int, seed: int,
 
 def _resample_campaign(campaign: CampaignDataset,
                        rng: np.random.Generator) -> CampaignDataset:
-    def resample_fringe(fr: FringeDataset) -> FringeDataset:
-        pts = []
-        for p in fr.points:
-            if float(p.k_D).is_integer():
-                k = int(rng.binomial(p.n_shots, p.k_D / p.n_shots))
-            else:
-                k = p.k_D   # exact-probability data: deterministic
-            pts.append(replace(p, k_D=k))
-        return FringeDataset(tuple(pts), context=dict(fr.context))
+    """Per-point binomial counts, in one draw over the campaign's
+    integer-count points (each cell's signal, then reference points);
+    exact-probability points (real-valued counts) pass through."""
+    points = [p for c in campaign.cells
+              for fr in (c.fringe, c.reference_fringe) for p in fr.points]
+    n = np.array([p.n_shots for p in points], dtype=np.int64)
+    k = np.array([p.k_D for p in points], dtype=float)
+    drawn = k == np.floor(k)
+    draws = iter(rng.binomial(n[drawn], k[drawn] / n[drawn]).tolist())
+    counts = iter([next(draws) if d else p.k_D for p, d in zip(points, drawn)])
 
-    cells = tuple(replace(c, fringe=resample_fringe(c.fringe),
-                           reference_fringe=resample_fringe(c.reference_fringe))
+    def refill(fr: FringeDataset) -> FringeDataset:
+        return FringeDataset(tuple(replace(p, k_D=next(counts))
+                                   for p in fr.points), context=dict(fr.context))
+
+    cells = tuple(replace(c, fringe=refill(c.fringe),
+                           reference_fringe=refill(c.reference_fringe))
                   for c in campaign.cells)
     return CampaignDataset(cells, plan_snapshot=campaign.plan_snapshot,
                            model_snapshot=campaign.model_snapshot)

@@ -19,13 +19,18 @@ integrals [v L, v^2 L].  The run then updates the state in place,
 each pulse on its own columns.  A single initial state stays single
 until the first wait: the steps before it act on one state, and the
 trajectory's rows appear at the first wait (or at return, when no wait
-makes the rows differ).  A wait's phase factors are real cos/sin of the
-small per-row offset phase times one field-free factor per level
-(``free_evolve``).  On a one-segment trajectory (no noise, or a
-quasi-static offset) they depend only on the wait's length, so they are
-computed once per distinct length (2 for the paper's signal sequence)
-and multiplied into the state at each wait; on a time-varying trajectory
-each merged wait is one in-place ``free_evolve``.  Called on their own,
+makes the rows differ).  A wait's phase factors (``free_evolve``) are
+one field-free factor per level times the factor of the per-row offset
+phase, which splits as in the paper's method into a part linear in m
+(magnetic noise) and a part in m^2 (second-order Zeeman): three
+phasors per row give all 8 levels, by powers and conjugates, instead of
+a cos/sin per level.  They agree with that per-level form to rounding
+of the phase, so p moves by ULPs (3e-14 at most on a paper batch).
+On a one-segment trajectory (no noise, or a quasi-static offset) the
+factors depend only on the wait's length, so they are computed once
+per distinct length (2 for the paper's signal sequence) and multiplied
+into the state at each wait; on a time-varying trajectory each merged
+wait is one in-place ``free_evolve``.  Called on their own,
 ``free_evolve``, ``apply_rf_pulse`` and ``apply_optical_pulse`` return a
 new array.
 
@@ -172,25 +177,26 @@ def level_coefficients(model: IonModel):
 def _phase_rates(model: IonModel) -> tuple:
     """Each level's phase rates, for nu = nu(B0) + nu'(B0) dB + b2 dB^2
     with dB the field offset: -2pi i nu(B0) per second of wait (8,), and
-    -2pi [nu'(B0), b2] per unit of [Int dB dt, Int dB^2 dt] (2, 8)."""
+    the (2, 3) map from [Int dB dt, Int dB^2 dt] to the angles of three
+    unit phasors.  With k = 2m, a level's offset phase is k times its
+    manifold's k = 1 linear-Zeeman angle (D, then S) plus, for D, k^2
+    times the second-order angle (``free_evolve``)."""
     lin, static, b2 = level_coefficients(model)
     b0 = model.field_cfg.B
     field_free = -2j * math.pi * (lin * b0 + static + b2 * b0 * b0)
-    offset = -2.0 * math.pi * np.array([lin + 2.0 * b0 * b2, b2])
-    for a in (field_free, offset):
+    d, s = D_INDEX[0.5], S_INDEX[0.5]
+    unit = -2.0 * math.pi * np.array([[lin[d], lin[s], 2.0 * b0 * b2[d]],
+                                      [0.0, 0.0, b2[d]]])
+    for a in (field_free, unit):
         a.setflags(write=False)
-    return field_free, offset
+    return field_free, unit
 
 
-def _wait_integrals(starts, ends, trajectory: NoiseTrajectory,
-                    single_state: bool) -> np.ndarray:
+def _wait_integrals(starts, ends, trajectory: NoiseTrajectory) -> np.ndarray:
     """[Int offset dt, Int offset^2 dt] over each [start, end], shape
-    (W, ..., 2): two trajectory-integral calls cover all W waits."""
+    (W, rows..., 2): two trajectory-integral calls cover all W waits."""
     i1 = trajectory.integral(starts, ends)
     i2 = trajectory.square_integral(starts, ends)
-    if single_state and i1.shape[:-1] == (1,):
-        # a one-row batched trajectory drives a single state
-        i1, i2 = i1[0], i2[0]
     return np.stack([np.moveaxis(i1, -1, 0), np.moveaxis(i2, -1, 0)], axis=-1)
 
 
@@ -241,36 +247,49 @@ def apply_rf_pulse(state: np.ndarray, pulse: RFPulse) -> np.ndarray:
     return _apply_pulse(state.copy(), *_pulse_op(pulse))
 
 
-def free_evolve(state: np.ndarray, tau: float, model: IonModel,
-                trajectory: NoiseTrajectory | None = None,
-                t_start: float = 0.0, *, integrals: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Diagonal phase evolution over a wait of length tau starting at t_start.
+def free_evolve(state: np.ndarray, tau: float, model: IonModel, *,
+                integrals: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+    """Diagonal phase evolution over a wait of length tau.
 
     Each amplitude picks up exp(-i 2pi Int nu_level(B(t)) dt), with the
-    field B(t) = B0 + offset(t) integrated exactly per trajectory segment.
-    ``integrals`` gives the wait's [Int offset dt, Int offset^2 dt] (last
-    axis) in place of ``trajectory`` and ``t_start``; ``run_sequence``
-    computes them for all its waits at once.  ``out`` receives the result
-    and may be ``state`` itself.
+    field B(t) = B0 + offset(t); ``integrals`` gives the wait's
+    [Int offset dt, Int offset^2 dt] per state row (last axis).  The
+    large field-free phase is one factor per level.  The offset's phase
+    is k a + k^2 c on the D level m = k/2 (a linear, c second-order
+    Zeeman) and k a_S on S, so three phasors u = e^ia, s = e^ia_S and
+    w = e^ic per row give every level: u^k w^(k^2) by repeated products,
+    conj(u^k) w^(k^2) for -k, and s, conj(s).  A cos/sin per level gives
+    the same factors to within a few ULPs of the phase, so p moves by
+    ULPs only.  ``out`` receives the result and may be ``state`` itself.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if integrals is None:
-        if trajectory is None:
-            trajectory = zero_trajectory()
-        _check_shapes(state, *_values_shape(trajectory))
-        if tau == 0:
-            return state.copy()
-        integrals = _wait_integrals([t_start], [t_start + tau], trajectory,
-                                    state.ndim == 1)[0]
-    field_free, offset = _phase_rates(model)
-    # the offset's phase differs per row but stays small; the large
-    # field-free phase is one factor per level
-    phase = integrals @ offset
-    factors = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=factors.real)
-    np.sin(phase, out=factors.imag)
+    rows = integrals.shape[:-1]
+    _check_shapes(state, rows, f"the integrals have shape {integrals.shape}")
+    field_free, unit = _phase_rates(model)
+    phasors = np.empty((3, math.prod(rows)), dtype=complex)
+    np.matmul(unit.T, integrals.reshape(-1, 2).T, out=phasors.imag)
+    np.cos(phasors.imag, out=phasors.real)
+    np.sin(phasors.imag, out=phasors.imag)
+    u, s, w = phasors
+    # one row per level (basis order); once read, u and s hold powers
+    f = np.empty((8,) + u.shape, dtype=complex)
+    f[1] = s
+    np.conjugate(s, out=f[0])
+    u2 = np.multiply(u, u, out=s)
+    f[5] = u
+    np.multiply(u, u2, out=f[6])
+    np.multiply(f[6], u2, out=f[7])
+    np.conjugate(f[7:4:-1], out=f[2:5])
+    f[4:6] *= w
+    w8 = np.multiply(w, w, out=u)
+    w8 *= w8
+    w8 *= w8
+    w9 = np.multiply(w8, w, out=s)
+    f[3:7:3] *= w9
+    w8 *= w8
+    w8 *= w9                                # w^25
+    f[2:8:5] *= w8
+    factors = f.T.reshape(rows + (8,))
     factors *= np.exp(tau * field_free)
     return np.multiply(state, factors, out=out)
 
@@ -337,7 +356,7 @@ def _read_trajectory(trajectory: NoiseTrajectory, taus, starts,
     if trajectory.values.shape[-1] == 1:
         return True, _constant_integrals(np.array(list(dict.fromkeys(taus))),
                                          trajectory.values[..., 0])
-    return False, _wait_integrals(starts, ends, trajectory, False)
+    return False, _wait_integrals(starts, ends, trajectory)
 
 
 def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,

@@ -12,8 +12,9 @@ from ddquad.atommodel import (FieldConfig, IonModel, IonSpecies, NoiseModel,
                               TrapConfig, arm_phase_rate, quadrupole_geometry)
 from ddquad.errors import (DegenerateDataError, FitConvergenceError,
                            NonIdentifiableError)
-from ddquad.sampler import (CampaignDataset, CampaignPlan, FringeDataset,
-                            FringePoint, default_phi_grid, run_campaign)
+from ddquad.sampler import (CampaignCell, CampaignDataset, CampaignPlan,
+                            FringeDataset, FringePoint, default_phi_grid,
+                            run_campaign)
 from ddquad.sequence import analytic_phase
 
 
@@ -534,6 +535,50 @@ def test_campaign_fits_and_resamples_alike_in_any_cell_order(order):
     draws = [by_key(est._resample_campaign(ds, np.random.default_rng(9)))
              for ds in (camp, reordered)]
     assert draws[0] == draws[1]
+
+
+def campaign_points(campaign):
+    """Each cell's signal, then reference points, in the cells' order."""
+    return [p for c in campaign.cells
+            for fr in (c.fringe, c.reference_fringe) for p in fr.points]
+
+
+def scalar_resample(campaign, rng):
+    """The counts resampled one point at a time: the loop that
+    ``_resample_campaign``'s single draw replaced."""
+    return [int(rng.binomial(p.n_shots, p.k_D / p.n_shots))
+            if float(p.k_D).is_integer() else p.k_D
+            for p in campaign_points(campaign)]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 4), st.integers(1, 8))
+def test_one_call_resample_draws_as_the_scalar_loop(data_seed, seed, n_cells,
+                                                    n_points):
+    # counts at p = 0 and p = 1, counts held as floats, and exact-mode
+    # points (real-valued n p) that pass through undrawn
+    rng = np.random.default_rng(data_seed)
+
+    def fringe():
+        n = rng.integers(1, 500, n_points)
+        kind = rng.integers(0, 5, n_points)
+        k = np.select([kind == 0, kind == 1, kind == 2],
+                      [0, n, rng.uniform(0.01, 0.99, n_points) * n],
+                      rng.integers(0, n + 1))
+        return FringeDataset(tuple(
+            FringePoint(0.1 * j, int(n[j]),
+                        float(k[j]) if kind[j] in (2, 3) else int(k[j]))
+            for j in range(n_points)))
+
+    camp = CampaignDataset(tuple(
+        CampaignCell(0.1 * i, 1e8, 1e-3, fringe(), fringe())
+        for i in range(n_cells)))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = [p.k_D for p in
+           campaign_points(est._resample_campaign(camp, got_rng))]
+    want = scalar_resample(camp, want_rng)
+    assert [(type(k), k) for k in got] == [(type(k), k) for k in want]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("failures", [5, 6])

@@ -135,6 +135,17 @@ def test_seeded_counts_are_pinned():
         [0, 17, 46, 86, 100, 83, 53, 17]
 
 
+def test_strong_random_walk_counts_are_pinned():
+    # 40 walk segments whose offset phases reach tens of rad, no
+    # detection errors: a wait-kernel change that moves any shot's p by
+    # more than rounding moves these counts
+    walk = am.NoiseModel(kind="random_walk", drift_rate_sigma=3e-6,
+                         step_dt=5e-5)
+    data = sp.run_fringe_scan(8, 1.25e-4, MODEL, walk, sp.default_phi_grid(4),
+                              50, 11, seed_context=(2,))
+    assert [p.k_D for p in data.points] == [25, 24, 30, 21]
+
+
 def test_seeded_random_walk_counts_are_pinned():
     # a time-varying trajectory with detection errors, and the exact n*p
     # of one exact-mode scan, pinned the same way

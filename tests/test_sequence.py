@@ -175,15 +175,43 @@ def test_run_sequence_requires_trailing_measure():
         sq.run_sequence(sq.initial_state(), seq, MODEL)
 
 
+def wait_integrals(trajectory, t0, t1):
+    """[Int offset dt, Int offset^2 dt] over [t0, t1], per row."""
+    return np.stack([trajectory.integral(t0, t1),
+                     trajectory.square_integral(t0, t1)], axis=-1)
+
+
+def offset_rates(model):
+    """Each level's offset phase per unit of the wait integrals, (2, 8)."""
+    lin, _, b2 = sq.level_coefficients(model)
+    b0 = model.field_cfg.B
+    return -2.0 * math.pi * np.array([lin + 2.0 * b0 * b2, b2])
+
+
+def per_level_factors(tau, model, integrals):
+    """A wait's phase factors with one cos/sin per level: the form the
+    three-phasor kernel replaces."""
+    lin, static, b2 = sq.level_coefficients(model)
+    b0 = model.field_cfg.B
+    phase = integrals @ offset_rates(model)
+    factors = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=factors.real)
+    np.sin(phase, out=factors.imag)
+    field_free = -2j * math.pi * (lin * b0 + static + b2 * b0 * b0)
+    return factors * np.exp(tau * field_free)
+
+
 def test_free_evolve_phase_integration_matches_brute_force():
     # piecewise-constant trajectory: compare against many short exact steps
     tr = am.NoiseTrajectory([0.0, 3e-5, 9e-5, 2e-4], [2e-7, -1e-7, 4e-8])
     state = (sq.initial_state("D:-5/2") + sq.initial_state("D:-1/2")) / math.sqrt(2)
-    direct = sq.free_evolve(state.copy(), 1.8e-4, MODEL, tr, t_start=1e-5)
+    direct = sq.free_evolve(state.copy(), 1.8e-4, MODEL,
+                            integrals=wait_integrals(tr, 1e-5, 1.9e-4))
     stepped = state.copy()
     edges = np.linspace(1e-5, 1.9e-4, 3601)
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        stepped = sq.free_evolve(stepped, t1 - t0, MODEL, tr, t_start=t0)
+        stepped = sq.free_evolve(stepped, t1 - t0, MODEL,
+                                 integrals=wait_integrals(tr, t0, t1))
     assert np.max(np.abs(direct - stepped)) < 1e-10
 
 
@@ -198,8 +226,70 @@ def test_free_evolve_matches_level_frequencies():
         b = b0 + offset
         phase += -2 * math.pi * (lin * b + static + b2 * b * b) * dt
     state = np.full(8, 1 / math.sqrt(8), dtype=complex)
-    got = sq.free_evolve(state, 1.9e-4, MODEL, tr, t_start=1e-5)
+    got = sq.free_evolve(state, 1.9e-4, MODEL,
+                         integrals=wait_integrals(tr, 1e-5, 2e-4))
     assert np.max(np.abs(got - state * np.exp(1j * phase))) < 1e-10
+
+
+def unit_rebuild(unit):
+    """The (2, 8) offset rates from the three unit rates: k = 2m times the
+    linear rate of the level's manifold, plus k^2 times the D manifold's
+    second-order rate."""
+    k = 2.0 * np.array(am.S_M_VALUES + am.D_M_VALUES)
+    d = np.arange(8) >= 2
+    return np.where(d, k * unit[:, :1] + k * k * unit[:, 2:],
+                    k * unit[:, 1:2])
+
+
+def ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want)).clip(
+        min=np.finfo(float).tiny)
+
+
+SPECIES_MODELS = st.builds(
+    lambda g_s, g_d, c2, b: replace(
+        MODEL, species=am.IonSpecies(g_ground=g_s, g_D=g_d, c2_quad_zeeman=c2),
+        field_cfg=replace(MODEL.field_cfg, B=b)),
+    st.floats(0.1, 3.0), st.floats(0.1, 3.0),
+    st.one_of(st.just(0.0), st.floats(1.0, 1e7), st.floats(-1e7, -1.0)),
+    st.floats(1e-6, 1e-2))
+
+
+def test_unit_rates_rebuild_the_paper_models_level_rates():
+    unit = sq._phase_rates(MODEL)[1]
+    assert unit.shape == (2, 3)
+    assert np.max(ulps(unit_rebuild(unit), offset_rates(MODEL))) <= 1.0
+
+
+@given(SPECIES_MODELS)
+def test_unit_rates_rebuild_the_level_rates(model):
+    # m g mu and c2 m^2 / 6 are rounded once per level, the unit rates
+    # once per manifold, so random species differ by a few ULPs
+    unit = sq._phase_rates(model)[1]
+    assert np.max(ulps(unit_rebuild(unit), offset_rates(model))) <= 4.0
+
+
+@given(SPECIES_MODELS, st.sampled_from(["single", "batch", "broadcast"]),
+       st.integers(1, 6), st.floats(0.0, 1e3), st.floats(0.0, 1e-3),
+       st.integers(0, 2 ** 32 - 1))
+def test_three_phasors_match_the_per_level_formula(model, kind, n, max_phase,
+                                                   tau, seed):
+    rng = np.random.default_rng(seed)
+    rows = () if kind == "single" else (n,)
+    rates = np.max(np.abs(offset_rates(model)), axis=1)
+    # |phase| up to max_phase from each integral; some rows all zero
+    integrals = rng.uniform([-1.0, 0.0], 1.0, rows + (2,)) * max_phase / 2 \
+        / np.where(rates > 0, rates, 1.0)
+    integrals[rng.random(rows) < 0.3] = 0.0
+    lead = () if kind != "batch" else rows
+    state = rng.normal(size=lead + (8,)) + 1j * rng.normal(size=lead + (8,))
+    state /= np.linalg.norm(state, axis=-1, keepdims=True)
+    got = sq.free_evolve(state, tau, model, integrals=integrals)
+    want = state * per_level_factors(tau, model, integrals)
+    phase = np.max(np.abs(integrals @ offset_rates(model)), initial=0.0)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= \
+        64 * np.finfo(float).eps * (1.0 + phase)
 
 
 def test_analytic_phase_uses_geometry():
@@ -214,21 +304,28 @@ def test_analytic_phase_uses_geometry():
 # -- compiled executor against the one-element API ------------------------------
 
 def reference_run(initial, seq, model, trajectory=None):
-    """Left fold of ``free_evolve``/``apply_*_pulse`` over the elements,
-    one wait at a time: the executor without compilation.  A single state
-    run against N > 1 trajectory rows comes back as N rows, waits or not."""
+    """Left fold over the elements, one wait at a time, each wait by the
+    per-level cos/sin formula: the executor without compilation or the
+    three-phasor kernel.  A single state run against N > 1 trajectory
+    rows comes back as N rows, waits or not."""
     state = np.array(initial, dtype=complex)
+    if trajectory is None:
+        trajectory = am.zero_trajectory()
+    rows = trajectory.values.shape[:-1]
     t = 0.0
     for element in seq.elements[:-1]:
         if isinstance(element, sq.Wait):
-            state = sq.free_evolve(state, element.tau, model, trajectory,
-                                   t_start=t)
+            if element.tau > 0:
+                integrals = wait_integrals(trajectory, t, t + element.tau)
+                if state.ndim == 1 and rows == (1,):
+                    integrals = integrals[0]
+                state = state * per_level_factors(element.tau, model,
+                                                  integrals)
             t += element.tau
         elif isinstance(element, sq.RFPulse):
             state = sq.apply_rf_pulse(state, element)
         else:
             state = sq.apply_optical_pulse(state, element)
-    rows = () if trajectory is None else trajectory.values.shape[:-1]
     if state.ndim == 1 and rows not in ((), (1,)):
         state = np.array(np.broadcast_to(state, rows + (8,)))
     return state
@@ -379,8 +476,9 @@ def test_run_sequence_rejects_mismatched_shapes(initial, values, tau, named):
 
 @pytest.mark.parametrize("call, named", [
     (lambda: sq.free_evolve(np.ones((5, 8), complex), 1e-4, MODEL,
-                            am.zero_trajectory(3)), [(5, 8), (3, 1)]),
-    (lambda: sq.free_evolve(np.ones((5, 6), complex), 1e-4, MODEL), [(5, 6)]),
+                            integrals=np.zeros((3, 2))), [(5, 8), (3, 2)]),
+    (lambda: sq.free_evolve(np.ones((5, 6), complex), 1e-4, MODEL,
+                            integrals=np.zeros((5, 2))), [(5, 6)]),
     (lambda: sq.apply_rf_pulse(np.ones((5, 6), complex), sq.RFPulse(math.pi)),
      [(5, 6)]),
     (lambda: sq.apply_optical_pulse(np.ones((5, 6), complex),
@@ -458,8 +556,7 @@ def test_one_segment_integrals_match_the_overlap(values, last, exact):
     lengths = list(dict.fromkeys(taus))
     trajectory = am.NoiseTrajectory([0.0, last], values)
     static, got = sq._read_trajectory(trajectory, taus, starts, ends)
-    want = sq._wait_integrals([0.0] * len(lengths), lengths, trajectory,
-                              False)
+    want = sq._wait_integrals([0.0] * len(lengths), lengths, trajectory)
     assert static
     assert got.shape == want.shape == (2,) + values.shape[:-1] + (2,)
     if exact:
