@@ -8,15 +8,22 @@ so any run can be reproduced byte-identically from its own artifacts.
 Exit codes: 0 success, 2 configuration or input error, 3 simulation error,
 4 fit error.  The command group's ``invoke`` holds the one table that
 maps errors to codes; a failing command prints one JSON line on stderr.
+
+Under glibc a command first raises malloc's mmap and trim thresholds
+once per process, so that each fringe scan reuses the heap the last one
+freed instead of faulting it in again; no computed number changes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
+import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from itertools import groupby
@@ -113,10 +120,32 @@ def _write_json(path: Path, doc: dict):
                                default=_jsonable) + "\n")
 
 
+@functools.cache
+def _pin_malloc_thresholds():
+    """Stop glibc handing each fringe scan's ~1.5 MB working set back to
+    the kernel: its dynamic trim threshold (twice the largest freed mmapped
+    chunk, here a 307 KB state) sits below it, so every scan faulted its
+    heap top in again (~25,700 minor faults per paper campaign).  Pinning
+    M_MMAP_THRESHOLD at 32 MiB (the ceiling of glibc's own rule on 64-bit)
+    and M_TRIM_THRESHOLD at 64 MiB keeps freed memory for the next scan.
+    Does nothing on another libc; runs once per process."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):   # no confstr, or no name
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20):       # M_MMAP_THRESHOLD; 0 means refused
+        mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
+
+
 class _Main(click.Group):
     """The command group; its ``invoke`` is the one exit-code table."""
 
     def invoke(self, ctx):
+        _pin_malloc_thresholds()
         try:
             return super().invoke(ctx)
         except BrokenPipeError:

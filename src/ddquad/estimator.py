@@ -494,7 +494,9 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
 
     Inputs are flat arrays, one entry per (angle, gradient, tau_total)
     cell, with phases already reference-subtracted and unwrapped; angle
-    grouping is inferred from equal beta_nominal values.
+    grouping is inferred from equal beta_nominal values.  At least 2
+    angles (3 with eps1 free) need cells at two values of tau_total *
+    dEz/dz, else ``NonIdentifiableError``.
     """
     beta_nominal = np.asarray(beta_nominal, dtype=float)
     # not np.unique: its first call imports numpy.ma, 20-45 ms of a cold run
@@ -516,6 +518,16 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
             f"cos(2 alpha) = {cos2a:.2g} at alpha = {alpha_trap!r}")
     model = _JointModel(beta_nominal, gradients, tau_total, phases, sigmas,
                         angle_index, alpha_trap, float_epsilon1)
+    # (Theta, beta0[, eps1]) need as many slopes; an angle's offset is
+    # profiled out, so it gives one only if its cells span >= 2 values of
+    # the scale tau_total * dEz/dz
+    n_angular = 3 if float_epsilon1 else 2
+    cells = set(zip(angle_index.tolist(), model.basis[0].tolist()))
+    sloped = int(np.sum(np.bincount([i for i, _ in cells]) >= 2))
+    if sloped < n_angular:
+        raise NonIdentifiableError(
+            f"need >= {n_angular} field angles whose cells span >= 2 values "
+            f"of tau_total * dEz/dz (one phase slope per angle), got {sloped}")
 
     beta0, chi2_search, a, b, evaluations, tied = _search_beta0(model)
     chi2_min, offsets = model.chi2_and_offsets(beta0, a, b)
@@ -541,7 +553,7 @@ def joint_fit_quadrupole(beta_nominal, gradients, tau_total, phases, sigmas,
         per_angle_offsets=tuple(float(c) for c in offsets),
         ci95_theta=ci, theta_sigma=theta_sigma,
         chi2=chi2_min,
-        ndof=len(phases) - (3 if float_epsilon1 else 2) - len(unique_angles),
+        ndof=len(phases) - n_angular - len(unique_angles),
         fit_diagnostics={"iterations": evaluations, "converged": True,
                          "tied_minima": tied,
                          "profile_samples": sorted(samples),

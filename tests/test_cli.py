@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddquad
+from ddquad import cli
 from ddquad.cli import _write_json, main
 from ddquad.config import ScenarioConfig, dump_config
 from ddquad.errors import FitConvergenceError
@@ -562,6 +564,104 @@ def test_two_angles_with_free_epsilon1_exit_4_non_identifiable(runner,
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err["error_type"] == "NonIdentifiableError"
     assert ">= 3 angles" in err["message"]
+
+
+def test_one_cell_per_angle_exit_4_non_identifiable(runner, tmp_path):
+    # it said "likelihood is flat in Theta (e.g. all angles at the magic
+    # angle)", though no angle was at the magic angle
+    res = runner.invoke(main, [
+        "reproduce-paper", "--out", str(tmp_path / "o"),
+        "--set", "plan.gradient_list=1e8", "--set", "plan.tau_total_list=1e-3"])
+    assert res.exit_code == 4, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "NonIdentifiableError"
+    assert err["message"].endswith("(one phase slope per angle), got 0")
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.fixture
+def fresh_malloc_pin():
+    """``cli._pin_malloc_thresholds`` as if no command had run yet."""
+    cli._pin_malloc_thresholds.cache_clear()
+    yield cli._pin_malloc_thresholds
+    cli._pin_malloc_thresholds.cache_clear()
+
+
+@pytest.mark.parametrize("confstr", [
+    ValueError("unrecognized configuration name"), None, "musl 1.2.4"],
+    ids=["no_such_name", "unset", "other_libc"])
+def test_malloc_pin_leaves_other_libcs_alone(monkeypatch, fresh_malloc_pin,
+                                             confstr):
+    def fake_confstr(name):
+        if isinstance(confstr, Exception):
+            raise confstr
+        return confstr
+
+    def no_cdll(name):
+        raise AssertionError("ctypes.CDLL called")
+
+    monkeypatch.setattr(os, "confstr", fake_confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_cdll)
+    fresh_malloc_pin()
+
+
+@pytest.mark.parametrize("accepted, calls", [
+    (1, [(-3, 32 << 20), (-1, 64 << 20)]), (0, [(-3, 32 << 20)])],
+    ids=["accepted", "refused"])
+def test_malloc_pin_runs_once_per_process(runner, tmp_path, monkeypatch,
+                                          fresh_malloc_pin, accepted, calls):
+    seen = []
+
+    def mallopt(param, value):
+        seen.append((param, value))
+        return accepted
+
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: SimpleNamespace(mallopt=mallopt))
+    for out in ("a", "b"):
+        res = runner.invoke(main, ["simulate-rabi", "--n-areas", "3",
+                                   "--out", str(tmp_path / out)])
+        assert res.exit_code == 0, res.output
+    assert seen == calls
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _glibc()),
+                    reason="needs glibc's malloc")
+def test_repeated_campaigns_do_not_refault_the_heap():
+    """Each 2,400-row fringe scan's working set sat above glibc's dynamic
+    trim threshold, so every scan handed its heap top back to the kernel
+    and faulted it in again: 2,666 minor faults for the third of three
+    identical commands.  Importing the CLI leaves the allocator alone."""
+    code = "\n".join([
+        "import json, resource, sys, tempfile",
+        "from ddquad import cli",
+        "print(cli._pin_malloc_thresholds.cache_info().currsize)",
+        "faults = []",
+        "with tempfile.TemporaryDirectory() as out:",
+        "    for i in range(3):",
+        "        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "        cli.main(args=['reproduce-paper', '--out', f'{out}/{i}',",
+        "                       '--set', 'plan.beta_list=0,0.75,1.5',",
+        "                       '--set', 'plan.gradient_list=1e8',",
+        "                       '--set', 'plan.tau_total_list=1e-3,2e-3'],",
+        "                 standalone_mode=False)",
+        "        faults.append(resource.getrusage(",
+        "            resource.RUSAGE_SELF).ru_minflt - before)",
+        "print(json.dumps(faults))"])
+    env = dict(os.environ, PYTHONPATH=str(Path(ddquad.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    lines = run.stdout.splitlines()
+    assert lines[0] == "0"
+    faults = json.loads(lines[-1])
+    assert faults[2] < 500, faults
 
 
 def container_walk(obj):

@@ -310,6 +310,36 @@ def test_joint_fit_zero_phases_with_free_epsilon1_rejected():
                                  float_epsilon1=True)
 
 
+def merged_cells(*parts):
+    """The rows of several ``make_noiseless_cells`` calls, as one set."""
+    return {key: sum((part[key] for part in parts), []) for key in parts[0]}
+
+
+@pytest.mark.parametrize("rows, float_epsilon1, sloped", [
+    (make_noiseless_cells(grads=(1e8,), taus=(1e-3,)), False, 0),
+    (merged_cells(make_noiseless_cells(betas=(0.0,), grads=(1e8,)),
+                  make_noiseless_cells(betas=(0.4, 0.8), grads=(1e8,),
+                                       taus=(1e-3,))), False, 1),
+    # 2e8 * 1e-3 and 1e8 * 2e-3 are the same double
+    (merged_cells(make_noiseless_cells(grads=(2e8,), taus=(1e-3,)),
+                  make_noiseless_cells(grads=(1e8,), taus=(2e-3,))), False, 0),
+    (merged_cells(make_noiseless_cells(betas=(0.0, 0.4), alpha=0.3),
+                  make_noiseless_cells(betas=(0.8,), grads=(1e8,),
+                                       taus=(1e-3,), alpha=0.3)), True, 2),
+], ids=["one_cell_per_angle", "two_taus_at_one_angle", "equal_scale",
+        "two_slopes_with_free_epsilon1"])
+def test_joint_fit_too_few_sloped_angles_rejected(rows, float_epsilon1,
+                                                  sloped):
+    """An angle's offset is profiled out, so only an angle whose cells span
+    two values of tau_total * dEz/dz carries a slope.  Too few such angles
+    is a typed error that counts them, not a flat likelihood blamed on the
+    magic angle or an unbracketed beta0."""
+    with pytest.raises(NonIdentifiableError, match=f"got {sloped}$"):
+        est.joint_fit_quadrupole(rows["beta"], rows["grad"], rows["tau"],
+                                 rows["phi"], rows["sigma"], alpha_trap=0.3,
+                                 float_epsilon1=float_epsilon1)
+
+
 @pytest.mark.parametrize("float_epsilon1", [False, True])
 def test_joint_fit_minimizes_full_chi2(float_epsilon1):
     """The fit is the minimum of chi^2 written out in every parameter,
