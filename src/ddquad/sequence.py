@@ -10,29 +10,33 @@ States are 8 complex amplitudes in the ``atommodel.BASIS_LABELS``
 ordering.  The batch executor runs many shots at once, one noise
 trajectory per row.
 
-``run_sequence`` compiles a sequence before running it.  One pass over
-the elements merges adjacent waits and drops empty ones (the paper's
-16 waits become 9), and one pair of trajectory-integral calls gives the
-offset integrals of the waits.  A one-segment trajectory (no noise, or a
-quasi-static offset v) needs no such calls: a wait of length L has the
-integrals [v L, v^2 L].  The run then updates the state in place,
-each pulse on its own columns.  A single initial state stays single
-until the first wait: the steps before it act on one state, and the
-trajectory's rows appear at the first wait (or at return, when no wait
-makes the rows differ).  A wait's phase factors (``free_evolve``) are
-one field-free factor per level times the factor of the per-row offset
-phase, which splits as in the paper's method into a part linear in m
-(magnetic noise) and a part in m^2 (second-order Zeeman): three
-phasors per row give all 8 levels, by powers and conjugates, instead of
-a cos/sin per level.  They agree with that per-level form to rounding
-of the phase, so p moves by ULPs (3e-14 at most on a paper batch).
-On a one-segment trajectory (no noise, or a quasi-static offset) the
-factors depend only on the wait's length, so they are computed once
-per distinct length (2 for the paper's signal sequence) and multiplied
-into the state at each wait; on a time-varying trajectory each merged
-wait is one in-place ``free_evolve``.  Called on their own,
-``free_evolve``, ``apply_rf_pulse`` and ``apply_optical_pulse`` return a
-new array.
+``run_sequence`` compiles a sequence before running it, once per
+sequence (``_compile``, cached).  A pulse of area exactly pi is built in
+closed form: the optical pi with cos = 0 and sin = 1, the RF pi with
+U[-m, m] = -i exp(2i phi m) on the anti-diagonal and exact zeros
+elsewhere.  Such a pulse is monomial: it moves each level to one other
+and multiplies it by a phase.  Each maximal run of waits and monomial
+pulses folds into one block.  Slot j of a block is the amplitude at
+level j where the block starts; the block records the level each slot
+ends at, the phases the pulses give it, and the level it sits in during
+each merged wait.  For a given model, each slot's field-free phase and
+its coefficients on Int dB dt and Int dB^2 dt are then sums over the
+waits of its level's rates, taken in wait order: a slot that spends
+equal time in |m> and |-m> sums its linear-Zeeman terms to exactly 0
+before they are rounded into anything else.  This is the echo's filter,
+which leaves only the m^2 phase (quadrupole and second-order Zeeman).
+
+The run then applies each dense pulse (the pi/2 pulses) in place on its
+own columns, and each block as one phase per row and slot: v A + v^2 B on
+a one-segment trajectory (no noise, or a quasi-static offset v),
+I1 @ A_w + I2 @ B_w over the block's waits otherwise, with the integrals
+of every merged wait from one pair of trajectory-integral calls.  A block
+costs one cos/sin, one multiply and one scatter of the slots to their
+final levels.  A single initial state stays single until the first block
+with a wait, where the trajectory's rows appear (or at return, when no
+wait makes the rows differ).  Called on their own, ``free_evolve`` (one
+wait, no level moved), ``apply_rf_pulse`` and ``apply_optical_pulse``
+return a new array.
 
 ``run_sequence`` takes one trajectory.  A fringe scan runs everything
 before the closing pi/2 pulse either once, on the rows of every scan
@@ -46,7 +50,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +66,7 @@ from .spincore import rotation_unitary
 
 S_MINUS_HALF = S_INDEX[-0.5]
 D_BLOCK = slice(2, 8)
+D_M = np.array(D_M_VALUES)
 
 
 @dataclass(frozen=True)
@@ -174,38 +180,27 @@ def level_coefficients(model: IonModel):
 
 
 @lru_cache(maxsize=256)
-def _phase_rates(model: IonModel) -> tuple:
-    """Each level's phase rates, for nu = nu(B0) + nu'(B0) dB + b2 dB^2
-    with dB the field offset: -2pi i nu(B0) per second of wait (8,), and
-    the (2, 3) map from [Int dB dt, Int dB^2 dt] to the angles of three
-    unit phasors.  With k = 2m, a level's offset phase is k times its
-    manifold's k = 1 linear-Zeeman angle (D, then S) plus, for D, k^2
-    times the second-order angle (``free_evolve``)."""
+def _phase_rates(model: IonModel) -> np.ndarray:
+    """Each level's phase rates (rad), shape (4, 8), for the frequency
+    nu(B0) + nu'(B0) dB + b2 dB^2 with dB the field offset: per second of
+    wait the field-free phase -2pi nu(B0), split into its linear-Zeeman
+    part and the rest (quadrupole and second-order Zeeman), then per unit
+    of Int dB dt and of Int dB^2 dt.  Levels m and -m have exactly
+    opposite linear-Zeeman rates."""
     lin, static, b2 = level_coefficients(model)
     b0 = model.field_cfg.B
-    field_free = -2j * math.pi * (lin * b0 + static + b2 * b0 * b0)
-    d, s = D_INDEX[0.5], S_INDEX[0.5]
-    unit = -2.0 * math.pi * np.array([[lin[d], lin[s], 2.0 * b0 * b2[d]],
-                                      [0.0, 0.0, b2[d]]])
-    for a in (field_free, unit):
-        a.setflags(write=False)
-    return field_free, unit
+    rates = -2.0 * math.pi * np.array([lin * b0, static + b2 * b0 * b0,
+                                       lin + 2.0 * b0 * b2, b2])
+    rates.setflags(write=False)
+    return rates
 
 
-def _wait_integrals(starts, ends, trajectory: NoiseTrajectory) -> np.ndarray:
-    """[Int offset dt, Int offset^2 dt] over each [start, end], shape
-    (W, rows..., 2): two trajectory-integral calls cover all W waits."""
-    i1 = trajectory.integral(starts, ends)
-    i2 = trajectory.square_integral(starts, ends)
-    return np.stack([np.moveaxis(i1, -1, 0), np.moveaxis(i2, -1, 0)], axis=-1)
-
-
-def _constant_integrals(lengths: np.ndarray, v) -> np.ndarray:
-    """[v L, v^2 L] for each wait length L, shape (L, ..., 2): the wait
-    integrals of a constant offset ``v`` (a float or one per row), which
-    do not depend on where the wait starts."""
-    return np.stack([np.multiply.outer(lengths, v),
-                     np.multiply.outer(lengths, v * v)], axis=-1)
+def _wait_integrals(starts, ends, trajectory: NoiseTrajectory) -> tuple:
+    """Int offset dt and Int offset^2 dt over each [start, end], two
+    arrays of shape (rows..., W): one trajectory-integral call each covers
+    all W waits."""
+    return (trajectory.integral(starts, ends),
+            trajectory.square_integral(starts, ends))
 
 
 # a sequence's laser phase is new on most scan points, so only the
@@ -213,12 +208,21 @@ def _constant_integrals(lengths: np.ndarray, v) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _pulse_op(pulse) -> tuple:
     """(columns, U^T) of a pulse: it maps state[..., columns] to
-    state[..., columns] @ U^T and leaves the other amplitudes alone."""
+    state[..., columns] @ U^T and leaves the other amplitudes alone.  A
+    pulse of area exactly pi is built in closed form, with exact zeros:
+    U[-m, m] = -i exp(2i phi m) for RF, cos(area/2) = 0 and sin = 1 for
+    an optical pulse."""
     if isinstance(pulse, RFPulse):
-        return D_BLOCK, rotation_unitary(2.5, pulse.area, pulse.rf_phase).T
+        if pulse.area != math.pi:
+            return D_BLOCK, rotation_unitary(2.5, pulse.area, pulse.rf_phase).T
+        # U[-m, m] sits at row 5 - i, column i of the ascending-m D block;
+        # integer powers of exp(i phi) keep it accurate for any phase
+        u = np.diag(-1j * np.exp(1j * pulse.rf_phase) ** (2 * D_M))[::-1]
+        u.setflags(write=False)
+        return D_BLOCK, u.T
     half = pulse.area / 2.0
-    c = math.cos(half)
-    s = math.sin(half)
+    c, s = (0.0, 1.0) if pulse.area == math.pi else (math.cos(half),
+                                                       math.sin(half))
     ph = pulse.laser_phase
     u = np.array([
         [c, -1j * s * np.exp(-1j * ph)],
@@ -247,81 +251,109 @@ def apply_rf_pulse(state: np.ndarray, pulse: RFPulse) -> np.ndarray:
     return _apply_pulse(state.copy(), *_pulse_op(pulse))
 
 
+def _evolve(state: np.ndarray, phase: np.ndarray, where,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """out[..., where] = state * exp(i phase): one cos/sin, one multiply
+    and one scatter.  ``out`` may be ``state`` itself."""
+    f = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=f.real)
+    np.sin(phase, out=f.imag)
+    f = np.multiply(f, state, out=f if f.ndim >= state.ndim else None)
+    out = np.zeros(f.shape[:-1] + (8,), dtype=complex) if out is None else out
+    out[..., where] = f
+    return out
+
+
 def free_evolve(state: np.ndarray, tau: float, model: IonModel, *,
                 integrals: np.ndarray, out: np.ndarray | None = None
                 ) -> np.ndarray:
-    """Diagonal phase evolution over a wait of length tau.
+    """Diagonal phase evolution over a wait of length tau: the block
+    kernel (``_evolve``) for one wait that moves no level.
 
     Each amplitude picks up exp(-i 2pi Int nu_level(B(t)) dt), with the
     field B(t) = B0 + offset(t); ``integrals`` gives the wait's
-    [Int offset dt, Int offset^2 dt] per state row (last axis).  The
-    large field-free phase is one factor per level.  The offset's phase
-    is k a + k^2 c on the D level m = k/2 (a linear, c second-order
-    Zeeman) and k a_S on S, so three phasors u = e^ia, s = e^ia_S and
-    w = e^ic per row give every level: u^k w^(k^2) by repeated products,
-    conj(u^k) w^(k^2) for -k, and s, conj(s).  A cos/sin per level gives
-    the same factors to within a few ULPs of the phase, so p moves by
-    ULPs only.  ``out`` receives the result and may be ``state`` itself.
+    [Int offset dt, Int offset^2 dt] per state row (last axis).  ``out``
+    receives the result and may be ``state`` itself.
     """
-    rows = integrals.shape[:-1]
-    _check_shapes(state, rows, f"the integrals have shape {integrals.shape}")
-    field_free, unit = _phase_rates(model)
-    phasors = np.empty((3, math.prod(rows)), dtype=complex)
-    np.matmul(unit.T, integrals.reshape(-1, 2).T, out=phasors.imag)
-    np.cos(phasors.imag, out=phasors.real)
-    np.sin(phasors.imag, out=phasors.imag)
-    u, s, w = phasors
-    # one row per level (basis order); once read, u and s hold powers
-    f = np.empty((8,) + u.shape, dtype=complex)
-    f[1] = s
-    np.conjugate(s, out=f[0])
-    u2 = np.multiply(u, u, out=s)
-    f[5] = u
-    np.multiply(u, u2, out=f[6])
-    np.multiply(f[6], u2, out=f[7])
-    np.conjugate(f[7:4:-1], out=f[2:5])
-    f[4:6] *= w
-    w8 = np.multiply(w, w, out=u)
-    w8 *= w8
-    w8 *= w8
-    w9 = np.multiply(w8, w, out=s)
-    f[3:7:3] *= w9
-    w8 *= w8
-    w8 *= w9                                # w^25
-    f[2:8:5] *= w8
-    factors = f.T.reshape(rows + (8,))
-    factors *= np.exp(tau * field_free)
-    return np.multiply(state, factors, out=out)
+    _check_shapes(state, integrals.shape[:-1],
+                  f"the integrals have shape {integrals.shape}")
+    rates = _phase_rates(model)
+    phase = tau * rates[0] + tau * rates[1] + integrals @ rates[2:]
+    return _evolve(state, phase, slice(None), out)
 
 
-def _compile(elements) -> tuple:
+class _Block(NamedTuple):
+    """A run of waits and monomial pulses.  Slot j, the amplitude at level
+    j where the block starts, leaves at level ``where[j]`` with the pulse
+    phase ``theta[j]``; during merged wait w (of length ``lengths[w]``)
+    it sits in level ``levels[w, j]``.  ``waits`` indexes the block's
+    merged waits among the sequence's."""
+    where: np.ndarray
+    theta: np.ndarray
+    levels: np.ndarray
+    lengths: np.ndarray
+    waits: slice
+
+
+def _block(run: list, taus: list) -> _Block:
+    """Fold a run of merged waits (indices into ``taus``) and monomial
+    pulses (``_pulse_op`` pairs with one nonzero entry per row of U^T)
+    into one ``_Block``."""
+    where, theta, levels = np.arange(8), np.zeros(8), []
+    for step in run:
+        if isinstance(step, int):
+            levels.append(where)
+            continue
+        # the pulse moves level cols[i] to cols[dst[i]], times U^T[i, dst[i]]
+        columns, u_t = step
+        src, dst = np.nonzero(u_t)
+        cols = np.arange(8)[columns]
+        to, angle = np.arange(8), np.zeros(8)
+        to[cols], angle[cols] = cols[dst], np.angle(u_t[src, dst])
+        theta, where = theta + angle[where], to[where]
+    waits = [step for step in run if isinstance(step, int)]
+    first = waits[0] if waits else 0
+    return _Block(where, theta, np.array(levels, dtype=int).reshape(-1, 8),
+                  np.array([taus[w] for w in waits]).reshape(-1, 1),
+                  slice(first, first + len(waits)))
+
+
+@lru_cache(maxsize=128)
+def _compile(elements: tuple) -> tuple:
     """One pass over the elements: adjacent waits merged, empty ones
-    dropped.  Returns the steps (an int indexes a merged wait, a pair is a
-    ``_pulse_op``) and the merged waits' durations and [t0, t1] bounds."""
+    dropped, each dense pulse a ``_pulse_op`` and each maximal run of
+    waits and monomial pulses one ``_Block``.  Returns the steps and the
+    merged waits' [t0, t1] bounds."""
     if not elements or not isinstance(elements[-1], Measure):
         raise SimulationError("sequence must end with Measure")
-    steps, taus, starts, ends = [], [], [], []
+    steps, taus, starts, ends = [[]], [], [], []   # a list is an open run
     t = 0.0
     for element in elements[:-1]:
+        run = steps[-1]
         if isinstance(element, Wait):
             if element.tau == 0:
                 continue
-            if steps and isinstance(steps[-1], int):
+            if run and isinstance(run[-1], int):
                 taus[-1] += element.tau
             else:
-                steps.append(len(taus))
+                run.append(len(taus))
                 taus.append(element.tau)
                 starts.append(t)
                 ends.append(t)
             t += element.tau
             ends[-1] = t
         elif isinstance(element, (RFPulse, OpticalPulse)):
-            steps.append(_pulse_op(element))
+            op = _pulse_op(element)
+            if np.count_nonzero(op[1]) == len(op[1]):   # monomial
+                run.append(op)
+            else:
+                steps += [op, []]
         elif isinstance(element, Measure):
             raise SimulationError("elements after Measure are not allowed")
         else:
             raise SimulationError(f"unknown sequence element {element!r}")
-    return steps, taus, starts, ends
+    return (tuple(_block(s, taus) if isinstance(s, list) else s
+                  for s in steps if s), tuple(starts), tuple(ends))
 
 
 def _check_shapes(state: np.ndarray, rows: tuple = (),
@@ -338,27 +370,6 @@ def _check_shapes(state: np.ndarray, rows: tuple = (),
             f"each; {trajectory}")
 
 
-def _values_shape(trajectory: NoiseTrajectory) -> tuple:
-    """Row shape of a trajectory and the words ``_check_shapes`` uses."""
-    shape = trajectory.values.shape
-    return shape[:-1], f"the trajectory values have shape {shape}"
-
-
-def _read_trajectory(trajectory: NoiseTrajectory, taus, starts,
-                     ends) -> tuple:
-    """Whether the trajectory has one segment, and its wait integrals:
-    (L, rows..., 2) over the L distinct wait lengths for one segment (in
-    the order the lengths first occur), else (W, rows..., 2) over the
-    merged waits.  A one-segment trajectory's value v holds at all times,
-    so its integrals are the closed form [v L, v^2 L] of each length L
-    (``_constant_integrals``) and no overlap of segments with waits is
-    formed."""
-    if trajectory.values.shape[-1] == 1:
-        return True, _constant_integrals(np.array(list(dict.fromkeys(taus))),
-                                         trajectory.values[..., 0])
-    return False, _wait_integrals(starts, ends, trajectory)
-
-
 def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
                  trajectory: NoiseTrajectory | None = None) -> np.ndarray:
     """Run the sequence on the state; returns the pre-measurement state.
@@ -366,46 +377,53 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
     ``initial`` may be a single state (8,) or a batch (n_shots, 8).  A
     batched ``trajectory`` applies row-wise and needs one row per batch
     row.  A single state run against N > 1 trajectory rows returns a new
-    (N, 8) batch, with or without waits: every step before the first wait
-    acts on the one state, and the rows appear at the first wait (or at
-    return).
+    (N, 8) batch, with or without waits: every step before the first
+    block with a wait acts on the one state, and the rows appear at that
+    block (or at return).
 
-    The sequence is compiled once (see ``_compile``) and every step then
-    updates the state in place.  On a one-segment trajectory the offset is
-    constant in time, so each distinct merged-wait length gets one
-    ``free_evolve`` of an all-ones state, and every wait of that length
-    multiplies the state by those factors; otherwise each merged wait is
-    one ``free_evolve``.
+    The sequence is compiled once (``_compile``) into dense pulses and
+    blocks of waits and pi pulses; the model's rates then give each
+    block's phase coefficients.  Each dense pulse updates
+    the state in place.  Each block is one phase per row and slot, one
+    cos/sin, one multiply and one scatter (``_evolve``); a single state's
+    zero amplitudes stay zero, so only its other slots get a phase.  On a
+    multi-segment trajectory the integrals of every merged wait come from
+    one ``_wait_integrals`` call.
     """
-    steps, taus, starts, ends = _compile(seq.elements)
+    steps, starts, ends = _compile(tuple(seq.elements))
     state = np.array(initial, dtype=complex)
-    _check_shapes(state)
     if trajectory is None:
         trajectory = zero_trajectory()
-    rows, described = _values_shape(trajectory)
-    static, integrals = _read_trajectory(trajectory, taus, starts, ends)
+    rows = trajectory.values.shape[:-1]
     if state.ndim == 1 and rows == (1,):
-        # a one-row batched trajectory drives a single state
-        rows, integrals = (), integrals[:, 0]
-    _check_shapes(state, rows, described)
+        rows = ()   # a one-row batched trajectory drives a single state
+    _check_shapes(state, rows, "the trajectory values have shape "
+                  f"{trajectory.values.shape}")
     shape = np.broadcast_shapes(state.shape, rows + (8,))
-    if static:
-        ones = np.ones(rows + (8,), dtype=complex)
-        factors = {tau: free_evolve(ones, tau, model, integrals=part)
-                   for tau, part in zip(dict.fromkeys(taus), integrals)}
-        steps = [factors[taus[s]] if isinstance(s, int) else s
-                 for s in steps]
+    static = trajectory.values.shape[-1] == 1
+    i1, i2 = (i.reshape(rows + i.shape[-1:]) for i in (
+        (trajectory.values, trajectory.values ** 2) if static
+        else _wait_integrals(starts, ends, trajectory)))
+    rates = _phase_rates(model)
     for step in steps:
-        if isinstance(step, tuple):
-            _apply_pulse(state, *step)
-            continue
-        # the first wait broadcasts a single state to the trajectory rows
-        out = state if state.shape == shape else None
-        if isinstance(step, np.ndarray):
-            state = np.multiply(state, step, out=out)
+        if isinstance(step, _Block):
+            # a single state's zero amplitudes stay zero, so only its other
+            # slots get a phase; a wait broadcasts the state to the rows
+            live = np.flatnonzero(state) if state.ndim == 1 else slice(None)
+            levels, theta = step.levels[:, live], step.theta[live]
+            # summed in wait order, not by a dot product, so that the
+            # m-linear terms of an echo (x - 2x + 2x ... + x) cancel exactly
+            total = reduce(np.add, (rates[:, levels] * step.lengths).swapaxes(
+                0, 1), np.zeros((4, theta.size)))
+            phase = theta + total[0] + total[1]
+            if len(levels):
+                a, cols = ((total[2:, None], slice(None)) if static
+                           else (rates[2:, levels], step.waits))
+                phase = phase + i1[..., cols] @ a[0] + i2[..., cols] @ a[1]
+            state = _evolve(state[..., live], phase, step.where[live],
+                            state if state.ndim > 1 else None)
         else:
-            state = free_evolve(state, taus[step], model,
-                                integrals=integrals[step], out=out)
+            _apply_pulse(state, *step)
     if state.shape != shape:
         state = np.array(np.broadcast_to(state, shape))
     return state

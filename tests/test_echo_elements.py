@@ -1,7 +1,6 @@
 """The echo sequence as elements: its exact layout, and the values an
-element refuses.  This module once tested a text format for sequences;
-the format is deleted, and the checks that outlive it are made here on
-the elements and on ``build_quadrupole_dd_sequence`` directly."""
+element refuses, checked on the elements and on
+``build_quadrupole_dd_sequence`` directly."""
 
 import math
 
@@ -10,7 +9,7 @@ import pytest
 from ddquad import sequence as sq
 
 
-def test_parse_matches_builder():
+def test_written_elements_match_builder():
     # the paper's sequence written out element by element, n_echo = 4
     wait = sq.Wait(250e-6)
     blocks = []

@@ -159,9 +159,9 @@ def test_seeded_random_walk_counts_are_pinned():
                                300, 1, detection=det, exact=True,
                                extra_phase=0.3)
     assert [repr(p.k_D) for p in exact.points] == [
-        "55.085488064475456", "156.68541257087838", "251.7330740939999",
-        "284.55084158544304", "235.91451193552697", "134.31458742912417",
-        "39.26692590600259", "6.449158414559509"]
+        "55.08548806627599", "156.68541257323426", "251.73307409553058",
+        "284.55084158525085", "235.91451193372401", "134.31458742676568",
+        "39.266925904469474", "6.4491584147491325"]
 
 
 def per_point_scan(n_echo, tau, model, noise, phi_grid, shots_per_point,

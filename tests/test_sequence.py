@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ddquad import atommodel as am
 from ddquad import sequence as sq
+from ddquad.spincore import rotation_unitary
 from wigner import wigner_d_matrix
 
 
@@ -30,7 +31,7 @@ def test_builder_rejects_odd_or_small_n():
         sq.build_quadrupole_dd_sequence(n_echo=0, tau=1e-4)
 
 
-# the non-finite values are checked in test_dsl.py
+# the non-finite values are checked in test_echo_elements.py
 @pytest.mark.parametrize("make, match", [
     (lambda: sq.Wait(-1e-6), ">= 0"),
     (lambda: sq.RFPulse(-math.pi), ">= 0"),
@@ -189,8 +190,9 @@ def offset_rates(model):
 
 
 def per_level_factors(tau, model, integrals):
-    """A wait's phase factors with one cos/sin per level: the form the
-    three-phasor kernel replaces."""
+    """A wait's phase factors with one cos/sin per level of the offset
+    phase, times the field-free factor: the form the block kernel
+    replaces."""
     lin, static, b2 = sq.level_coefficients(model)
     b0 = model.field_cfg.B
     phase = integrals @ offset_rates(model)
@@ -231,19 +233,28 @@ def test_free_evolve_matches_level_frequencies():
     assert np.max(np.abs(got - state * np.exp(1j * phase))) < 1e-10
 
 
-def unit_rebuild(unit):
-    """The (2, 8) offset rates from the three unit rates: k = 2m times the
-    linear rate of the level's manifold, plus k^2 times the D manifold's
-    second-order rate."""
-    k = 2.0 * np.array(am.S_M_VALUES + am.D_M_VALUES)
-    d = np.arange(8) >= 2
-    return np.where(d, k * unit[:, :1] + k * k * unit[:, 2:],
-                    k * unit[:, 1:2])
+# an RF pi moves D:m to D:-m and leaves S alone
+MIRROR = [0, 1, 7, 6, 5, 4, 3, 2]
 
 
-def ulps(got, want):
-    return np.abs(got - want) / np.spacing(np.abs(want)).clip(
-        min=np.finfo(float).tiny)
+def check_block_rates(model):
+    """The block kernel's rates per unit of Int dB dt and Int dB^2 dt are
+    the level rates, and a [wait, RF pi, wait] block puts each slot in its
+    own level during the first wait and in the mirrored level during the
+    second, where it ends."""
+    rates = sq._phase_rates(model)
+    assert rates.shape == (4, 8)
+    assert np.array_equal(rates[2:], offset_rates(model))
+    field_free = -2.0 * math.pi * (
+        sq.level_coefficients(model)[0] * model.field_cfg.B)
+    assert np.array_equal(rates[0], field_free)
+    assert np.array_equal(rates[0, MIRROR[2:]], -rates[0, 2:])
+    elements = (sq.Wait(1e-4), sq.RFPulse(math.pi, 0.3), sq.Wait(3e-4),
+                sq.Measure())
+    (block,) = sq._compile(elements)[0]
+    assert np.array_equal(block.where, MIRROR)
+    assert np.array_equal(block.levels, [range(8), MIRROR])
+    assert np.array_equal(block.lengths, [[1e-4], [3e-4]])
 
 
 SPECIES_MODELS = st.builds(
@@ -256,17 +267,12 @@ SPECIES_MODELS = st.builds(
 
 
 def test_unit_rates_rebuild_the_paper_models_level_rates():
-    unit = sq._phase_rates(MODEL)[1]
-    assert unit.shape == (2, 3)
-    assert np.max(ulps(unit_rebuild(unit), offset_rates(MODEL))) <= 1.0
+    check_block_rates(MODEL)
 
 
 @given(SPECIES_MODELS)
 def test_unit_rates_rebuild_the_level_rates(model):
-    # m g mu and c2 m^2 / 6 are rounded once per level, the unit rates
-    # once per manifold, so random species differ by a few ULPs
-    unit = sq._phase_rates(model)[1]
-    assert np.max(ulps(unit_rebuild(unit), offset_rates(model))) <= 4.0
+    check_block_rates(model)
 
 
 @given(SPECIES_MODELS, st.sampled_from(["single", "batch", "broadcast"]),
@@ -274,6 +280,9 @@ def test_unit_rates_rebuild_the_level_rates(model):
        st.integers(0, 2 ** 32 - 1))
 def test_three_phasors_match_the_per_level_formula(model, kind, n, max_phase,
                                                    tau, seed):
+    """``free_evolve``, the block kernel's one-wait case, against the
+    per-level cos/sin formula.  The kernel takes one cos/sin of the whole
+    phase, field-free part included, so both sides round that phase."""
     rng = np.random.default_rng(seed)
     rows = () if kind == "single" else (n,)
     rates = np.max(np.abs(offset_rates(model)), axis=1)
@@ -286,7 +295,8 @@ def test_three_phasors_match_the_per_level_formula(model, kind, n, max_phase,
     state /= np.linalg.norm(state, axis=-1, keepdims=True)
     got = sq.free_evolve(state, tau, model, integrals=integrals)
     want = state * per_level_factors(tau, model, integrals)
-    phase = np.max(np.abs(integrals @ offset_rates(model)), initial=0.0)
+    phase = np.max(np.abs(integrals @ offset_rates(model)), initial=0.0) \
+        + tau * np.max(np.abs(sq._phase_rates(model)[:2].sum(axis=0)))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= \
         64 * np.finfo(float).eps * (1.0 + phase)
@@ -305,8 +315,8 @@ def test_analytic_phase_uses_geometry():
 
 def reference_run(initial, seq, model, trajectory=None):
     """Left fold over the elements, one wait at a time, each wait by the
-    per-level cos/sin formula: the executor without compilation or the
-    three-phasor kernel.  A single state run against N > 1 trajectory
+    per-level cos/sin formula: the executor without compilation or
+    blocks.  A single state run against N > 1 trajectory
     rows comes back as N rows, waits or not."""
     state = np.array(initial, dtype=complex)
     if trajectory is None:
@@ -418,42 +428,96 @@ def test_echo_cancels_any_static_offset(n_echo, tau, laser_phase, sigma_b,
     assert np.max(np.abs(p_noisy - p_quiet)) <= 1e-9
 
 
+def paper_prefix(n_echo, tau):
+    """The echo sequence without its closing pi/2 pulse, as a fringe scan
+    runs it."""
+    *shared, _, measure = sq.build_quadrupole_dd_sequence(n_echo, tau).elements
+    return sq.PulseSequence(tuple(shared) + (measure,))
+
+
 def test_compile_merges_waits_and_drops_empty_ones():
     seq = sq.PulseSequence((
         sq.Wait(0.0), sq.RFPulse(math.pi), sq.Wait(1e-4), sq.Wait(0.0),
         sq.Wait(2e-4), sq.RFPulse(math.pi), sq.Wait(0.0), sq.Measure()))
-    steps, taus, starts, ends = sq._compile(seq.elements)
-    assert [isinstance(s, int) for s in steps] == [False, True, False]
-    assert taus == [pytest.approx(3e-4)]
-    assert starts == [0.0] and ends == [pytest.approx(3e-4)]
-    paper = sq.build_quadrupole_dd_sequence(8, 1e-4)
-    assert len(sq._compile(paper.elements)[1]) == 9   # 16 waits
+    steps, starts, ends = sq._compile(seq.elements)
+    # the pi pulses are monomial, so everything is one block of one wait
+    assert [type(s) for s in steps] == [sq._Block]
+    assert steps[0].lengths.tolist() == [[pytest.approx(3e-4)]]
+    assert starts == (0.0,) and ends == (pytest.approx(3e-4),)
+    # a dense pulse ends a block, and a wait after it starts a new one
+    seq = sq.PulseSequence((
+        sq.Wait(1e-4), sq.RFPulse(math.pi / 2), sq.Wait(0.0), sq.Wait(2e-4),
+        sq.Measure()))
+    steps, starts, ends = sq._compile(seq.elements)
+    assert [type(s) for s in steps] == [sq._Block, tuple, sq._Block]
+    assert [s.waits for s in steps[::2]] == [slice(0, 1), slice(1, 2)]
+    assert starts == (0.0, 1e-4) and ends == (1e-4, pytest.approx(3e-4))
+    assert len(sq._compile(paper_prefix(8, 1e-4).elements)[1]) == 9
 
 
 def test_static_trajectory_computes_each_wait_length_once(monkeypatch):
+    """Every wait of the paper prefix is folded into one block when the
+    sequence is compiled, once per sequence: a run makes no
+    ``free_evolve`` call, on a static trajectory or a random walk."""
     calls = []
-    free_evolve = sq.free_evolve
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return free_evolve(*args, **kwargs)
-
-    monkeypatch.setattr(sq, "free_evolve", counting)
-    batch = np.broadcast_to(sq.initial_state(), (300, 8))
-
-    def count(tau, noise):
-        seq = sq.build_quadrupole_dd_sequence(8, tau, laser_phase=0.7)
-        tr = am.sample_noise_trajectory(noise, 16 * tau, 4, n_shots=300)
-        calls.clear()
-        sq.run_sequence(batch, seq, MODEL, tr)
-        return len(calls)
-
+    monkeypatch.setattr(sq, "free_evolve", lambda *a, **k: calls.append(a))
+    for tau, waits in ((2.5e-4, 9), (0.0, 0)):
+        steps, starts, _ = sq._compile(paper_prefix(8, tau).elements)
+        assert [type(s) for s in steps] == [tuple, sq._Block]   # the pi/2
+        assert steps[1].levels.shape == (waits, 8) and len(starts) == waits
     static = am.NoiseModel(kind="quasi_static", sigma_B=1e-7)
     walk = am.NoiseModel(kind="random_walk", drift_rate_sigma=1e-4,
                          step_dt=5e-5)
-    assert count(2.5e-4, static) == 2          # tau, 2 tau
-    assert count(2.5e-4, walk) == 9            # one per merged wait
-    assert count(0.0, static) == 0
+    prefix = paper_prefix(8, 2.5e-4)
+    for noise in (static, walk):
+        tr = am.sample_noise_trajectory(noise, 4e-3, 4, n_shots=300)
+        hits = sq._compile.cache_info().hits
+        sq.run_sequence(sq.initial_state(), prefix, MODEL, tr)
+        assert sq._compile.cache_info().hits == hits + 1
+    assert calls == []
+
+
+@given(st.sampled_from([2, 4, 8, 16]), st.floats(0.0, 5e-4),
+       st.floats(0.0, 1e-6), st.integers(0, 2 ** 32 - 1))
+def test_echo_is_offset_free_without_c2(n_echo, tau, sigma_b, seed):
+    """The paper's cancellation, exact: without the second-order Zeeman
+    term a quasi-static offset leaves the prefix's state bit for bit as
+    the noiseless run leaves it, because each slot's m-linear phase sums
+    to exactly 0 over the waits."""
+    prefix = paper_prefix(n_echo, tau)
+    noise = am.NoiseModel(kind="quasi_static", sigma_B=sigma_b)
+    tr = am.sample_noise_trajectory(noise, 2 * n_echo * tau, seed, n_shots=4)
+    quiet = sq.run_sequence(sq.initial_state(), prefix, NO_C2)
+    noisy = sq.run_sequence(sq.initial_state(), prefix, NO_C2, tr)
+    assert np.array_equal(noisy, np.broadcast_to(quiet, (4, 8)))
+
+
+@given(PHASES)
+def test_pi_pulses_are_closed_form(phase):
+    """An area of exactly pi gives a monomial pulse (one nonzero entry per
+    row and column) equal to the dense forms: the RF rotation from
+    ``rotation_unitary``, whose eigendecomposition leaves a few ULPs where
+    the closed form has exact zeros, and the optical formula with
+    cos(pi/2) and sin(pi/2).  An area one part in 1e15 off pi stays
+    dense."""
+    eps = np.finfo(float).eps
+    rf = sq._pulse_op(sq.RFPulse(math.pi, phase))[1].T
+    dense = rotation_unitary(2.5, math.pi, phase)
+    assert np.count_nonzero(rf) == 6
+    assert np.max(np.abs(rf - dense)[rf != 0]) <= 4e-15
+    assert np.max(np.abs(dense[rf == 0])) <= 32 * eps
+    c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
+    dense = np.array([[c, -1j * s * np.exp(-1j * phase)],
+                      [-1j * s * np.exp(1j * phase), c]])
+    for m in am.D_M_VALUES:
+        optical = sq._pulse_op(sq.OpticalPulse(m, math.pi, phase))[1].T
+        assert np.count_nonzero(optical) == 2
+        assert np.max(np.abs(optical - dense)) <= 4e-15
+    for area in (math.pi * (1 - 1e-15), math.pi * (1 + 1e-15)):
+        for pulse in (sq.RFPulse(area, phase),
+                      sq.OpticalPulse(-2.5, area, phase)):
+            steps = sq._compile((pulse, sq.Measure()))[0]
+            assert [type(s) for s in steps] == [tuple]
 
 
 @pytest.mark.parametrize("initial, values, tau, named", [
@@ -517,26 +581,35 @@ def test_single_state_against_rows_returns_rows_without_waits(tau):
 
 
 def test_rows_appear_at_the_first_wait(monkeypatch):
-    shapes = []
-    apply_pulse = sq._apply_pulse
+    """The steps before the first block with a wait act on one state, and
+    a block sees only that state's nonzero amplitudes."""
+    calls = []
+    apply_pulse, evolve = sq._apply_pulse, sq._evolve
 
-    def recording(state, columns, u_t):
-        shapes.append(state.shape)
+    def pulse(state, columns, u_t):
+        calls.append(("pulse", state.shape))
         return apply_pulse(state, columns, u_t)
 
-    monkeypatch.setattr(sq, "_apply_pulse", recording)
+    def block(state, *args):
+        calls.append(("block", state.shape))
+        return evolve(state, *args)
+
+    monkeypatch.setattr(sq, "_apply_pulse", pulse)
+    monkeypatch.setattr(sq, "_evolve", block)
     noise = am.NoiseModel(kind="quasi_static", sigma_B=1e-7)
     tr = am.sample_noise_trajectory(noise, 1e-3, 4, n_shots=30)
     sq.run_sequence(sq.initial_state(), sq.build_quadrupole_dd_sequence(
         2, 1e-4), MODEL, tr)
-    assert shapes == [(8,)] * 2 + [(30, 8)] * 4
-    shapes.clear()
+    # the pi/2 leaves S:-1/2 and D:-5/2; the closing pi/2 acts on the rows
+    assert calls == [("pulse", (8,)), ("block", (2,)), ("pulse", (30, 8))]
+    calls.clear()
     out = sq.run_sequence(sq.initial_state(), sq.build_quadrupole_dd_sequence(
         2, 0.0), MODEL, tr)
-    assert shapes == [(8,)] * 6 and out.shape == (30, 8)
+    assert calls == [("pulse", (8,)), ("block", (2,)), ("pulse", (8,))]
+    assert out.shape == (30, 8)
 
 
-# -- closed-form integrals of a constant offset --------------------------------
+# -- closed-form phases of a constant offset -----------------------------------
 
 @pytest.mark.parametrize("values", [np.zeros(1), np.full(1, -2.3e-7),
                                     np.zeros((4, 1)),
@@ -544,22 +617,24 @@ def test_rows_appear_at_the_first_wait(monkeypatch):
                                         0.0, 3e-7, (5, 1))],
                          ids=["zero", "quasi_static", "zero_rows",
                               "quasi_static_rows"])
-@pytest.mark.parametrize("last, exact", [(np.inf, True), (1.5e-4, False)],
+@pytest.mark.parametrize("last", [np.inf, 1.5e-4],
                          ids=["infinite_edge", "finite_edge"])
-def test_one_segment_integrals_match_the_overlap(values, last, exact):
-    """A one-segment trajectory's closed-form [v L, v^2 L] equals the
-    general overlap integrals over [0, L]: bit for bit when the segment's
-    edge is infinite, to rounding when the waits run past a finite last
-    edge."""
+def test_one_segment_integrals_match_the_overlap(values, last):
+    """A one-segment trajectory's closed form, const + v A + v^2 B with A
+    and B summed over the waits in wait order, leaves the
+    state that the overlap integrals of every wait leave (the
+    multi-segment path, here given two equal segments): bit for bit
+    without an offset, to the rounding of the summed phases otherwise,
+    whether the last edge is infinite or inside the sequence."""
     seq = sq.build_quadrupole_dd_sequence(4, 1e-4, laser_phase=0.7)
-    _, taus, starts, ends = sq._compile(seq.elements)
-    lengths = list(dict.fromkeys(taus))
-    trajectory = am.NoiseTrajectory([0.0, last], values)
-    static, got = sq._read_trajectory(trajectory, taus, starts, ends)
-    want = sq._wait_integrals([0.0] * len(lengths), lengths, trajectory)
-    assert static
-    assert got.shape == want.shape == (2,) + values.shape[:-1] + (2,)
-    if exact:
+    one = am.NoiseTrajectory([0.0, last], values)
+    two = am.NoiseTrajectory([0.0, 7.5e-5, last],
+                             np.repeat(values, 2, axis=-1))
+    got = sq.run_sequence(sq.initial_state(), seq, MODEL, one)
+    want = sq.run_sequence(sq.initial_state(), seq, MODEL, two)
+    assert got.shape == want.shape == values.shape[:-1] + (8,)
+    if not values.any():
         assert np.array_equal(got, want)
     else:
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        # each wait's offset phase is below 50 rad, its rounding ~1e-14
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
