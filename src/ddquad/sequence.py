@@ -30,13 +30,14 @@ The run then applies each dense pulse (the pi/2 pulses) in place on its
 own columns, and each block as one phase per row and slot: v A + v^2 B on
 a one-segment trajectory (no noise, or a quasi-static offset v),
 I1 @ A_w + I2 @ B_w over the block's waits otherwise, with the integrals
-of every merged wait from one pair of trajectory-integral calls.  A block
-costs one cos/sin, one multiply and one scatter of the slots to their
-final levels.  A single initial state stays single until the first block
-with a wait, where the trajectory's rows appear (or at return, when no
-wait makes the rows differ).  Called on their own, ``free_evolve`` (one
-wait, no level moved), ``apply_rf_pulse`` and ``apply_optical_pulse``
-return a new array.
+of every merged wait from one pair of trajectory-integral calls.  The
+block kernel is ``free_evolve``, called once per block: one cos/sin, one
+multiply and one scatter of the slots to their final levels.  A single
+initial state stays single until the first block with a wait, where the
+trajectory's rows appear (or at return, when no wait makes the rows
+differ).  Called on their own, ``free_evolve`` (on one wait, which moves
+no level), ``apply_rf_pulse`` and ``apply_optical_pulse`` return a new
+array.
 
 ``run_sequence`` takes one trajectory.  A fringe scan runs everything
 before the closing pi/2 pulse either once, on the rows of every scan
@@ -251,10 +252,41 @@ def apply_rf_pulse(state: np.ndarray, pulse: RFPulse) -> np.ndarray:
     return _apply_pulse(state.copy(), *_pulse_op(pulse))
 
 
-def _evolve(state: np.ndarray, phase: np.ndarray, where,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """out[..., where] = state * exp(i phase): one cos/sin, one multiply
-    and one scatter.  ``out`` may be ``state`` itself."""
+def free_evolve(state: np.ndarray, tau: float | _Block, model: IonModel, *,
+                integrals: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+    """Free evolution over a wait of length ``tau`` or, with ``tau`` a
+    ``_Block``, over a run of waits and monomial pulses: the block
+    kernel, which ``run_sequence`` calls once per block.
+
+    Each amplitude picks up exp(-i 2pi Int nu_level(B(t)) dt) in the
+    level it sits in during each wait, with the field B(t) = B0 +
+    offset(t); a block then leaves each slot at its last level, with its
+    pulse phase.  ``integrals`` gives [Int offset dt, Int offset^2 dt]
+    per state row: over the wait on the last axis, shape (rows..., 2);
+    for a block, over each wait on the second-last axis, shape
+    (rows..., 2, W), of which the block takes the columns ``waits``, or
+    with ``waits`` None (a one-segment trajectory) the offset and its
+    square, shape (rows..., 2, 1).  The phase costs one cos/sin, one
+    multiply and one scatter.  ``out`` receives the result and may be
+    ``state`` itself.
+    """
+    rates, where = _phase_rates(model), getattr(tau, "where", slice(None))
+    if not isinstance(tau, _Block):
+        _check_shapes(state, integrals.shape[:-1],
+                      f"the integrals have shape {integrals.shape}")
+        phase = tau * rates[0] + tau * rates[1] + integrals @ rates[2:]
+    else:
+        # summed in wait order, not by a dot product, so that the m-linear
+        # terms of an echo (x - 2x + 2x ... + x) cancel exactly
+        total = reduce(np.add, (rates[:, tau.levels] * tau.lengths).swapaxes(
+            0, 1), np.zeros((4, tau.theta.size)))
+        phase = tau.theta + total[0] + total[1]
+        if len(tau.levels):
+            a, cols = ((total[2:, None], slice(None)) if tau.waits is None
+                       else (rates[2:, tau.levels], tau.waits))
+            phase = (phase + integrals[..., 0, cols] @ a[0]
+                     + integrals[..., 1, cols] @ a[1])
     f = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=f.real)
     np.sin(phase, out=f.imag)
@@ -264,35 +296,18 @@ def _evolve(state: np.ndarray, phase: np.ndarray, where,
     return out
 
 
-def free_evolve(state: np.ndarray, tau: float, model: IonModel, *,
-                integrals: np.ndarray, out: np.ndarray | None = None
-                ) -> np.ndarray:
-    """Diagonal phase evolution over a wait of length tau: the block
-    kernel (``_evolve``) for one wait that moves no level.
-
-    Each amplitude picks up exp(-i 2pi Int nu_level(B(t)) dt), with the
-    field B(t) = B0 + offset(t); ``integrals`` gives the wait's
-    [Int offset dt, Int offset^2 dt] per state row (last axis).  ``out``
-    receives the result and may be ``state`` itself.
-    """
-    _check_shapes(state, integrals.shape[:-1],
-                  f"the integrals have shape {integrals.shape}")
-    rates = _phase_rates(model)
-    phase = tau * rates[0] + tau * rates[1] + integrals @ rates[2:]
-    return _evolve(state, phase, slice(None), out)
-
-
 class _Block(NamedTuple):
     """A run of waits and monomial pulses.  Slot j, the amplitude at level
     j where the block starts, leaves at level ``where[j]`` with the pulse
     phase ``theta[j]``; during merged wait w (of length ``lengths[w]``)
     it sits in level ``levels[w, j]``.  ``waits`` indexes the block's
-    merged waits among the sequence's."""
+    merged waits among the sequence's (None in the copy ``run_sequence``
+    hands ``free_evolve`` for a one-segment trajectory)."""
     where: np.ndarray
     theta: np.ndarray
     levels: np.ndarray
     lengths: np.ndarray
-    waits: slice
+    waits: slice | None
 
 
 def _block(run: list, taus: list) -> _Block:
@@ -383,9 +398,9 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
 
     The sequence is compiled once (``_compile``) into dense pulses and
     blocks of waits and pi pulses; the model's rates then give each
-    block's phase coefficients.  Each dense pulse updates
-    the state in place.  Each block is one phase per row and slot, one
-    cos/sin, one multiply and one scatter (``_evolve``); a single state's
+    block's phase coefficients.  Each dense pulse updates the state in
+    place.  Each block is one ``free_evolve`` call: one phase per row and
+    slot, one cos/sin, one multiply and one scatter; a single state's
     zero amplitudes stay zero, so only its other slots get a phase.  On a
     multi-segment trajectory the integrals of every merged wait come from
     one ``_wait_integrals`` call.
@@ -401,27 +416,22 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
                   f"{trajectory.values.shape}")
     shape = np.broadcast_shapes(state.shape, rows + (8,))
     static = trajectory.values.shape[-1] == 1
-    i1, i2 = (i.reshape(rows + i.shape[-1:]) for i in (
+    integrals = np.stack(
         (trajectory.values, trajectory.values ** 2) if static
-        else _wait_integrals(starts, ends, trajectory)))
-    rates = _phase_rates(model)
+        else _wait_integrals(starts, ends, trajectory), axis=-2)
+    integrals = integrals.reshape(rows + integrals.shape[-2:])
     for step in steps:
         if isinstance(step, _Block):
             # a single state's zero amplitudes stay zero, so only its other
             # slots get a phase; a wait broadcasts the state to the rows
             live = np.flatnonzero(state) if state.ndim == 1 else slice(None)
-            levels, theta = step.levels[:, live], step.theta[live]
-            # summed in wait order, not by a dot product, so that the
-            # m-linear terms of an echo (x - 2x + 2x ... + x) cancel exactly
-            total = reduce(np.add, (rates[:, levels] * step.lengths).swapaxes(
-                0, 1), np.zeros((4, theta.size)))
-            phase = theta + total[0] + total[1]
-            if len(levels):
-                a, cols = ((total[2:, None], slice(None)) if static
-                           else (rates[2:, levels], step.waits))
-                phase = phase + i1[..., cols] @ a[0] + i2[..., cols] @ a[1]
-            state = _evolve(state[..., live], phase, step.where[live],
-                            state if state.ndim > 1 else None)
+            block = step._replace(
+                where=step.where[live], theta=step.theta[live],
+                levels=step.levels[:, live],
+                waits=None if static else step.waits)
+            state = free_evolve(state[..., live], block, model,
+                                integrals=integrals,
+                                out=state if state.ndim > 1 else None)
         else:
             _apply_pulse(state, *step)
     if state.shape != shape:

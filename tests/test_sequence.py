@@ -457,10 +457,16 @@ def test_compile_merges_waits_and_drops_empty_ones():
 
 def test_static_trajectory_computes_each_wait_length_once(monkeypatch):
     """Every wait of the paper prefix is folded into one block when the
-    sequence is compiled, once per sequence: a run makes no
-    ``free_evolve`` call, on a static trajectory or a random walk."""
-    calls = []
-    monkeypatch.setattr(sq, "free_evolve", lambda *a, **k: calls.append(a))
+    sequence is compiled, once per sequence: a run makes one
+    ``free_evolve`` call, on that block, on a static trajectory or a
+    random walk."""
+    calls, free_evolve = [], sq.free_evolve
+
+    def record(state, tau, *args, **kwargs):
+        calls.append(tau.levels.shape)
+        return free_evolve(state, tau, *args, **kwargs)
+
+    monkeypatch.setattr(sq, "free_evolve", record)
     for tau, waits in ((2.5e-4, 9), (0.0, 0)):
         steps, starts, _ = sq._compile(paper_prefix(8, tau).elements)
         assert [type(s) for s in steps] == [tuple, sq._Block]   # the pi/2
@@ -474,7 +480,8 @@ def test_static_trajectory_computes_each_wait_length_once(monkeypatch):
         hits = sq._compile.cache_info().hits
         sq.run_sequence(sq.initial_state(), prefix, MODEL, tr)
         assert sq._compile.cache_info().hits == hits + 1
-    assert calls == []
+    # the block on the two live slots of the state the pi/2 leaves
+    assert calls == [(9, 2), (9, 2)]
 
 
 @given(st.sampled_from([2, 4, 8, 16]), st.floats(0.0, 5e-4),
@@ -584,18 +591,18 @@ def test_rows_appear_at_the_first_wait(monkeypatch):
     """The steps before the first block with a wait act on one state, and
     a block sees only that state's nonzero amplitudes."""
     calls = []
-    apply_pulse, evolve = sq._apply_pulse, sq._evolve
+    apply_pulse, evolve = sq._apply_pulse, sq.free_evolve
 
     def pulse(state, columns, u_t):
         calls.append(("pulse", state.shape))
         return apply_pulse(state, columns, u_t)
 
-    def block(state, *args):
+    def block(state, *args, **kwargs):
         calls.append(("block", state.shape))
-        return evolve(state, *args)
+        return evolve(state, *args, **kwargs)
 
     monkeypatch.setattr(sq, "_apply_pulse", pulse)
-    monkeypatch.setattr(sq, "_evolve", block)
+    monkeypatch.setattr(sq, "free_evolve", block)
     noise = am.NoiseModel(kind="quasi_static", sigma_B=1e-7)
     tr = am.sample_noise_trajectory(noise, 1e-3, 4, n_shots=30)
     sq.run_sequence(sq.initial_state(), sq.build_quadrupole_dd_sequence(
