@@ -35,9 +35,9 @@ block kernel is ``free_evolve``, called once per block: one cos/sin, one
 multiply and one scatter of the slots to their final levels.  A single
 initial state stays single until the first block with a wait, where the
 trajectory's rows appear (or at return, when no wait makes the rows
-differ).  Called on their own, ``free_evolve`` (on one wait, which moves
-no level), ``apply_rf_pulse`` and ``apply_optical_pulse`` return a new
-array.
+differ).  Called on their own, ``free_evolve`` (on one wait, run as a
+block that moves no level), ``apply_rf_pulse`` and
+``apply_optical_pulse`` return a new array.
 
 ``run_sequence`` takes one trajectory.  A fringe scan runs everything
 before the closing pi/2 pulse either once, on the rows of every scan
@@ -255,44 +255,49 @@ def apply_rf_pulse(state: np.ndarray, pulse: RFPulse) -> np.ndarray:
 def free_evolve(state: np.ndarray, tau: float | _Block, model: IonModel, *,
                 integrals: np.ndarray, out: np.ndarray | None = None
                 ) -> np.ndarray:
-    """Free evolution over a wait of length ``tau`` or, with ``tau`` a
-    ``_Block``, over a run of waits and monomial pulses: the block
-    kernel, which ``run_sequence`` calls once per block.
+    """Free evolution over a run of waits and monomial pulses (a
+    ``_Block``, which ``run_sequence`` passes), or over one wait of length
+    ``tau``, run as a block that moves no level.
 
     Each amplitude picks up exp(-i 2pi Int nu_level(B(t)) dt) in the
     level it sits in during each wait, with the field B(t) = B0 +
     offset(t); a block then leaves each slot at its last level, with its
-    pulse phase.  ``integrals`` gives [Int offset dt, Int offset^2 dt]
-    per state row: over the wait on the last axis, shape (rows..., 2);
-    for a block, over each wait on the second-last axis, shape
-    (rows..., 2, W), of which the block takes the columns ``waits``, or
-    with ``waits`` None (a one-segment trajectory) the offset and its
-    square, shape (rows..., 2, 1).  The phase costs one cos/sin, one
-    multiply and one scatter.  ``out`` receives the result and may be
-    ``state`` itself.
+    pulse phase.  For one wait, ``integrals`` gives [Int offset dt, Int
+    offset^2 dt] per state row, shape (rows..., 2).  For a block its last
+    axis holds, on a multi-segment trajectory, each merged wait's
+    integrals (the block reads its columns ``waits``) and then a zero;
+    on a one-segment trajectory it holds only the offset v and v^2.  The
+    last column multiplies each slot's rates summed over the block's
+    waits, v A + v^2 B; the others multiply the rates of the level the
+    slot sits in during that wait.  A single state's zero amplitudes stay
+    zero, so only its other slots get a phase.  The phase costs one
+    cos/sin, one multiply and one scatter.  ``out`` receives the result
+    and may be ``state`` itself.
     """
-    rates, where = _phase_rates(model), getattr(tau, "where", slice(None))
     if not isinstance(tau, _Block):
         _check_shapes(state, integrals.shape[:-1],
                       f"the integrals have shape {integrals.shape}")
-        phase = tau * rates[0] + tau * rates[1] + integrals @ rates[2:]
-    else:
-        # summed in wait order, not by a dot product, so that the m-linear
-        # terms of an echo (x - 2x + 2x ... + x) cancel exactly
-        total = reduce(np.add, (rates[:, tau.levels] * tau.lengths).swapaxes(
-            0, 1), np.zeros((4, tau.theta.size)))
-        phase = tau.theta + total[0] + total[1]
-        if len(tau.levels):
-            a, cols = ((total[2:, None], slice(None)) if tau.waits is None
-                       else (rates[2:, tau.levels], tau.waits))
-            phase = (phase + integrals[..., 0, cols] @ a[0]
-                     + integrals[..., 1, cols] @ a[1])
+        tau, integrals = _block([0], [tau]), np.stack(
+            (integrals, np.zeros_like(integrals)), axis=-1)
+    rates = _phase_rates(model)
+    live = np.flatnonzero(state) if state.ndim == 1 else slice(None)
+    levels = tau.levels[:, live]
+    # summed in wait order, not by a dot product, so that the m-linear
+    # terms of an echo (x - 2x + 2x ... + x) cancel exactly
+    total = reduce(np.add, (rates[:, levels] * tau.lengths).swapaxes(0, 1),
+                   np.zeros((4, levels.shape[1])))
+    phase = tau.theta[live] + total[0] + total[1]
+    if len(levels):
+        for k in (0, 1):   # Int offset dt, then Int offset^2 dt
+            phase = phase + integrals[..., k, -1:] @ total[2 + k, None]
+            if integrals.shape[-1] > 1:   # a multi-segment trajectory
+                phase += integrals[..., k, tau.waits] @ rates[2 + k, levels]
     f = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=f.real)
     np.sin(phase, out=f.imag)
-    f = np.multiply(f, state, out=f if f.ndim >= state.ndim else None)
+    f = f * state[..., live]
     out = np.zeros(f.shape[:-1] + (8,), dtype=complex) if out is None else out
-    out[..., where] = f
+    out[..., tau.where[live]] = f
     return out
 
 
@@ -300,14 +305,14 @@ class _Block(NamedTuple):
     """A run of waits and monomial pulses.  Slot j, the amplitude at level
     j where the block starts, leaves at level ``where[j]`` with the pulse
     phase ``theta[j]``; during merged wait w (of length ``lengths[w]``)
-    it sits in level ``levels[w, j]``.  ``waits`` indexes the block's
-    merged waits among the sequence's (None in the copy ``run_sequence``
-    hands ``free_evolve`` for a one-segment trajectory)."""
+    it sits in level ``levels[w, j]``.  ``waits`` are the columns of its
+    merged waits in ``free_evolve``'s integrals.  The arrays are
+    read-only: ``_compile`` caches the blocks."""
     where: np.ndarray
     theta: np.ndarray
     levels: np.ndarray
     lengths: np.ndarray
-    waits: slice | None
+    waits: slice
 
 
 def _block(run: list, taus: list) -> _Block:
@@ -326,11 +331,12 @@ def _block(run: list, taus: list) -> _Block:
         to, angle = np.arange(8), np.zeros(8)
         to[cols], angle[cols] = cols[dst], np.angle(u_t[src, dst])
         theta, where = theta + angle[where], to[where]
-    waits = [step for step in run if isinstance(step, int)]
-    first = waits[0] if waits else 0
-    return _Block(where, theta, np.array(levels, dtype=int).reshape(-1, 8),
-                  np.array([taus[w] for w in waits]).reshape(-1, 1),
-                  slice(first, first + len(waits)))
+    first = next((step for step in run if isinstance(step, int)), 0)
+    arrays = (where, theta, np.array(levels, dtype=int).reshape(-1, 8),
+              np.array(taus[first:first + len(levels)]).reshape(-1, 1))
+    for a in arrays:
+        a.setflags(write=False)
+    return _Block(*arrays, slice(first, first + len(levels)))
 
 
 @lru_cache(maxsize=128)
@@ -399,11 +405,13 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
     The sequence is compiled once (``_compile``) into dense pulses and
     blocks of waits and pi pulses; the model's rates then give each
     block's phase coefficients.  Each dense pulse updates the state in
-    place.  Each block is one ``free_evolve`` call: one phase per row and
-    slot, one cos/sin, one multiply and one scatter; a single state's
-    zero amplitudes stay zero, so only its other slots get a phase.  On a
-    multi-segment trajectory the integrals of every merged wait come from
-    one ``_wait_integrals`` call.
+    place.  Each block is one ``free_evolve`` call on the cached block:
+    one phase per row and slot, one cos/sin, one multiply and one
+    scatter; a single state's zero amplitudes stay zero, so only its
+    other slots get a phase.  Every block reads one array of integrals:
+    the offset v and v^2 of a one-segment trajectory, or each merged
+    wait's integrals of a multi-segment one, from one ``_wait_integrals``
+    call, and a zero in place of v.
     """
     steps, starts, ends = _compile(tuple(seq.elements))
     state = np.array(initial, dtype=complex)
@@ -415,28 +423,22 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
     _check_shapes(state, rows, "the trajectory values have shape "
                   f"{trajectory.values.shape}")
     shape = np.broadcast_shapes(state.shape, rows + (8,))
+    # a one-segment trajectory is the constant offset v, whose phase comes
+    # from each slot's summed rates, so the echo cancels exactly
     static = trajectory.values.shape[-1] == 1
-    integrals = np.stack(
-        (trajectory.values, trajectory.values ** 2) if static
-        else _wait_integrals(starts, ends, trajectory), axis=-2)
-    integrals = integrals.reshape(rows + integrals.shape[-2:])
+    parts = ((trajectory.values, trajectory.values ** 2) if static
+             else _wait_integrals(starts, ends, trajectory))
+    integrals = np.zeros(rows + (2, 1 if static else len(starts) + 1))
+    cols = slice(None) if static else slice(None, -1)
+    integrals[..., 0, cols], integrals[..., 1, cols] = parts
     for step in steps:
         if isinstance(step, _Block):
-            # a single state's zero amplitudes stay zero, so only its other
-            # slots get a phase; a wait broadcasts the state to the rows
-            live = np.flatnonzero(state) if state.ndim == 1 else slice(None)
-            block = step._replace(
-                where=step.where[live], theta=step.theta[live],
-                levels=step.levels[:, live],
-                waits=None if static else step.waits)
-            state = free_evolve(state[..., live], block, model,
-                                integrals=integrals,
+            state = free_evolve(state, step, model, integrals=integrals,
                                 out=state if state.ndim > 1 else None)
         else:
             _apply_pulse(state, *step)
-    if state.shape != shape:
-        state = np.array(np.broadcast_to(state, shape))
-    return state
+    return (state if state.shape == shape
+            else np.array(np.broadcast_to(state, shape)))
 
 
 def analytic_phase(n_echo: int, tau: float, model: IonModel) -> float:

@@ -458,12 +458,12 @@ def test_compile_merges_waits_and_drops_empty_ones():
 def test_static_trajectory_computes_each_wait_length_once(monkeypatch):
     """Every wait of the paper prefix is folded into one block when the
     sequence is compiled, once per sequence: a run makes one
-    ``free_evolve`` call, on that block, on a static trajectory or a
-    random walk."""
+    ``free_evolve`` call, on the cached block itself, on a static
+    trajectory or a random walk."""
     calls, free_evolve = [], sq.free_evolve
 
     def record(state, tau, *args, **kwargs):
-        calls.append(tau.levels.shape)
+        calls.append(tau)
         return free_evolve(state, tau, *args, **kwargs)
 
     monkeypatch.setattr(sq, "free_evolve", record)
@@ -480,8 +480,10 @@ def test_static_trajectory_computes_each_wait_length_once(monkeypatch):
         hits = sq._compile.cache_info().hits
         sq.run_sequence(sq.initial_state(), prefix, MODEL, tr)
         assert sq._compile.cache_info().hits == hits + 1
-    # the block on the two live slots of the state the pi/2 leaves
-    assert calls == [(9, 2), (9, 2)]
+    block = sq._compile(prefix.elements)[0][1]
+    assert len(calls) == 2 and all(c is block for c in calls)
+    # cached, so read-only
+    assert not any(a.flags.writeable for a in block[:4])
 
 
 @given(st.sampled_from([2, 4, 8, 16]), st.floats(0.0, 5e-4),
@@ -589,7 +591,7 @@ def test_single_state_against_rows_returns_rows_without_waits(tau):
 
 def test_rows_appear_at_the_first_wait(monkeypatch):
     """The steps before the first block with a wait act on one state, and
-    a block sees only that state's nonzero amplitudes."""
+    the rows appear at that block."""
     calls = []
     apply_pulse, evolve = sq._apply_pulse, sq.free_evolve
 
@@ -608,11 +610,11 @@ def test_rows_appear_at_the_first_wait(monkeypatch):
     sq.run_sequence(sq.initial_state(), sq.build_quadrupole_dd_sequence(
         2, 1e-4), MODEL, tr)
     # the pi/2 leaves S:-1/2 and D:-5/2; the closing pi/2 acts on the rows
-    assert calls == [("pulse", (8,)), ("block", (2,)), ("pulse", (30, 8))]
+    assert calls == [("pulse", (8,)), ("block", (8,)), ("pulse", (30, 8))]
     calls.clear()
     out = sq.run_sequence(sq.initial_state(), sq.build_quadrupole_dd_sequence(
         2, 0.0), MODEL, tr)
-    assert calls == [("pulse", (8,)), ("block", (2,)), ("pulse", (8,))]
+    assert calls == [("pulse", (8,)), ("block", (8,)), ("pulse", (8,))]
     assert out.shape == (30, 8)
 
 
