@@ -263,16 +263,16 @@ def free_evolve(state: np.ndarray, tau: float | _Block, model: IonModel, *,
     level it sits in during each wait, with the field B(t) = B0 +
     offset(t); a block then leaves each slot at its last level, with its
     pulse phase.  For one wait, ``integrals`` gives [Int offset dt, Int
-    offset^2 dt] per state row, shape (rows..., 2).  For a block its last
-    axis holds, on a multi-segment trajectory, each merged wait's
-    integrals (the block reads its columns ``waits``) and then a zero;
-    on a one-segment trajectory it holds only the offset v and v^2.  The
-    last column multiplies each slot's rates summed over the block's
-    waits, v A + v^2 B; the others multiply the rates of the level the
-    slot sits in during that wait.  A single state's zero amplitudes stay
-    zero, so only its other slots get a phase.  The phase costs one
-    cos/sin, one multiply and one scatter.  ``out`` receives the result
-    and may be ``state`` itself.
+    offset^2 dt] per state row, shape (rows..., 2).  For a block it has
+    shape (rows..., 2, W + 1) on a multi-segment trajectory: each merged
+    wait's two integrals (the block reads its columns ``waits``), then a
+    zero column; and shape (rows..., 2, 1) on a one-segment trajectory:
+    the offset v and v^2.  The last column multiplies each slot's rates
+    summed over the block's waits, v A + v^2 B; the others multiply the
+    rates of the level the slot sits in during that wait.  A single
+    state's zero amplitudes stay zero, so only its other slots get a
+    phase.  The phase costs one cos/sin, one multiply and one scatter.
+    ``out`` receives the result and may be ``state`` itself.
     """
     if not isinstance(tau, _Block):
         _check_shapes(state, integrals.shape[:-1],
