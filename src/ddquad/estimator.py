@@ -722,11 +722,6 @@ def _resample_campaign(campaign: CampaignDataset,
                            model_snapshot=campaign.model_snapshot)
 
 
-def cramer_rao_phase_bound(n_total_shots: int, contrast: float) -> float:
-    """Lower bound on the fringe-phase std for a uniform phase grid."""
-    return math.sqrt(2.0 / (n_total_shots * contrast ** 2))
-
-
 def theta_comparison_report(result: JointFitResult, references) -> list:
     """Deviation of the fitted Theta from each reference value.
 

@@ -27,17 +27,17 @@ before they are rounded into anything else.  This is the echo's filter,
 which leaves only the m^2 phase (quadrupole and second-order Zeeman).
 
 The run then applies each dense pulse (the pi/2 pulses) in place on its
-own columns, and each block as one phase per row and slot: v A + v^2 B on
-a one-segment trajectory (no noise, or a quasi-static offset v),
-I1 @ A_w + I2 @ B_w over the block's waits otherwise, with the integrals
-of every merged wait from one pair of trajectory-integral calls.  The
-block kernel is ``free_evolve``, called once per block: one cos/sin, one
-multiply and one scatter of the slots to their final levels.  A single
-initial state stays single until the first block with a wait, where the
-trajectory's rows appear (or at return, when no wait makes the rows
-differ).  Called on their own, ``free_evolve`` (on one wait, run as a
-block that moves no level), ``apply_rf_pulse`` and
-``apply_optical_pulse`` return a new array.
+own columns, and each block as one phase per row and slot.  Which array
+the block kernel ``free_evolve`` is given marks the trajectory's kind:
+on a one-segment trajectory (no noise, or a quasi-static offset v) the
+per-row [v, v^2], giving v A + v^2 B; otherwise each merged wait's
+integrals [I1_w, I2_w], from one pair of trajectory-integral calls,
+giving I1 @ A_w + I2 @ B_w over the block's waits.  The kernel is called
+once per block: one cos/sin, one multiply and one scatter of the slots
+to their final levels.  A single initial state stays single until the
+first block with a wait, where the trajectory's rows appear (or at
+return, when no wait makes the rows differ).  Called on their own,
+``apply_rf_pulse`` and ``apply_optical_pulse`` return a new array.
 
 ``run_sequence`` takes one trajectory.  A fringe scan runs everything
 before the closing pi/2 pulse either once, on the rows of every scan
@@ -115,13 +115,9 @@ class Measure:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """The elements, run in order.  ``n_echo`` and ``tau`` are the
-    parameters ``build_quadrupole_dd_sequence`` was called with (None for
-    any other sequence); the executor does not read them."""
+    """The elements, run in order."""
 
     elements: tuple
-    n_echo: int | None = None
-    tau: float | None = None
 
 
 def build_quadrupole_dd_sequence(n_echo: int, tau: float,
@@ -146,7 +142,7 @@ def build_quadrupole_dd_sequence(n_echo: int, tau: float,
     elements.append(OpticalPulse(target_m=-2.5, area=math.pi, laser_phase=0.0))
     elements.append(OpticalPulse(target_m=-0.5, area=math.pi / 2, laser_phase=laser_phase))
     elements.append(Measure())
-    return PulseSequence(tuple(elements), n_echo=n_echo, tau=tau)
+    return PulseSequence(tuple(elements))
 
 
 def initial_state(label: str = "S:-1/2") -> np.ndarray:
@@ -194,14 +190,6 @@ def _phase_rates(model: IonModel) -> np.ndarray:
                                        lin + 2.0 * b0 * b2, b2])
     rates.setflags(write=False)
     return rates
-
-
-def _wait_integrals(starts, ends, trajectory: NoiseTrajectory) -> tuple:
-    """Int offset dt and Int offset^2 dt over each [start, end], two
-    arrays of shape (rows..., W): one trajectory-integral call each covers
-    all W waits."""
-    return (trajectory.integral(starts, ends),
-            trajectory.square_integral(starts, ends))
 
 
 # a sequence's laser phase is new on most scan points, so only the
@@ -252,52 +240,46 @@ def apply_rf_pulse(state: np.ndarray, pulse: RFPulse) -> np.ndarray:
     return _apply_pulse(state.copy(), *_pulse_op(pulse))
 
 
-def free_evolve(state: np.ndarray, tau: float | _Block, model: IonModel, *,
-                integrals: np.ndarray, out: np.ndarray | None = None
-                ) -> np.ndarray:
-    """Free evolution over a run of waits and monomial pulses (a
-    ``_Block``, which ``run_sequence`` passes), or over one wait of length
-    ``tau``, run as a block that moves no level.
+def free_evolve(state: np.ndarray, block: _Block, model: IonModel, *,
+                offset: np.ndarray | None = None,
+                integrals: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Free evolution over a run of waits and monomial pulses, a
+    ``_Block`` from ``_compile``.
 
     Each amplitude picks up exp(-i 2pi Int nu_level(B(t)) dt) in the
     level it sits in during each wait, with the field B(t) = B0 +
-    offset(t); a block then leaves each slot at its last level, with its
-    pulse phase.  For one wait, ``integrals`` gives [Int offset dt, Int
-    offset^2 dt] per state row, shape (rows..., 2).  For a block it has
-    shape (rows..., 2, W + 1) on a multi-segment trajectory: each merged
-    wait's two integrals (the block reads its columns ``waits``), then a
-    zero column; and shape (rows..., 2, 1) on a one-segment trajectory:
-    the offset v and v^2.  The last column multiplies each slot's rates
-    summed over the block's waits, v A + v^2 B; the others multiply the
-    rates of the level the slot sits in during that wait.  A single
-    state's zero amplitudes stay zero, so only its other slots get a
-    phase.  The phase costs one cos/sin, one multiply and one scatter.
-    ``out`` receives the result and may be ``state`` itself.
+    offset(t); the block then leaves each slot at its last level, with
+    its pulse phase.  The trajectory's kind is the array given: on a
+    one-segment trajectory, ``offset`` holds the offset v and v^2 per
+    state row, shape (rows..., 2), which multiply each slot's rates
+    summed over the block's waits; otherwise ``integrals`` holds each
+    merged wait's Int offset dt and Int offset^2 dt, shape (rows..., 2,
+    W) (the block reads its columns ``waits``), which multiply the rates
+    of the level the slot sits in during that wait.  A single state's
+    zero amplitudes stay zero, so only its other slots get a phase.  The
+    phase costs one cos/sin, one multiply and one scatter.  ``out``
+    receives the result and may be ``state`` itself.
     """
-    if not isinstance(tau, _Block):
-        _check_shapes(state, integrals.shape[:-1],
-                      f"the integrals have shape {integrals.shape}")
-        tau, integrals = _block([0], [tau]), np.stack(
-            (integrals, np.zeros_like(integrals)), axis=-1)
     rates = _phase_rates(model)
     live = np.flatnonzero(state) if state.ndim == 1 else slice(None)
-    levels = tau.levels[:, live]
+    levels = block.levels[:, live]
     # summed in wait order, not by a dot product, so that the m-linear
     # terms of an echo (x - 2x + 2x ... + x) cancel exactly
-    total = reduce(np.add, (rates[:, levels] * tau.lengths).swapaxes(0, 1),
+    total = reduce(np.add, (rates[:, levels] * block.lengths).swapaxes(0, 1),
                    np.zeros((4, levels.shape[1])))
-    phase = tau.theta[live] + total[0] + total[1]
+    phase = block.theta[live] + total[0] + total[1]
     if len(levels):
+        x, a = ((offset[..., None], total[2:, None]) if integrals is None
+                else (integrals[..., block.waits], rates[2:, levels]))
         for k in (0, 1):   # Int offset dt, then Int offset^2 dt
-            phase = phase + integrals[..., k, -1:] @ total[2 + k, None]
-            if integrals.shape[-1] > 1:   # a multi-segment trajectory
-                phase += integrals[..., k, tau.waits] @ rates[2 + k, levels]
+            phase = phase + x[..., k, :] @ a[k]
     f = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=f.real)
     np.sin(phase, out=f.imag)
     f = f * state[..., live]
     out = np.zeros(f.shape[:-1] + (8,), dtype=complex) if out is None else out
-    out[..., tau.where[live]] = f
+    out[..., block.where[live]] = f
     return out
 
 
@@ -377,18 +359,17 @@ def _compile(elements: tuple) -> tuple:
                   for s in steps if s), tuple(starts), tuple(ends))
 
 
-def _check_shapes(state: np.ndarray, rows: tuple = (),
-                  trajectory: str = "") -> None:
+def _check_shapes(state: np.ndarray, values: tuple = ()) -> None:
     """A state's last axis holds the 8 amplitudes, and a batch of states
-    has one trajectory row each (``trajectory`` describes the rows)."""
+    has one row each of trajectory values of shape ``values``."""
     if state.ndim == 0 or state.shape[-1] != 8:
         raise SimulationError(
             f"state has shape {state.shape}; its last axis must "
             "hold the 8 amplitudes")
-    if state.ndim > 1 and rows and state.shape[:-1] != rows:
+    if state.ndim > 1 and values[:-1] and state.shape[:-1] != values[:-1]:
         raise SimulationError(
             f"states of shape {state.shape} need one trajectory row "
-            f"each; {trajectory}")
+            f"each; the trajectory values have shape {values}")
 
 
 def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
@@ -408,32 +389,34 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
     place.  Each block is one ``free_evolve`` call on the cached block:
     one phase per row and slot, one cos/sin, one multiply and one
     scatter; a single state's zero amplitudes stay zero, so only its
-    other slots get a phase.  Every block reads one array of integrals:
-    the offset v and v^2 of a one-segment trajectory, or each merged
-    wait's integrals of a multi-segment one, from one ``_wait_integrals``
-    call, and a zero in place of v.
+    other slots get a phase.  The array a block reads marks the
+    trajectory's kind: the offset v and v^2 per row of a one-segment
+    trajectory (each slot's rates summed over the waits give its phase,
+    so the echo cancels exactly), or else each merged wait's integrals,
+    from one pair of trajectory-integral calls for all the waits.
     """
     steps, starts, ends = _compile(tuple(seq.elements))
     state = np.array(initial, dtype=complex)
     if trajectory is None:
         trajectory = zero_trajectory()
-    rows = trajectory.values.shape[:-1]
+    values = trajectory.values
+    _check_shapes(state, values.shape)
+    rows = values.shape[:-1]
     if state.ndim == 1 and rows == (1,):
         rows = ()   # a one-row batched trajectory drives a single state
-    _check_shapes(state, rows, "the trajectory values have shape "
-                  f"{trajectory.values.shape}")
     shape = np.broadcast_shapes(state.shape, rows + (8,))
-    # a one-segment trajectory is the constant offset v, whose phase comes
-    # from each slot's summed rates, so the echo cancels exactly
-    static = trajectory.values.shape[-1] == 1
-    parts = ((trajectory.values, trajectory.values ** 2) if static
-             else _wait_integrals(starts, ends, trajectory))
-    integrals = np.zeros(rows + (2, 1 if static else len(starts) + 1))
-    cols = slice(None) if static else slice(None, -1)
-    integrals[..., 0, cols], integrals[..., 1, cols] = parts
+    offset = integrals = None
+    if values.shape[-1] == 1:   # the constant offset v
+        v = values.reshape(rows)
+        offset = np.stack((v, v ** 2), axis=-1)
+    else:
+        integrals = np.stack((trajectory.integral(starts, ends),
+                              trajectory.square_integral(starts, ends)),
+                             axis=-2).reshape(rows + (2, len(starts)))
     for step in steps:
         if isinstance(step, _Block):
-            state = free_evolve(state, step, model, integrals=integrals,
+            state = free_evolve(state, step, model, offset=offset,
+                                integrals=integrals,
                                 out=state if state.ndim > 1 else None)
         else:
             _apply_pulse(state, *step)

@@ -18,13 +18,14 @@ from ddquad import atommodel as am
 from ddquad import sequence as sq
 from ddquad.cli import main as cli_main
 from ddquad.config import paper_scenario
-from ddquad.estimator import (cramer_rao_phase_bound, extract_cell_phases,
-                              fit_fringe_mle, fit_frequency_vs_gradient,
+from ddquad.estimator import (extract_cell_phases, fit_fringe_mle,
+                              fit_frequency_vs_gradient,
                               fit_phase_vs_time, joint_fit_campaign,
                               phase_difference, wrap_phase)
 from ddquad.sampler import (FringeDataset, FringePoint, measure_population_D,
                             run_campaign)
 from ddquad.spincore import rotation_unitary
+from bounds import cramer_rao_phase_bound
 
 
 NO_C2 = am.IonModel(species=am.IonSpecies(c2_quad_zeeman=0.0))
@@ -42,8 +43,7 @@ def exact_phi_total(model, n_echo, tau, trajectory=None, rf_area_error=0.0):
                     elements=tuple(
                         replace(e, area=math.pi * (1 + rf_area_error))
                         if isinstance(e, sq.RFPulse) else e
-                        for e in seq.elements),
-                    n_echo=seq.n_echo, tau=seq.tau)
+                        for e in seq.elements))
             psi = sq.run_sequence(sq.initial_state(), seq, model,
                                   trajectory=trajectory)
             p = min(max(float(measure_population_D(psi)), 0.0), 1.0)
@@ -55,8 +55,7 @@ def exact_phi_total(model, n_echo, tau, trajectory=None, rf_area_error=0.0):
 
 def arm_phase_at_state_level(model, elements, trajectory=None):
     """Relative phase of the {-5/2, -1/2} arm pair after ``elements``."""
-    seq = sq.PulseSequence(tuple(elements) + (sq.Measure(),), n_echo=2,
-                           tau=0.0)
+    seq = sq.PulseSequence(tuple(elements) + (sq.Measure(),))
     psi = sq.run_sequence(sq.initial_state(), seq, model,
                           trajectory=trajectory)
     return float(np.angle(psi[2] * np.conj(psi[4])))

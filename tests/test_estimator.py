@@ -16,6 +16,7 @@ from ddquad.sampler import (CampaignCell, CampaignDataset, CampaignPlan,
                             FringeDataset, FringePoint, default_phi_grid,
                             run_campaign)
 from ddquad.sequence import analytic_phase
+from bounds import cramer_rao_phase_bound
 
 
 def make_fringe(phase, contrast=1.0, offset=0.5, n_shots=1000, n_points=12):
@@ -641,9 +642,9 @@ def test_bootstrap_fails_past_its_failure_fraction(monkeypatch, failures):
 
 def test_cramer_rao_bound_value():
     # small-contrast bound: sqrt(2 / (N_total C^2))
-    assert est.cramer_rao_phase_bound(3600, 1.0) == pytest.approx(
+    assert cramer_rao_phase_bound(3600, 1.0) == pytest.approx(
         math.sqrt(2.0 / 3600.0))
-    assert est.cramer_rao_phase_bound(3600, 0.5) == pytest.approx(
+    assert cramer_rao_phase_bound(3600, 0.5) == pytest.approx(
         2.0 * math.sqrt(2.0 / 3600.0))
 
 

@@ -18,9 +18,11 @@ NO_C2 = replace(MODEL, species=replace(MODEL.species, c2_quad_zeeman=0.0))
 def test_builder_shape_and_duration():
     seq = sq.build_quadrupole_dd_sequence(n_echo=2, tau=1e-4, laser_phase=0.3)
     assert len(seq.elements) == 11
-    assert seq.n_echo == 2 and seq.tau == 1e-4
-    assert sum(e.tau for e in seq.elements if isinstance(e, sq.Wait)) == \
-        pytest.approx(4e-4, rel=1e-12)
+    waits = [e.tau for e in seq.elements if isinstance(e, sq.Wait)]
+    # n_echo is the RF pi count, tau the first wait's length
+    assert sum(isinstance(e, sq.RFPulse) for e in seq.elements) == 2
+    assert waits[0] == 1e-4
+    assert sum(waits) == pytest.approx(4e-4, rel=1e-12)
     assert isinstance(seq.elements[-1], sq.Measure)
 
 
@@ -58,7 +60,7 @@ def test_psi_i_preparation():
     seq = sq.PulseSequence(elements=(
         sq.OpticalPulse(target_m=-2.5, area=math.pi / 2, laser_phase=0.0),
         sq.OpticalPulse(target_m=-0.5, area=math.pi, laser_phase=0.0),
-        sq.Measure()), n_echo=0, tau=0.0)
+        sq.Measure()))
     psi = sq.run_sequence(sq.initial_state(), seq, MODEL)
     pops = np.abs(psi) ** 2
     assert pops[2] == pytest.approx(0.5, abs=1e-12)   # D:-5/2
@@ -71,7 +73,7 @@ def test_rf_pi_maps_psi_i_to_mirror_pair():
         sq.OpticalPulse(target_m=-2.5, area=math.pi / 2, laser_phase=0.0),
         sq.OpticalPulse(target_m=-0.5, area=math.pi, laser_phase=0.0),
         sq.RFPulse(area=math.pi, rf_phase=0.0),
-        sq.Measure()), n_echo=0, tau=0.0)
+        sq.Measure()))
     psi = sq.run_sequence(sq.initial_state(), seq, MODEL)
     pops = np.abs(psi) ** 2
     assert pops[7] == pytest.approx(0.5, abs=1e-12)   # D:+5/2
@@ -82,8 +84,7 @@ def test_rf_rabi_matches_wigner_law():
     # populations from the stretched state follow |d^{5/2}_{m,-5/2}|^2
     for area in np.linspace(0, 2 * math.pi, 40):
         seq = sq.PulseSequence(elements=(
-            sq.RFPulse(area=float(area), rf_phase=0.0), sq.Measure()),
-            n_echo=0, tau=0.0)
+            sq.RFPulse(area=float(area), rf_phase=0.0), sq.Measure()))
         psi = sq.run_sequence(sq.initial_state("D:-5/2"), seq, MODEL)
         pops = np.abs(psi[2:8]) ** 2
         d = wigner_d_matrix(2.5, float(area))
@@ -127,8 +128,7 @@ def _exact_phi_total(model, n_echo, tau, trajectory=None, rf_area_error=0.0):
                     elements=tuple(
                         replace(e, area=math.pi * (1 + rf_area_error))
                         if isinstance(e, sq.RFPulse) else e
-                        for e in seq.elements),
-                    n_echo=seq.n_echo, tau=seq.tau)
+                        for e in seq.elements))
             psi = sq.run_sequence(sq.initial_state(), seq, model, trajectory=trajectory)
             p = min(max(float(measure_population_D(psi)), 0.0), 1.0)
             pts.append(FringePoint(float(phi), 1000, 1000 * p))
@@ -171,7 +171,7 @@ def test_pulse_area_error_scales_quadratically():
 
 def test_run_sequence_requires_trailing_measure():
     from ddquad.errors import SimulationError
-    seq = sq.PulseSequence(elements=(sq.Wait(1e-4),), n_echo=0, tau=0.0)
+    seq = sq.PulseSequence(elements=(sq.Wait(1e-4),))
     with pytest.raises(SimulationError):
         sq.run_sequence(sq.initial_state(), seq, MODEL)
 
@@ -180,6 +180,12 @@ def wait_integrals(trajectory, t0, t1):
     """[Int offset dt, Int offset^2 dt] over [t0, t1], per row."""
     return np.stack([trajectory.integral(t0, t1),
                      trajectory.square_integral(t0, t1)], axis=-1)
+
+
+def one_wait(tau):
+    """The block of one wait of length ``tau``, which moves no level
+    (built directly, since ``_compile`` drops a wait of length 0)."""
+    return sq._block([0], [tau])
 
 
 def offset_rates(model):
@@ -207,13 +213,15 @@ def test_free_evolve_phase_integration_matches_brute_force():
     # piecewise-constant trajectory: compare against many short exact steps
     tr = am.NoiseTrajectory([0.0, 3e-5, 9e-5, 2e-4], [2e-7, -1e-7, 4e-8])
     state = (sq.initial_state("D:-5/2") + sq.initial_state("D:-1/2")) / math.sqrt(2)
-    direct = sq.free_evolve(state.copy(), 1.8e-4, MODEL,
-                            integrals=wait_integrals(tr, 1e-5, 1.9e-4))
+    direct = sq.free_evolve(
+        state.copy(), one_wait(1.8e-4), MODEL,
+        integrals=wait_integrals(tr, 1e-5, 1.9e-4)[..., None])
     stepped = state.copy()
     edges = np.linspace(1e-5, 1.9e-4, 3601)
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        stepped = sq.free_evolve(stepped, t1 - t0, MODEL,
-                                 integrals=wait_integrals(tr, t0, t1))
+        stepped = sq.free_evolve(
+            stepped, one_wait(t1 - t0), MODEL,
+            integrals=wait_integrals(tr, t0, t1)[..., None])
     assert np.max(np.abs(direct - stepped)) < 1e-10
 
 
@@ -228,8 +236,8 @@ def test_free_evolve_matches_level_frequencies():
         b = b0 + offset
         phase += -2 * math.pi * (lin * b + static + b2 * b * b) * dt
     state = np.full(8, 1 / math.sqrt(8), dtype=complex)
-    got = sq.free_evolve(state, 1.9e-4, MODEL,
-                         integrals=wait_integrals(tr, 1e-5, 2e-4))
+    got = sq.free_evolve(state, one_wait(1.9e-4), MODEL,
+                         integrals=wait_integrals(tr, 1e-5, 2e-4)[..., None])
     assert np.max(np.abs(got - state * np.exp(1j * phase))) < 1e-10
 
 
@@ -280,8 +288,8 @@ def test_unit_rates_rebuild_the_level_rates(model):
        st.integers(0, 2 ** 32 - 1))
 def test_three_phasors_match_the_per_level_formula(model, kind, n, max_phase,
                                                    tau, seed):
-    """``free_evolve``, the block kernel's one-wait case, against the
-    per-level cos/sin formula.  The kernel takes one cos/sin of the whole
+    """``free_evolve`` on a one-wait block against the per-level cos/sin
+    formula.  The kernel takes one cos/sin of the whole
     phase, field-free part included, so both sides round that phase."""
     rng = np.random.default_rng(seed)
     rows = () if kind == "single" else (n,)
@@ -293,7 +301,8 @@ def test_three_phasors_match_the_per_level_formula(model, kind, n, max_phase,
     lead = () if kind != "batch" else rows
     state = rng.normal(size=lead + (8,)) + 1j * rng.normal(size=lead + (8,))
     state /= np.linalg.norm(state, axis=-1, keepdims=True)
-    got = sq.free_evolve(state, tau, model, integrals=integrals)
+    got = sq.free_evolve(state, one_wait(tau), model,
+                         integrals=integrals[..., None])
     want = state * per_level_factors(tau, model, integrals)
     phase = np.max(np.abs(integrals @ offset_rates(model)), initial=0.0) \
         + tau * np.max(np.abs(sq._phase_rates(model)[:2].sum(axis=0)))
@@ -548,16 +557,11 @@ def test_run_sequence_rejects_mismatched_shapes(initial, values, tau, named):
 
 
 @pytest.mark.parametrize("call, named", [
-    (lambda: sq.free_evolve(np.ones((5, 8), complex), 1e-4, MODEL,
-                            integrals=np.zeros((3, 2))), [(5, 8), (3, 2)]),
-    (lambda: sq.free_evolve(np.ones((5, 6), complex), 1e-4, MODEL,
-                            integrals=np.zeros((5, 2))), [(5, 6)]),
     (lambda: sq.apply_rf_pulse(np.ones((5, 6), complex), sq.RFPulse(math.pi)),
      [(5, 6)]),
     (lambda: sq.apply_optical_pulse(np.ones((5, 6), complex),
                                     sq.OpticalPulse(-2.5, math.pi)), [(5, 6)]),
-], ids=["free_evolve_rows", "free_evolve_last_axis", "rf_pulse",
-        "optical_pulse"])
+], ids=["rf_pulse", "optical_pulse"])
 def test_steps_reject_mismatched_shapes(call, named):
     from ddquad.errors import SimulationError
     with pytest.raises(SimulationError) as info:
@@ -634,16 +638,22 @@ def test_one_segment_integrals_match_the_overlap(values, last):
     state that the overlap integrals of every wait leave (the
     multi-segment path, here given two equal segments): bit for bit
     without an offset, to the rounding of the summed phases otherwise,
-    whether the last edge is infinite or inside the sequence."""
-    seq = sq.build_quadrupole_dd_sequence(4, 1e-4, laser_phase=0.7)
+    whether the last edge is infinite or inside the sequence.  The
+    Ramsey sequence has one wait, so its integrals on two segments have
+    one column per row, as the offset and its square have."""
+    ramsey = sq.PulseSequence((
+        sq.OpticalPulse(-2.5, math.pi / 2), sq.Wait(1.2e-4),
+        sq.OpticalPulse(-2.5, math.pi / 2, 0.7), sq.Measure()))
     one = am.NoiseTrajectory([0.0, last], values)
     two = am.NoiseTrajectory([0.0, 7.5e-5, last],
                              np.repeat(values, 2, axis=-1))
-    got = sq.run_sequence(sq.initial_state(), seq, MODEL, one)
-    want = sq.run_sequence(sq.initial_state(), seq, MODEL, two)
-    assert got.shape == want.shape == values.shape[:-1] + (8,)
-    if not values.any():
-        assert np.array_equal(got, want)
-    else:
-        # each wait's offset phase is below 50 rad, its rounding ~1e-14
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    for seq in (sq.build_quadrupole_dd_sequence(4, 1e-4, laser_phase=0.7),
+                ramsey):
+        got = sq.run_sequence(sq.initial_state(), seq, MODEL, one)
+        want = sq.run_sequence(sq.initial_state(), seq, MODEL, two)
+        assert got.shape == want.shape == values.shape[:-1] + (8,)
+        if not values.any():
+            assert np.array_equal(got, want)
+        else:
+            # each wait's offset phase is below 50 rad, its rounding ~1e-14
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
