@@ -270,10 +270,10 @@ def free_evolve(state: np.ndarray, block: _Block, model: IonModel, *,
                    np.zeros((4, levels.shape[1])))
     phase = block.theta[live] + total[0] + total[1]
     if len(levels):
-        x, a = ((offset[..., None], total[2:, None]) if integrals is None
-                else (integrals[..., block.waits], rates[2:, levels]))
         for k in (0, 1):   # Int offset dt, then Int offset^2 dt
-            phase = phase + x[..., k, :] @ a[k]
+            phase = phase + (
+                offset[..., k, None] @ total[2 + k, None] if integrals is None
+                else integrals[..., k, block.waits] @ rates[2 + k, levels])
     f = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=f.real)
     np.sin(phase, out=f.imag)
