@@ -1,21 +1,26 @@
 """Stochastic detection: fringe scans and full measurement campaigns.
 
 Determinism contract: each fringe point draws from its own generator,
-seeded by ``SeedSequence([seed, *context, point_index])``; a campaign's
-context is ``(2 * cell_index + is_reference,)``, with cells numbered in
-plan order.  A point draws its noise trajectories first (one per shot, a
-vectorized array indexed by shot) and its detection draws second.  A
-scan draws its points' trajectories in point order and runs the sequence
-on each point's shots in one of two ways, chosen by the trajectories'
-segment count.  A time-varying trajectory (several segments) runs as
-soon as it is drawn, on its point's shots alone.  One-segment
-trajectories are concatenated, and the sequence runs once on every
-point's shots stacked.  Each point then makes its detection draw, in
-point order.  A scan without a wait (the tau = 0 reference) runs the
-sequence on one state, which no trajectory can change, but still draws
-each point's trajectories: they are drawn only so that the detection
-draws keep their stream positions.  Every executor step acts row by row,
-so results are bit-identical for a given (plan, model, noise, seed) on
+seeded by ``SeedSequence([seed, *context, point_index])``, given as one
+row of 32-bit words; a campaign's context is ``(2 * cell_index +
+is_reference,)``, with cells numbered in plan order.  A point draws its
+noise trajectories first (one per shot, a vectorized array indexed by
+shot) and its detection draws second: all its shots' uniforms in one
+call.  A scan draws its points' trajectories in point order and runs
+the sequence on each point's shots in one of two ways, chosen by the
+trajectories' segment count.  A time-varying trajectory (several
+segments) runs as soon as it is drawn, on its point's shots alone, up
+to its detection probabilities.  One-segment trajectories are
+concatenated, and the sequence runs once on every point's shots
+stacked.  A scan without a wait (the tau = 0 reference) runs the
+sequence on one noise-free row per point, which no trajectory can
+change, but still draws each point's trajectories: they are drawn only
+so that the detection draws keep their stream positions.  The closing
+pulses of the stacked rows are one rotation with a U^T per point.  Each
+point then makes its detection draw, in point order, into its row of
+one array, and one comparison gives the counts.  Every executor step
+acts row by row, and the stacked closing pulse point by point, so
+results are bit-identical for a given (plan, model, noise, seed) on
 either path.
 
 An exact-probability mode replaces sampled counts with real-valued
@@ -30,12 +35,13 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .atommodel import (IonModel, NoiseModel, NoiseTrajectory,
                         sample_noise_trajectory)
-from .sequence import (D_BLOCK, PulseSequence, apply_optical_pulse,
+from .sequence import (D_BLOCK, PulseSequence, _apply_pulse, _optical_op,
                        build_quadrupole_dd_sequence, initial_state,
                        run_sequence)
 
@@ -160,72 +166,72 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     sequence run, Bernoulli detection, counts aggregated per phase.
 
     Only the closing pi/2 pulse's laser phase differs between points, so
-    the sequence is built once and split before that pulse.  How the
-    shared prefix runs depends on each point's trajectory:
+    the sequence, split before that pulse, is built once per (n_echo,
+    tau), and the P closing pulses are one stacked (P, 2, 2) U^T.  How
+    the shared prefix runs depends on each point's trajectory:
 
     - several segments (a random walk): each point runs the prefix on its
-      own shots, as soon as its trajectory is drawn, and then its closing
-      pulse, so only one point's walk, wait integrals and state are held;
+      own shots as soon as its trajectory is drawn, then its own row of
+      the stacked closing pulse, and keeps only its detection
+      probabilities, so only one point's walk, wait integrals and state
+      are held;
     - one segment (no noise, a quasi-static offset, or a walk shorter
       than one step): the points' offsets are concatenated into one
-      trajectory, and the prefix runs once on every point's shots
-      stacked.
+      trajectory, and the prefix runs once on every point's shots,
+      stacked as a (P, shots, 8) array;
+    - exact mode, or a scan without a wait (tau = 0, the reference
+      fringe): no trajectory can act on the prefix, so it runs on one
+      noise-free row per point, a (P, 1, 8) array: each point's shots
+      share one detection probability.  Such a scan still draws every
+      point's trajectories, only to keep the detection draws in place.
 
-    Each point's closing pulse is then one ``apply_optical_pulse`` on
-    that point's own shots.  Points that ran stacked are then measured
-    together, in one call per scan: measuring each point on its own
-    costs a paper campaign about 4% more time.
-
-    Exact mode and a scan without a wait (tau = 0, the reference fringe)
-    run the prefix on one state, since no trajectory can act on it: each
-    point's shots share one detection probability.  Such a scan still
-    draws every point's trajectories, only to keep the detection draws in
-    place.
+    The stacked closing pulse then rotates the (P, rows, 8) array in one
+    call, and the detection probabilities follow in one more.  Each
+    point's uniforms, drawn from its own generator in point order, fill
+    its row of one (P, shots) array, and one comparison gives every
+    count.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
         raise ValueError("phi grid must be non-empty")
     if shots_per_point < 1:
         raise ValueError("shots_per_point must be >= 1")
-    duration = 2.0 * n_echo * tau
-    *shared, closing, measure = build_quadrupole_dd_sequence(
-        n_echo, tau).elements
-    prefix = PulseSequence(tuple(shared) + (measure,))
-    closings = [replace(closing, laser_phase=phi + extra_phase)
-                for phi in phi_grid]
+    phases = phi_grid + extra_phase
+    if not np.isfinite(phases).all():
+        raise ValueError("laser phase must be finite")
+    prefix, closing = _scan_sequence(n_echo, tau)
+    columns, u_t = _optical_op(closing, phases)
     init = initial_state("S:-1/2")
     rngs = [] if exact else [
-        np.random.default_rng(np.random.SeedSequence(
-            _entropy(rng_seed, seed_context, point_idx)))
-        for point_idx in range(phi_grid.size)]
+        np.random.default_rng(np.random.SeedSequence(words)) for words in
+        _entropy(rng_seed, seed_context, np.arange(phi_grid.size))]
     p, offsets = [], []
-    for rng, pulse in zip(rngs, closings):
-        trajectory = sample_noise_trajectory(noise, duration, rng,
+    for rng, u_point in zip(rngs, u_t):
+        trajectory = sample_noise_trajectory(noise, 2.0 * n_echo * tau, rng,
                                              n_shots=shots_per_point)
         if tau == 0:
             continue   # drawn only to keep the detection draws in place
         if trajectory.values.shape[-1] == 1:
             offsets.append(trajectory.values)
         else:
-            p.append(_probabilities(apply_optical_pulse(
-                run_sequence(init, prefix, model, trajectory), pulse),
-                detection))
+            p.append(_probabilities(_apply_pulse(
+                run_sequence(init, prefix, model, trajectory), columns,
+                u_point), detection))
         del trajectory   # not held while the next point's is drawn
-    if not p:   # no point ran on its own: stacked rows, or one state
-        if offsets:
-            states = run_sequence(init, prefix, model, NoiseTrajectory(
-                [0.0, np.inf], np.concatenate(offsets))).reshape(
-                    phi_grid.size, shots_per_point, 8)
-        else:   # exact mode, or no wait: one state serves every shot
-            states = [run_sequence(init, prefix, model)] * phi_grid.size
-        p = _probabilities(np.stack([
-            apply_optical_pulse(state, pulse)
-            for state, pulse in zip(states, closings)]), detection)
+    if not p:   # stacked rows, or one noise-free row per point
+        states = run_sequence(init, prefix, model, NoiseTrajectory(
+            [0.0, np.inf], np.concatenate(offsets) if offsets
+            else np.zeros((phi_grid.size, 1))))
+        p = _probabilities(_apply_pulse(states.reshape(
+            phi_grid.size, -1, 8), columns, u_t), detection)
     if exact:
-        counts = [float(shots_per_point * p_point) for p_point in p]
+        counts = (shots_per_point * p[:, 0]).tolist()
     else:
-        counts = [int(np.sum(rng.random(shots_per_point) < p_point))
-                  for rng, p_point in zip(rngs, p)]
+        uniforms = np.empty((phi_grid.size, shots_per_point))
+        for rng, row in zip(rngs, uniforms):
+            rng.random(out=row)
+        counts = np.count_nonzero(
+            uniforms < np.reshape(p, (phi_grid.size, -1)), axis=1).tolist()
     points = tuple(FringePoint(phi_laser=float(phi), n_shots=shots_per_point,
                                k_D=k) for phi, k in zip(phi_grid, counts))
     return FringeDataset(points, context={
@@ -235,17 +241,27 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     })
 
 
+@lru_cache(maxsize=16)
+def _scan_sequence(n_echo: int, tau: float) -> tuple:
+    """A scan's shared prefix, ending in Measure, and its closing pi/2
+    pulse, built once per (n_echo, tau)."""
+    *shared, closing, measure = build_quadrupole_dd_sequence(
+        n_echo, tau).elements
+    return PulseSequence(tuple(shared) + (measure,)), closing
+
+
 def _probabilities(states: np.ndarray, detection) -> np.ndarray:
     """Detection probability of states after their closing pulses."""
     return np.clip(measure_population_D(states, detection), 0.0, 1.0)
 
 
 def _entropy(seed, context, point_idx):
-    """Flat non-negative entropy words for SeedSequence."""
-    words = [int(seed) & 0xFFFFFFFF]
-    for c in context:
-        words.append(int(c) & 0xFFFFFFFF)
-    words.append(int(point_idx) & 0xFFFFFFFF)
+    """Non-negative 32-bit entropy words for SeedSequence, [seed,
+    *context, point], one row per entry of ``point_idx``."""
+    idx = np.asarray(point_idx)
+    words = np.empty(idx.shape + (len(context) + 2,), dtype=np.uint32)
+    words[...] = [int(w) & 0xFFFFFFFF for w in (seed, *context, 0)]
+    words[..., -1] = idx & 0xFFFFFFFF
     return words
 
 
@@ -351,8 +367,19 @@ def campaign_from_csv(text: str) -> CampaignDataset:
         pt = FringePoint(phi_laser=_parse(row, "phi_laser", line),
                          n_shots=_parse(row, "n_shots", line, int),
                          k_D=_parse(row, "k_D", line, _count))
-        flag = _parse(row, "is_reference", line, _flag)
-        groups.setdefault(key, ([], []))[flag].append(pt)
+        if pt.n_shots < 1:
+            raise ValueError(f"line {line}, n_shots: must be >= 1, got "
+                             f"{row['n_shots']!r}")
+        if not 0 <= pt.k_D <= pt.n_shots:
+            raise ValueError(f"line {line}, k_D: must lie in [0, n_shots] = "
+                             f"[0, {pt.n_shots}], got {row['k_D']!r}")
+        fringe = groups.setdefault(key, ({}, {}))[
+            _parse(row, "is_reference", line, _flag)]
+        if pt.phi_laser in fringe:
+            raise ValueError(f"lines {fringe[pt.phi_laser][0]} and {line}, "
+                             f"phi_laser: {row['phi_laser']!r} repeats "
+                             "within one fringe")
+        fringe[pt.phi_laser] = (line, pt)
     if not groups:
         raise ValueError("no data rows")
     cells = []
@@ -371,8 +398,9 @@ def campaign_from_csv(text: str) -> CampaignDataset:
     return CampaignDataset(tuple(cells))
 
 
-def _by_phase(points: list) -> tuple:
-    return tuple(sorted(points, key=lambda pt: pt.phi_laser))
+def _by_phase(fringe: dict) -> tuple:
+    """A fringe's points, keyed by laser phase, in phase order."""
+    return tuple(pt for _, (_, pt) in sorted(fringe.items()))
 
 
 def _parse(row: dict, name: str, line: int, parse=float):

@@ -43,8 +43,11 @@ return, when no wait makes the rows differ).  Called on their own,
 before the closing pi/2 pulse either once, on the rows of every scan
 point stacked into one one-segment trajectory, or once per point on a
 time-varying trajectory (see ``sampler.run_fringe_scan``).  The closing
-pulses differ only in laser phase; each point's is one
-``apply_optical_pulse`` on that point's rows.
+pulses differ only in laser phase: ``_optical_op`` builds their U^T,
+shape (P, 2, 2), by the one formula ``_pulse_op`` uses for a single
+optical pulse, and ``_apply_pulse`` rotates a (P, rows, 8) state with
+it in one call, each point's rows by its own U^T.  A time-varying point
+takes its own row of that stack.
 """
 
 from __future__ import annotations
@@ -209,21 +212,31 @@ def _pulse_op(pulse) -> tuple:
         u = np.diag(-1j * np.exp(1j * pulse.rf_phase) ** (2 * D_M))[::-1]
         u.setflags(write=False)
         return D_BLOCK, u.T
+    return _optical_op(pulse, pulse.laser_phase)
+
+
+def _optical_op(pulse: OpticalPulse, laser_phase) -> tuple:
+    """(columns, U^T) of the optical pulse at each of the laser phases
+    given in place of its own: U^T has shape np.shape(laser_phase) +
+    (2, 2), so a fringe scan's closing pulses are one stacked rotation.
+    U^T is read-only: ``_pulse_op`` caches it."""
     half = pulse.area / 2.0
     c, s = (0.0, 1.0) if pulse.area == math.pi else (math.cos(half),
                                                        math.sin(half))
-    ph = pulse.laser_phase
-    u = np.array([
-        [c, -1j * s * np.exp(-1j * ph)],
-        [-1j * s * np.exp(1j * ph), c],
-    ])
-    u.setflags(write=False)
+    ph = np.asarray(laser_phase, dtype=float)
+    u_t = np.empty(ph.shape + (2, 2), dtype=complex)
+    u_t[..., 0, 0] = u_t[..., 1, 1] = c
+    u_t[..., 0, 1] = -1j * s * np.exp(1j * ph)    # U[1, 0]
+    u_t[..., 1, 0] = -1j * s * np.exp(-1j * ph)   # U[0, 1]
+    u_t.setflags(write=False)
     d = D_INDEX[pulse.target_m]
     # the columns {S:-1/2, D:m} as a basic slice, so no fancy-index copy
-    return slice(S_MINUS_HALF, d + 1, d - S_MINUS_HALF), u.T
+    return slice(S_MINUS_HALF, d + 1, d - S_MINUS_HALF), u_t
 
 
 def _apply_pulse(state: np.ndarray, columns, u_t: np.ndarray) -> np.ndarray:
+    """Rotate ``state[..., columns]`` in place; a stacked U^T of shape
+    (P, 2, 2) rotates a (P, rows, 8) state, one U^T per leading index."""
     state[..., columns] = state[..., columns] @ u_t
     return state
 

@@ -224,6 +224,44 @@ def test_fit_csv_zero_shot_row_exits_2(runner, tmp_path):
     err = one_json_error(res)
     assert err["error_type"] == "ConfigError"
     assert "n_shots" in err["message"]
+    assert "line 2" in err["message"]
+
+
+@pytest.mark.parametrize("counts, message", [
+    ("300,400", "line 2, k_D: "),       # more detections than shots
+    ("100,-1", "line 2, k_D: "),
+    ("100,100.5", "line 2, k_D: "),
+    ("-3,0", "line 2, n_shots: "),
+], ids=["k_above_n", "k_negative", "k_real_above_n", "n_negative"])
+def test_fit_csv_count_out_of_range_names_line_and_column(runner, tmp_path,
+                                                          counts, message):
+    # FringeDataset rejected these without naming the row
+    lines = small_campaign_csv().splitlines()
+    lines[1] = lines[1].removesuffix("100,20,0") + counts + ",0"
+    data = tmp_path / "campaign.csv"
+    data.write_text("\n".join(lines) + "\n")
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert message in err["message"]
+
+
+def test_fit_csv_repeated_phase_names_both_lines(runner, tmp_path):
+    # a phase repeated within one fringe gave "phi_laser grid must be
+    # strictly increasing" with no line; the same phase in the other
+    # fringe of the cell is fine
+    lines = small_campaign_csv().splitlines()
+    lines[3] = lines[3].replace(",4.0,", ",0.0,")
+    data = tmp_path / "campaign.csv"
+    data.write_text("\n".join(lines) + "\n")
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert "lines 2 and 4, phi_laser: " in err["message"]
 
 
 def test_fit_missing_data_exits_2(runner, tmp_path):

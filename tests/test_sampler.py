@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.stats import chi2
 
 from ddquad import atommodel as am
 from ddquad import sampler as sp
-from ddquad.sequence import build_quadrupole_dd_sequence, initial_state, \
-    run_sequence
+from ddquad.sequence import PulseSequence, apply_optical_pulse, \
+    build_quadrupole_dd_sequence, initial_state, run_sequence
 
 
 MODEL = am.IonModel()
@@ -224,6 +225,16 @@ DETECTIONS = st.one_of(st.none(), st.builds(sp.DetectionModel,
          n_phases=8, phase_shift=0.1, shots=64, seed=20160401,
          detection=sp.DetectionModel(eps_bright=0.02, eps_dark=0.05),
          exact=False, extra_phase=0.3, context=[3])
+# one phase of one shot: a one-row trajectory drives a single state
+@example(n_echo=8, tau=1.25e-4, noise=NOISE, n_phases=1, phase_shift=0.1,
+         shots=1, seed=20160401, detection=None, exact=False,
+         extra_phase=0.3, context=[3])
+# a one-shot random walk: each point's single state gives one p
+@example(n_echo=2, tau=3e-5,
+         noise=am.NoiseModel(kind="random_walk", drift_rate_sigma=0.0,
+                             step_dt=2e-5),
+         n_phases=3, phase_shift=0.0, shots=1, seed=0, detection=None,
+         exact=False, extra_phase=0.0, context=[])
 # exact mode: one noise-free state, each point's n * p through the
 # detection errors
 @example(n_echo=8, tau=1.25e-4, noise=NOISE, n_phases=8, phase_shift=0.1,
@@ -261,6 +272,57 @@ def test_random_walk_scan_holds_one_point_at_a_time():
             tracemalloc.stop()
 
     assert peak(8) <= 1.25 * peak(2)
+
+
+# -- expected counts: shots are i.i.d., so a point's count is
+# Binomial(N, p-bar), with p-bar a shot's detection probability averaged
+# over its noise
+
+# a second-order Zeeman coefficient about a million times the real one:
+# the m^2 phase that the echo keeps then turns a quasi-static offset of
+# 1e-7 T into about 1.1 rad rms over 1 ms, a contrast of about a half
+C2_MODEL = replace(MODEL, species=replace(MODEL.species, c2_quad_zeeman=3e12))
+
+
+def expected_probabilities(model, sigma_b, n_echo, tau, phases, detection):
+    """p-bar at each laser phase, by 40-node Gauss-Hermite quadrature over
+    the offset N(0, sigma_b^2): the nodes are the rows of one one-segment
+    trajectory, run through the scan's prefix by ``run_sequence`` and
+    closed by one ``apply_optical_pulse`` per phase."""
+    x, w = np.polynomial.hermite.hermgauss(40)
+    *shared, closing, measure = build_quadrupole_dd_sequence(
+        n_echo, tau).elements
+    states = run_sequence(initial_state(), PulseSequence(
+        tuple(shared) + (measure,)), model, am.NoiseTrajectory(
+            [0.0, np.inf], math.sqrt(2.0) * sigma_b * x[:, None]))
+    p = np.array([sp.measure_population_D(apply_optical_pulse(
+        states, replace(closing, laser_phase=phi)), detection)
+        for phi in phases])
+    return p @ w / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("detection", [
+    None, sp.DetectionModel(eps_bright=0.02, eps_dark=0.05)],
+    ids=["ideal", "detection_errors"])
+def test_quasi_static_counts_match_the_expected_binomial(detection):
+    n_echo, tau, sigma_b, shots, seeds = 8, 6.25e-5, 1e-7, 100, 150
+    phases = sp.default_phi_grid(8) + 0.3
+    p_bar = expected_probabilities(C2_MODEL, sigma_b, n_echo, tau, phases,
+                                   detection)
+    # the noise leaves a contrast the counts can tell from 0 and from 1
+    p_free = expected_probabilities(C2_MODEL, 0.0, n_echo, tau, phases,
+                                    detection)
+    ramsey = np.exp(-1j * phases)
+    contrast = abs(p_bar @ ramsey) / abs(p_free @ ramsey)
+    assert 0.2 <= contrast <= 0.9
+    noise = am.NoiseModel(kind="quasi_static", sigma_B=sigma_b)
+    k = sum(np.array([pt.k_D for pt in sp.run_fringe_scan(
+        n_echo, tau, C2_MODEL, noise, phases, shots, seed,
+        detection=detection).points]) for seed in range(seeds))
+    n = shots * seeds
+    z = (k - n * p_bar) / np.sqrt(n * p_bar * (1.0 - p_bar))
+    assert np.all(np.abs(z) < 4.0), z
+    assert np.sum(z ** 2) < chi2.ppf(0.999, len(z)), z
 
 
 def test_per_angle_offsets_shift_signal_only():

@@ -538,6 +538,30 @@ def test_pi_pulses_are_closed_form(phase):
             assert [type(s) for s in steps] == [tuple]
 
 
+@given(st.sampled_from(am.D_M_VALUES),
+       st.one_of(st.sampled_from([math.pi, math.pi / 2]),
+                 st.floats(0.0, 4 * math.pi)),
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8),
+       st.sampled_from([None, 1, 2, 5]), st.integers(0, 2 ** 32 - 1))
+def test_stacked_optical_rotation_matches_each_pulse(target, area, phases,
+                                                     rows, seed):
+    """``_optical_op``'s stacked U^T, applied through ``_apply_pulse``,
+    rotates each phase's rows as ``apply_optical_pulse`` with that laser
+    phase does, bit for bit: on a (P, rows, 8) batch with one U^T per
+    phase, and (rows None) on a single state with the first phase's."""
+    rng = np.random.default_rng(seed)
+    shape = (8,) if rows is None else (len(phases), rows, 8)
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pulse = sq.OpticalPulse(target, area)
+    if rows is None:
+        phases = phases[0]
+    got = sq._apply_pulse(state.copy(), *sq._optical_op(pulse, phases))
+    want = [sq.apply_optical_pulse(s, replace(pulse, laser_phase=phi))
+            for s, phi in zip(state.reshape(-1, *shape[-2:]),
+                              np.atleast_1d(phases))]
+    assert got.tobytes() == np.array(want).reshape(shape).tobytes()
+
+
 @pytest.mark.parametrize("initial, values, tau, named", [
     # last axis not 8
     (np.ones((4, 6)), np.zeros((4, 1)), 1e-4, [(4, 6)]),
