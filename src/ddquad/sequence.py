@@ -195,8 +195,9 @@ def _phase_rates(model: IonModel) -> np.ndarray:
     return rates
 
 
-# a sequence's laser phase is new on most scan points, so only the
-# repeated pulses are worth keeping
+# a sequence built per laser phase brings a new closing pulse each
+# time, so only the repeated pulses are worth keeping (a fringe scan's
+# closing pulses bypass the cache through ``_optical_op``)
 @lru_cache(maxsize=128)
 def _pulse_op(pulse) -> tuple:
     """(columns, U^T) of a pulse: it maps state[..., columns] to
