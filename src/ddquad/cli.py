@@ -302,7 +302,8 @@ def _figure_tables(out_dir: Path, cell_phases, model, meta: dict):
                                      for c in recs])
             freq_rows.append([repr(beta), repr(grad), repr(fit["slope_hz"]),
                               repr(fit["slope_hz_sigma"]),
-                              repr(fit["fit"].reduced_chi2)])
+                              repr(fit["chi2"] / fit["ndof"] if fit["ndof"]
+                                   else math.nan)])
         r = recs[-1]    # the longest precession time
         # the scenario's own prediction: its Theta and beta0, no offsets
         rate = arm_phase_rate(replace(model.trap, dEz_dz=grad), model.theta,

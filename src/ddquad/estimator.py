@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import attrgetter
 
@@ -62,20 +62,6 @@ class FringeFit:
     ci95_phase_clamped: tuple = ()   # "lower"/"upper": left at phase -+ pi
     iterations: int = field(compare=False, default=0)   # Newton iterations
     stop: str = field(compare=False, default="")   # why Newton stopped
-
-
-@dataclass(frozen=True)
-class LinearFit:
-    slope: float
-    intercept: float
-    slope_sigma: float
-    intercept_sigma: float
-    chi2: float
-    ndof: int
-
-    @property
-    def reduced_chi2(self) -> float:
-        return self.chi2 / self.ndof if self.ndof > 0 else float("nan")
 
 
 @dataclass(frozen=True)
@@ -270,8 +256,10 @@ def phase_difference(signal: FringeFit, reference: FringeFit) -> float:
     return wrap_phase(reference.phase - signal.phase)
 
 
-def weighted_linear_fit(x, y, sigma) -> LinearFit:
-    """Weighted least squares y = slope*x + intercept."""
+def weighted_linear_fit(x, y, sigma) -> dict:
+    """Weighted least squares y = slope*x + intercept.  Returns "slope",
+    "intercept", their sigmas "slope_sigma" and "intercept_sigma", and
+    "chi2" with "ndof" degrees of freedom."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -288,27 +276,26 @@ def weighted_linear_fit(x, y, sigma) -> LinearFit:
     slope, intercept = cov @ b
     resid = y - (slope * x + intercept)
     chi2 = float(np.sum(w * resid ** 2))
-    return LinearFit(slope=float(slope), intercept=float(intercept),
-                     slope_sigma=math.sqrt(cov[0, 0]),
-                     intercept_sigma=math.sqrt(cov[1, 1]),
-                     chi2=chi2, ndof=len(x) - 2)
+    return {"slope": float(slope), "intercept": float(intercept),
+            "slope_sigma": math.sqrt(cov[0, 0]),
+            "intercept_sigma": math.sqrt(cov[1, 1]),
+            "chi2": chi2, "ndof": len(x) - 2}
 
 
 def fit_phase_vs_time(points) -> dict:
     """Weighted linear fit of unwrapped phase vs total time.  ``points``:
-    sequence of (tau_total, phase, phase_sigma).  Returns the ``LinearFit``
-    fields (slope in rad/s), the slope in Hz, and the fit under "fit"."""
+    sequence of (tau_total, phase, phase_sigma).  Returns the
+    ``weighted_linear_fit`` keys (slope in rad/s) and the slope in Hz."""
     fit = weighted_linear_fit(*zip(*points))
-    return {**asdict(fit), "fit": fit, "slope_hz": fit.slope / (2.0 * math.pi),
-            "slope_hz_sigma": fit.slope_sigma / (2.0 * math.pi)}
+    return {**fit, "slope_hz": fit["slope"] / (2.0 * math.pi),
+            "slope_hz_sigma": fit["slope_sigma"] / (2.0 * math.pi)}
 
 
 def fit_frequency_vs_gradient(points) -> dict:
     """Weighted linear fit of frequency shift vs field gradient.  ``points``:
-    sequence of (dEz_dz, frequency_hz, sigma_hz).  Returns the ``LinearFit``
-    fields and the fit under "fit"; the intercept diagnoses stray gradients."""
-    fit = weighted_linear_fit(*zip(*points))
-    return {**asdict(fit), "fit": fit}
+    sequence of (dEz_dz, frequency_hz, sigma_hz).  Returns the
+    ``weighted_linear_fit`` keys; the intercept diagnoses stray gradients."""
+    return weighted_linear_fit(*zip(*points))
 
 
 def unwrap_by_continuity(x, phases, anchor: float = 0.0):
@@ -661,7 +648,7 @@ def two_stage_theta(cell_phases, alpha_trap: float = math.pi / 4) -> dict:
     except NonIdentifiableError:
         sigma_theta = float("nan")
     return {"theta": (a + b) / 2.0, "beta0": beta0, "theta_sigma": sigma_theta,
-            "frequency_by_angle": freq_points, "slopes": slopes}
+            "slopes": slopes}
 
 
 def bootstrap_ci(campaign: CampaignDataset, n_resamples: int, seed: int,
@@ -712,14 +699,13 @@ def _resample_campaign(campaign: CampaignDataset,
     counts = iter([next(draws) if d else p.k_D for p, d in zip(points, drawn)])
 
     def refill(fr: FringeDataset) -> FringeDataset:
-        return FringeDataset(tuple(replace(p, k_D=next(counts))
-                                   for p in fr.points), context=dict(fr.context))
+        return replace(fr, points=tuple(replace(p, k_D=next(counts))
+                                        for p in fr.points))
 
-    cells = tuple(replace(c, fringe=refill(c.fringe),
-                           reference_fringe=refill(c.reference_fringe))
-                  for c in campaign.cells)
-    return CampaignDataset(cells, plan_snapshot=campaign.plan_snapshot,
-                           model_snapshot=campaign.model_snapshot)
+    return replace(campaign, cells=tuple(
+        replace(c, fringe=refill(c.fringe),
+                reference_fringe=refill(c.reference_fringe))
+        for c in campaign.cells))
 
 
 def theta_comparison_report(result: JointFitResult, references) -> list:

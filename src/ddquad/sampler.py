@@ -234,11 +234,7 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
             uniforms < np.reshape(p, (phi_grid.size, -1)), axis=1).tolist()
     points = tuple(FringePoint(phi_laser=float(phi), n_shots=shots_per_point,
                                k_D=k) for phi, k in zip(phi_grid, counts))
-    return FringeDataset(points, context={
-        "n_echo": n_echo, "tau": tau, "exact": exact,
-        "beta": model.field_cfg.beta, "dEz_dz": model.trap.dEz_dz,
-        "B": model.field_cfg.B,
-    })
+    return FringeDataset(points, context={"n_echo": n_echo, "exact": exact})
 
 
 @lru_cache(maxsize=16)
@@ -388,13 +384,11 @@ def campaign_from_csv(text: str) -> CampaignDataset:
             raise ValueError(
                 f"cell (beta={beta}, dEz_dz={grad}, tau_total={tau_total}) "
                 "is missing its signal or reference fringe")
-        tau = tau_total / (2.0 * n_echo) if n_echo else 0.0
-        ctx = {"n_echo": n_echo, "tau": tau}
+        ctx = {"n_echo": n_echo}
         cells.append(CampaignCell(
             beta_nominal=beta, dEz_dz=grad, tau_total=tau_total,
-            fringe=FringeDataset(_by_phase(sig), context=dict(ctx)),
-            reference_fringe=FringeDataset(_by_phase(ref),
-                                           context=dict(ctx, tau=0.0))))
+            fringe=FringeDataset(_by_phase(sig), context=ctx),
+            reference_fringe=FringeDataset(_by_phase(ref), context=ctx)))
     return CampaignDataset(tuple(cells))
 
 

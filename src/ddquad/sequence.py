@@ -195,10 +195,6 @@ def _phase_rates(model: IonModel) -> np.ndarray:
     return rates
 
 
-# a sequence built per laser phase brings a new closing pulse each
-# time, so only the repeated pulses are worth keeping (a fringe scan's
-# closing pulses bypass the cache through ``_optical_op``)
-@lru_cache(maxsize=128)
 def _pulse_op(pulse) -> tuple:
     """(columns, U^T) of a pulse: it maps state[..., columns] to
     state[..., columns] @ U^T and leaves the other amplitudes alone.  A
@@ -220,7 +216,7 @@ def _optical_op(pulse: OpticalPulse, laser_phase) -> tuple:
     """(columns, U^T) of the optical pulse at each of the laser phases
     given in place of its own: U^T has shape np.shape(laser_phase) +
     (2, 2), so a fringe scan's closing pulses are one stacked rotation.
-    U^T is read-only: ``_pulse_op`` caches it."""
+    U^T is read-only: ``_compile`` caches it."""
     half = pulse.area / 2.0
     c, s = (0.0, 1.0) if pulse.area == math.pi else (math.cos(half),
                                                        math.sin(half))

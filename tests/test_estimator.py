@@ -108,9 +108,9 @@ def test_weighted_linear_fit():
     x = [0.0, 1.0, 2.0, 3.0]
     y = [1.0, 3.0, 5.0, 7.0]
     fit = est.weighted_linear_fit(x, y, [0.1] * 4)
-    assert fit.slope == pytest.approx(2.0, abs=1e-12)
-    assert fit.intercept == pytest.approx(1.0, abs=1e-12)
-    assert fit.chi2 == pytest.approx(0.0, abs=1e-18)
+    assert fit["slope"] == pytest.approx(2.0, abs=1e-12)
+    assert fit["intercept"] == pytest.approx(1.0, abs=1e-12)
+    assert fit["chi2"] == pytest.approx(0.0, abs=1e-18)
     with pytest.raises(DegenerateDataError):
         est.weighted_linear_fit([1.0, 1.0], [0.0, 1.0], [0.1, 0.1])
 

@@ -99,8 +99,11 @@ def test_campaign_shapes_and_context():
     cell = camp.cells[0]
     assert len(cell.fringe.points) == 6
     assert cell.fringe.context["n_echo"] == 4
-    # reference fringe runs at tau = 0
-    assert cell.reference_fringe.context["tau"] == 0.0
+    # reference fringe runs at tau = 0: the first cell, plan index 0, on
+    # seed substream 2 * 0 + 1
+    assert cell.reference_fringe == sp.run_fringe_scan(
+        4, 0.0, sp._cell_model(MODEL, 0.0, 1e8), NONE,
+        sp.default_phi_grid(6), 50, 9, seed_context=(1,))
     assert camp.plan_snapshot["seed"] == 9
     assert camp.model_snapshot["theta"] == MODEL.theta
 
