@@ -346,10 +346,14 @@ def campaign_from_csv(text: str) -> CampaignDataset:
     come in any order: each fringe's points are sorted by laser phase,
     and the dataset sorts the cells."""
     reader = csv.DictReader(io.StringIO(text))
-    missing = [name for name in CSV_COLUMNS
-               if name not in (reader.fieldnames or ())]
+    header = reader.fieldnames or []
+    missing = [name for name in CSV_COLUMNS if name not in header]
     if missing:
         raise ValueError(f"header lacks column(s) {', '.join(missing)}")
+    # DictReader would keep a repeated column's last field
+    repeated = [name for name in CSV_COLUMNS if header.count(name) > 1]
+    if repeated:
+        raise ValueError(f"header repeats column(s) {', '.join(repeated)}")
     groups: dict = {}
     for row in reader:
         line = reader.line_num
@@ -360,6 +364,9 @@ def campaign_from_csv(text: str) -> CampaignDataset:
         key = tuple(_parse(row, name, line)
                     for name in ("beta_nominal", "dEz_dz", "tau_total")
                     ) + (_parse(row, "n_echo", line, int),)
+        if key[2] < 0:
+            raise ValueError(f"line {line}, tau_total: must be >= 0, got "
+                             f"{row['tau_total']!r}")
         pt = FringePoint(phi_laser=_parse(row, "phi_laser", line),
                          n_shots=_parse(row, "n_shots", line, int),
                          k_D=_parse(row, "k_D", line, _count))

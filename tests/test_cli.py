@@ -264,6 +264,156 @@ def test_fit_csv_repeated_phase_names_both_lines(runner, tmp_path):
     assert "lines 2 and 4, phi_laser: " in err["message"]
 
 
+def test_fit_csv_repeated_column_exits_2(runner, tmp_path):
+    # csv.DictReader kept the last k_D field, here another row's counts,
+    # and the fit went on to whatever those gave
+    lines = small_campaign_csv().splitlines()
+    counts = [line.rsplit(",", 2)[1] for line in lines[1:]]
+    lines = [lines[0] + ",k_D"] + [line + "," + k for line, k
+                                   in zip(lines[1:], counts[3:] + counts[:3])]
+    data = tmp_path / "campaign.csv"
+    data.write_text("\n".join(lines) + "\n")
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert "header repeats column(s) k_D" in err["message"]
+
+
+def test_fit_csv_negative_tau_total_exits_2(runner, tmp_path):
+    # a negated tau_total was fitted as one more precession time
+    data = tmp_path / "campaign.csv"
+    data.write_text(small_campaign_csv("tau_total", poison="-1e-3"))
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert "line 9, tau_total: must be >= 0, got '-1e-3'" in err["message"]
+
+
+@pytest.fixture(scope="module")
+def campaign_table(tmp_path_factory):
+    """A small seeded campaign.csv, as (header, rows) of split fields, and
+    the fit.json lines ``fit --data`` gives for it, but its input hash."""
+    work = tmp_path_factory.mktemp("mutations")
+    res = CliRunner().invoke(main, [
+        "run-campaign", "--out", str(work / "run"), "--seed", "3",
+        "--set", "plan.beta_list=0.0,0.8",
+        "--set", "plan.gradient_list=0.2e8,0.4e8",
+        "--set", "plan.tau_total_list=0.5e-3,1e-3",
+        "--set", "plan.n_phases=6", "--set", "plan.shots_per_point=60"])
+    assert res.exit_code == 0, res.output
+    header, *rows = (work / "run" / "campaign.csv").read_text().splitlines()
+    res, fit = _fit_text(work, (work / "run" / "campaign.csv").read_bytes())
+    assert res.exit_code == 0, res.output
+    return header.split(","), [row.split(",") for row in rows], fit
+
+
+def _fit_text(work, data: bytes):
+    """``fit --data`` of ``data``: the result and fit.json's lines, but the
+    one with the input's hash (None when the fit wrote no fit.json)."""
+    (work / "data.csv").write_bytes(data)
+    res = CliRunner().invoke(main, ["fit", "--data", str(work / "data.csv"),
+                                    "--out", str(work / "fit")])
+    fit = work / "fit" / "fit.json"
+    return res, None if not fit.exists() else [
+        line for line in fit.read_text().splitlines()
+        if '"dataset_sha256"' not in line]
+
+
+# mutations that leave the campaign's meaning alone
+SAME_DATA = {"reorder_rows", "reorder_columns", "extra_column", "crlf"}
+
+
+@given(data=st.data())
+def test_fit_csv_mutations_exit_cleanly(campaign_table, tmp_path_factory,
+                                        data):
+    """Whatever the mutations of campaign.csv, ``fit --data`` exits 0, 2 or
+    4 with no traceback, an exit 2 names a line or a column, and a
+    mutation that keeps the data's meaning keeps fit.json."""
+    header, rows, want = campaign_table
+    header, rows = list(header), [list(row) for row in rows]
+
+    def col(name):     # the first column of that name
+        return header.index(name)
+
+    def cell(row):
+        return [row[col(name)] for name in CSV_COLUMNS[:4]]
+
+    kinds = data.draw(st.permutations(
+        data.draw(st.lists(st.sampled_from(sorted(SAME_DATA)), unique=True))
+        + data.draw(st.lists(st.sampled_from([
+            "drop_rows", "duplicate_row", "bad_field", "bad_count",
+            "repeat_phase", "drop_reference", "repeat_column",
+            "negative_tau"]), max_size=2))))
+    for kind in kinds:
+        n = len(rows)
+
+        def pick():
+            return data.draw(st.integers(0, n - 1))
+
+        if kind == "reorder_rows":
+            rows = data.draw(st.permutations(rows))
+        elif kind == "drop_rows":
+            for _ in range(data.draw(st.integers(1, min(3, n - 1)))):
+                del rows[data.draw(st.integers(0, len(rows) - 1))]
+        elif kind == "duplicate_row":
+            rows.insert(pick(), list(rows[pick()]))
+        elif kind == "bad_field":
+            rows[pick()][data.draw(st.integers(0, len(header) - 1))] = \
+                data.draw(st.sampled_from(["", "nan", "inf", "-inf"]))
+        elif kind == "bad_count":
+            row = rows[pick()]
+            name, value = data.draw(st.sampled_from([
+                ("k_D", "-1"), ("k_D", f"{row[col('n_shots')]}1"),
+                ("n_shots", "0")]))
+            row[col(name)] = value
+        elif kind == "repeat_phase":
+            i, j = pick(), pick()
+            rows[i][col("phi_laser")] = rows[j][col("phi_laser")]
+        elif kind == "drop_reference":
+            key = cell(rows[pick()])
+            rows = [row for row in rows if cell(row) != key
+                    or row[col("is_reference")] != "1"] or rows
+        elif kind == "reorder_columns":
+            order = data.draw(st.permutations(range(len(header))))
+            header = [header[i] for i in order]
+            rows = [[row[i] for i in order] for row in rows]
+        elif kind == "extra_column":
+            at = data.draw(st.integers(0, len(header)))
+            header.insert(at, "note")
+            for row in rows:
+                row.insert(at, "x")
+        elif kind == "repeat_column":
+            name = data.draw(st.sampled_from(CSV_COLUMNS))
+            shift = data.draw(st.integers(0, n - 1))
+            values = [row[col(name)] for row in rows]
+            header.append(name)
+            for row, value in zip(rows, values[shift:] + values[:shift]):
+                row.append(value)
+        elif kind == "negative_tau":
+            tau = rows[pick()][col("tau_total")]
+            for row in rows:
+                if row[col("tau_total")] == tau:
+                    row[col("tau_total")] = "-" + tau
+    end = "\r\n" if "crlf" in kinds else "\n"
+    text = end.join(",".join(row) for row in [header] + rows) + end
+    res, fit = _fit_text(tmp_path_factory.mktemp("mutated"), text.encode())
+    assert res.exit_code in (0, 2, 4), (kinds, res.output)
+    assert "Traceback" not in res.output, kinds
+    if {"repeat_column", "negative_tau"} & set(kinds):
+        assert res.exit_code == 2, (kinds, res.output)
+    if res.exit_code == 2:
+        message = one_json_error(res)["message"]
+        assert (re.search(r"\blines? \d", message)
+                or any(name in message for name in CSV_COLUMNS)), message
+    if set(kinds) <= SAME_DATA:
+        assert res.exit_code == 0, (kinds, res.output)
+        assert fit == want, kinds
+
+
 def test_fit_missing_data_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["fit", "--data", str(tmp_path / "nope.csv"),
                                "--out", str(tmp_path / "o")])
