@@ -60,6 +60,7 @@ COMMANDS = {
                                  "--set", "plan.beta_list=0.0,0.8",
                                  "--set", "fit.float_epsilon1=true",
                                  "--set", "trap.alpha=0.3"],
+    "rabi-2": ["simulate-rabi", "--seed", "2", "--n-areas", "41"],
 }
 
 
