@@ -366,7 +366,7 @@ def test_fit_csv_mutations_exit_cleanly(campaign_table, tmp_path_factory,
                 data.draw(st.sampled_from(["", "nan", "inf", "-inf"]))
         elif kind == "bad_count":
             row = rows[pick()]
-            name, value = data.draw(st.sampled_from([
+            name, value = data.draw(st.sampled_from([   # 60 -> "601"
                 ("k_D", "-1"), ("k_D", f"{row[col('n_shots')]}1"),
                 ("n_shots", "0")]))
             row[col(name)] = value
