@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,6 +98,13 @@ class NoiseModel:
         if self.kind == "random_walk" and self.step_dt <= 0:
             raise ValueError("step_dt must be positive for random_walk noise")
 
+    def segments(self, duration: float) -> int:
+        """Segments of a trajectory over ``duration``: one per started
+        random-walk step, else one."""
+        if self.kind != "random_walk" or duration <= 0:
+            return 1
+        return max(1, int(math.ceil(duration / self.step_dt)))
+
 
 @dataclass(frozen=True)
 class IonModel:
@@ -172,17 +180,14 @@ class NoiseTrajectory:
 
     def _overlap(self, t0, t1) -> np.ndarray:
         """Time each segment spends inside [t0, t1]: shape (K,) for scalar
-        bounds, (K, W) for arrays of W bounds."""
+        bounds, (K, W) for arrays of W bounds.  The last matrix formed is
+        kept, read-only, so ``integral`` and ``square_integral`` of one
+        trajectory, and of every block of a walk drawn in blocks, share
+        it."""
         t0 = np.asarray(t0, dtype=float)
         t1 = np.asarray(t1, dtype=float)
-        lo = np.maximum.outer(self.edges[:-1], t0)
-        hi = np.minimum.outer(self.edges[1:], t1)
-        w = np.clip(hi - lo, 0.0, None)
-        # extend the last segment beyond the final edge
-        last = self.edges[-1]
-        if np.isfinite(last):
-            w[-1] += np.clip(t1 - np.maximum(last, t0), 0.0, None)
-        return w
+        return _overlap_matrix(self.edges.tobytes(), t0.tobytes(),
+                               t1.tobytes(), t0.shape)
 
     def integral(self, t0, t1):
         """Integral of the offset over [t0, t1] (tesla*seconds).
@@ -191,22 +196,52 @@ class NoiseTrajectory:
         intervals; the result has shape ``values.shape[:-1]``, with a
         trailing W axis for array bounds.
         """
-        return self.values @ self._overlap(t0, t1)
+        return self._by_row_blocks(lambda v: v, t0, t1)
 
     def square_integral(self, t0, t1):
         """Integral of the squared offset over [t0, t1]; bounds and result
-        shaped as in ``integral``.  Pass every interval in one call: the
-        overlaps are formed once per call, and the squares one block of
-        ``SQUARE_BLOCK_ROWS`` trajectories at a time, so a large batch is
-        never held squared in full."""
+        shaped as in ``integral``.  A large batch is never held squared
+        in full."""
+        return self._by_row_blocks(np.square, t0, t1)
+
+    def _by_row_blocks(self, f, t0, t1):
+        """``f(values) @ overlaps``, one block of ``SQUARE_BLOCK_ROWS``
+        trajectories at a time.
+
+        How BLAS sums a row of a product depends on how many rows it
+        multiplies at once (numpy takes a matrix-vector product for one
+        row, and OpenBLAS a small-matrix kernel for a small product).
+        The blocks start at multiples of ``SQUARE_BLOCK_ROWS``, so a walk
+        drawn and integrated in such blocks gets, bit for bit, the
+        integrals of the whole walk.
+        """
         w = self._overlap(t0, t1)
         if self.values.ndim == 1:
-            return (self.values ** 2) @ w
+            return f(self.values) @ w
         out = np.empty(self.values.shape[:-1] + w.shape[1:])
         for i in range(0, len(self.values), SQUARE_BLOCK_ROWS):
             block = slice(i, i + SQUARE_BLOCK_ROWS)
-            out[block] = (self.values[block] ** 2) @ w
+            out[block] = f(self.values[block]) @ w
         return out
+
+
+@lru_cache(maxsize=1)
+def _overlap_matrix(edges: bytes, t0: bytes, t1: bytes,
+                    shape: tuple) -> np.ndarray:
+    """``NoiseTrajectory._overlap`` from the float64 bytes of the edges
+    and of bounds of shape ``shape``."""
+    edges = np.frombuffer(edges)
+    t0 = np.frombuffer(t0).reshape(shape)
+    t1 = np.frombuffer(t1).reshape(shape)
+    lo = np.maximum.outer(edges[:-1], t0)
+    hi = np.minimum.outer(edges[1:], t1)
+    w = np.clip(hi - lo, 0.0, None)
+    # extend the last segment beyond the final edge
+    last = edges[-1]
+    if np.isfinite(last):
+        w[-1] += np.clip(t1 - np.maximum(last, t0), 0.0, None)
+    w.setflags(write=False)
+    return w
 
 
 def zero_trajectory(n_shots: int | None = None) -> NoiseTrajectory:
@@ -233,7 +268,7 @@ def sample_noise_trajectory(model: NoiseModel, duration: float, rng_seed,
         offsets = rng.normal(0.0, model.sigma_B, size=lead + (1,))
         return NoiseTrajectory([0.0, np.inf], offsets)
     # random walk: cumulative Gaussian increments, first segment at zero
-    n_steps = max(1, int(math.ceil(duration / model.step_dt))) if duration > 0 else 1
+    n_steps = model.segments(duration)
     sigma_step = model.drift_rate_sigma * math.sqrt(model.step_dt)
     increments = rng.normal(0.0, sigma_step, size=lead + (n_steps,))
     increments[..., 0] = 0.0

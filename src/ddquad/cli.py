@@ -359,12 +359,20 @@ def _fit_outputs(cfg: ScenarioConfig, model, campaign, csv_text: str,
     return result
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+
+
 @main.command("run-campaign")
 @_common
 @click.option("--workers", type=int, default=1, show_default=True,
-              help="Accepted for compatibility; cells always run serially.")
+              help="Accepted for compatibility; must be >= 1. Cells run "
+                   "serially, and a random-walk scan's points on one thread "
+                   "per CPU.")
 def run_campaign_cmd(seed, config_path, out, sets, workers):
     """Simulate the full (beta, gradient, tau_total) campaign and fit it."""
+    _check_workers(workers)
     cfg = _load_scenario(config_path, seed, sets)
     out_dir, chash = _prepare_out(out, cfg)
     model = cfg.ion_model()
@@ -401,7 +409,9 @@ def fit_cmd(seed, config_path, out, sets, data_path):
 @click.option("--replications", type=int, default=1, show_default=True,
               help="Number of independently seeded campaign replications.")
 @click.option("--workers", type=int, default=1, show_default=True,
-              help="Accepted for compatibility; cells always run serially.")
+              help="Accepted for compatibility; must be >= 1. Cells run "
+                   "serially, and a random-walk scan's points on one thread "
+                   "per CPU.")
 @click.option("--no-noise", is_flag=True,
               help="Disable field noise, detection errors and shot noise "
                    "(exact probabilities): deterministic identifiability run.")
@@ -415,6 +425,7 @@ def reproduce_paper(seed, config_path, out, sets, replications, workers,
     with its asymmetric 95% CI and a comparison against reference
     values, including the deviation in combined-sigma units.
     """
+    _check_workers(workers)
     cfg = _load_scenario(config_path, seed, sets, scenario=paper_scenario)
     if replications < 1:
         raise ConfigError("replications must be >= 1")

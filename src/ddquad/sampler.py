@@ -6,22 +6,29 @@ row of 32-bit words; a campaign's context is ``(2 * cell_index +
 is_reference,)``, with cells numbered in plan order.  A point draws its
 noise trajectories first (one per shot, a vectorized array indexed by
 shot) and its detection draws second: all its shots' uniforms in one
-call.  A scan draws its points' trajectories in point order and runs
-the sequence on each point's shots in one of two ways, chosen by the
-trajectories' segment count.  A time-varying trajectory (several
-segments) runs as soon as it is drawn, on its point's shots alone, up
-to its detection probabilities.  One-segment trajectories are
-concatenated, and the sequence runs once on every point's shots
-stacked.  A scan without a wait (the tau = 0 reference) runs the
-sequence on one noise-free row per point, which no trajectory can
-change, but still draws each point's trajectories: they are drawn only
-so that the detection draws keep their stream positions.  The closing
-pulses of the stacked rows are one rotation with a U^T per point.  Each
-point then makes its detection draw, in point order, into its row of
-one array, and one comparison gives the counts.  Every executor step
-acts row by row, and the stacked closing pulse point by point, so
+call.  A scan runs the sequence on each point's shots in one of two
+ways, chosen by the segment count of the noise over the scan's
+duration.  A time-varying point (several segments) draws its
+trajectories in blocks of ``SQUARE_BLOCK_ROWS`` shots, which are the
+draws of one call since numpy fills rows in order, and takes each
+block's wait integrals as it is drawn; the sequence then runs on all
+its shots from those integrals, up to its detection probabilities.
+These points run on a thread pool of one worker per CPU (inline on one
+CPU), with their results kept in point order: each draws only from its
+own generator, so nothing depends on the pool.  One-segment
+trajectories are drawn in point order and concatenated, and the
+sequence runs once on every point's shots stacked.  A scan without a
+wait (the tau = 0 reference) runs the sequence on one noise-free row
+per point, which no trajectory can change, but still draws each
+point's trajectories: they are drawn only so that the detection draws
+keep their stream positions.  The closing pulses of the stacked rows
+are one rotation with a U^T per point.  Each point then makes its
+detection draw, in point order, into its row of one array, and one
+comparison gives the counts.  Every executor step acts row by row, the
+trajectory integrals by blocks that start at the same rows however
+the walk is drawn, and the stacked closing pulse point by point, so
 results are bit-identical for a given (plan, model, noise, seed) on
-either path.
+either path and on any pool.
 
 An exact-probability mode replaces sampled counts with real-valued
 n * p computed on the noise-free trajectory; it separates dynamics bugs
@@ -34,16 +41,17 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .atommodel import (IonModel, NoiseModel, NoiseTrajectory,
-                        sample_noise_trajectory)
-from .sequence import (D_BLOCK, PulseSequence, _apply_pulse, _optical_op,
-                       build_quadrupole_dd_sequence, initial_state,
-                       run_sequence)
+from .atommodel import (SQUARE_BLOCK_ROWS, IonModel, NoiseModel,
+                        NoiseTrajectory, sample_noise_trajectory)
+from .sequence import (D_BLOCK, PulseSequence, _apply_pulse, _compile,
+                       _optical_op, build_quadrupole_dd_sequence,
+                       initial_state, run_sequence, wait_integrals)
 
 
 @dataclass(frozen=True)
@@ -170,11 +178,14 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     tau), and the P closing pulses are one stacked (P, 2, 2) U^T.  How
     the shared prefix runs depends on each point's trajectory:
 
-    - several segments (a random walk): each point runs the prefix on its
-      own shots as soon as its trajectory is drawn, then its own row of
-      the stacked closing pulse, and keeps only its detection
-      probabilities, so only one point's walk, wait integrals and state
-      are held;
+    - several segments (a random walk): each point draws its walk and
+      takes its wait integrals one block of ``SQUARE_BLOCK_ROWS`` shots
+      at a time, then runs the prefix on all its shots from those
+      integrals, then its own row of the stacked closing pulse, and
+      keeps only its detection probabilities.  The points run on a
+      thread pool of one worker per CPU, at most one per point (inline
+      on one CPU), so each worker holds one point's wait integrals and
+      state, and one block of its walk;
     - one segment (no noise, a quasi-static offset, or a walk shorter
       than one step): the points' offsets are concatenated into one
       trajectory, and the prefix runs once on every point's shots,
@@ -199,28 +210,34 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     phases = phi_grid + extra_phase
     if not np.isfinite(phases).all():
         raise ValueError("laser phase must be finite")
-    prefix, closing = _scan_sequence(n_echo, tau)
+    prefix, closing, bounds = _scan_sequence(n_echo, tau)
     columns, u_t = _optical_op(closing, phases)
     init = initial_state("S:-1/2")
     rngs = [] if exact else [
         np.random.default_rng(np.random.SeedSequence(words)) for words in
         _entropy(rng_seed, seed_context, np.arange(phi_grid.size))]
-    p, offsets = [], []
-    for rng, u_point in zip(rngs, u_t):
-        trajectory = sample_noise_trajectory(noise, 2.0 * n_echo * tau, rng,
-                                             n_shots=shots_per_point)
-        if tau == 0:
-            continue   # drawn only to keep the detection draws in place
-        if trajectory.values.shape[-1] == 1:
-            offsets.append(trajectory.values)
-        else:
-            p.append(_probabilities(_apply_pulse(
-                run_sequence(init, prefix, model, trajectory), columns,
-                u_point), detection))
-        del trajectory   # not held while the next point's is drawn
-    if not p:   # stacked rows, or one noise-free row per point
+    duration = 2.0 * n_echo * tau
+    if rngs and noise.segments(duration) > 1:
+        def walk_point(rng, u_point):
+            """A time-varying point's detection probabilities, its walk
+            drawn and integrated one block of rows at a time."""
+            blocks = [min(SQUARE_BLOCK_ROWS, shots_per_point - i)
+                      for i in range(0, shots_per_point, SQUARE_BLOCK_ROWS)]
+            integrals = np.concatenate([wait_integrals(
+                sample_noise_trajectory(noise, duration, rng, n_shots=n),
+                *bounds) for n in blocks])
+            return _probabilities(_apply_pulse(run_sequence(
+                init, prefix, model, integrals=integrals), columns, u_point),
+                detection)
+
+        p = _map_points(walk_point, rngs, u_t)
+    else:   # stacked rows, or one noise-free row per point
+        # at tau = 0, drawn only to keep the detection draws in place
+        offsets = [sample_noise_trajectory(noise, duration, rng,
+                                           n_shots=shots_per_point).values
+                   for rng in rngs]
         states = run_sequence(init, prefix, model, NoiseTrajectory(
-            [0.0, np.inf], np.concatenate(offsets) if offsets
+            [0.0, np.inf], np.concatenate(offsets) if offsets and tau
             else np.zeros((phi_grid.size, 1))))
         p = _probabilities(_apply_pulse(states.reshape(
             phi_grid.size, -1, 8), columns, u_t), detection)
@@ -237,13 +254,38 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     return FringeDataset(points, context={"n_echo": n_echo, "exact": exact})
 
 
+def _map_points(fn, *args) -> list:
+    """``fn`` over the points' arguments, results in point order: on a
+    thread pool of one worker per CPU, at most one per point, or inline
+    on one CPU.  Each point draws only from its own generator, so no
+    result depends on the pool; numpy draws and integrates with the GIL
+    released, so the workers overlap."""
+    workers = min(_cpu_count(), len(args[0]))
+    if workers < 2:
+        return list(map(fn, *args))
+    # imported here only: it adds 4-7 ms to every start-up
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, *args))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 @lru_cache(maxsize=16)
 def _scan_sequence(n_echo: int, tau: float) -> tuple:
-    """A scan's shared prefix, ending in Measure, and its closing pi/2
-    pulse, built once per (n_echo, tau)."""
+    """A scan's shared prefix, ending in Measure, its closing pi/2 pulse
+    and the prefix's merged-wait bounds (starts, ends), built once per
+    (n_echo, tau)."""
     *shared, closing, measure = build_quadrupole_dd_sequence(
         n_echo, tau).elements
-    return PulseSequence(tuple(shared) + (measure,)), closing
+    prefix = PulseSequence(tuple(shared) + (measure,))
+    return prefix, closing, _compile(prefix.elements)[1:]
 
 
 def _probabilities(states: np.ndarray, detection) -> np.ndarray:
@@ -367,6 +409,9 @@ def campaign_from_csv(text: str) -> CampaignDataset:
         if key[2] < 0:
             raise ValueError(f"line {line}, tau_total: must be >= 0, got "
                              f"{row['tau_total']!r}")
+        if key[3] < 2 or key[3] % 2:
+            raise ValueError(f"line {line}, n_echo: must be even and >= 2, "
+                             f"got {row['n_echo']!r}")
         pt = FringePoint(phi_laser=_parse(row, "phi_laser", line),
                          n_shots=_parse(row, "n_shots", line, int),
                          k_D=_parse(row, "k_D", line, _count))

@@ -39,10 +39,12 @@ first block with a wait, where the trajectory's rows appear (or at
 return, when no wait makes the rows differ).  Called on their own,
 ``apply_rf_pulse`` and ``apply_optical_pulse`` return a new array.
 
-``run_sequence`` takes one trajectory.  A fringe scan runs everything
+``run_sequence`` takes one trajectory, or the wait integrals of a
+time-varying one (``wait_integrals``).  A fringe scan runs everything
 before the closing pi/2 pulse either once, on the rows of every scan
-point stacked into one one-segment trajectory, or once per point on a
-time-varying trajectory (see ``sampler.run_fringe_scan``).  The closing
+point stacked into one one-segment trajectory, or once per point from
+the wait integrals of its walk, taken block by block as the walk is
+drawn (see ``sampler.run_fringe_scan``).  The closing
 pulses differ only in laser phase: ``_optical_op`` builds their U^T,
 shape (P, 2, 2), by the one formula ``_pulse_op`` uses for a single
 optical pulse, and ``_apply_pulse`` rotates a (P, rows, 8) state with
@@ -383,7 +385,8 @@ def _check_shapes(state: np.ndarray, values: tuple = ()) -> None:
 
 
 def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
-                 trajectory: NoiseTrajectory | None = None) -> np.ndarray:
+                 trajectory: NoiseTrajectory | None = None, *,
+                 integrals: np.ndarray | None = None) -> np.ndarray:
     """Run the sequence on the state; returns the pre-measurement state.
 
     ``initial`` may be a single state (8,) or a batch (n_shots, 8).  A
@@ -391,7 +394,9 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
     row.  A single state run against N > 1 trajectory rows returns a new
     (N, 8) batch, with or without waits: every step before the first
     block with a wait acts on the one state, and the rows appear at that
-    block (or at return).
+    block (or at return).  In place of a time-varying trajectory, its
+    ``wait_integrals`` may be given, with the same one row per batch
+    row.
 
     The sequence is compiled once (``_compile``) into dense pulses and
     blocks of waits and pi pulses; the model's rates then give each
@@ -402,27 +407,36 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
     other slots get a phase.  The array a block reads marks the
     trajectory's kind: the offset v and v^2 per row of a one-segment
     trajectory (each slot's rates summed over the waits give its phase,
-    so the echo cancels exactly), or else each merged wait's integrals,
-    from one pair of trajectory-integral calls for all the waits.
+    so the echo cancels exactly), or else each merged wait's integrals.
     """
     steps, starts, ends = _compile(tuple(seq.elements))
     state = np.array(initial, dtype=complex)
-    if trajectory is None:
-        trajectory = zero_trajectory()
-    values = trajectory.values
-    _check_shapes(state, values.shape)
-    rows = values.shape[:-1]
+    if trajectory is not None and integrals is not None:
+        raise SimulationError("give a trajectory or its wait integrals, "
+                              "not both")
+    if integrals is None:
+        if trajectory is None:
+            trajectory = zero_trajectory()
+        per_row = trajectory.values.shape          # (rows..., segments)
+    else:
+        if integrals.shape[-2:] != (2, len(starts)):
+            raise SimulationError(
+                f"wait integrals of shape {integrals.shape} need last axes "
+                f"(2, {len(starts)}), one column per merged wait")
+        per_row = integrals.shape[:-1]             # (rows..., 2)
+    _check_shapes(state, per_row)
+    rows = per_row[:-1]
     if state.ndim == 1 and rows == (1,):
         rows = ()   # a one-row batched trajectory drives a single state
     shape = np.broadcast_shapes(state.shape, rows + (8,))
-    offset = integrals = None
-    if values.shape[-1] == 1:   # the constant offset v
-        v = values.reshape(rows)
+    offset = None
+    if integrals is None and per_row[-1] == 1:     # the constant offset v
+        v = trajectory.values.reshape(rows)
         offset = np.stack((v, v ** 2), axis=-1)
     else:
-        integrals = np.stack((trajectory.integral(starts, ends),
-                              trajectory.square_integral(starts, ends)),
-                             axis=-2).reshape(rows + (2, len(starts)))
+        if integrals is None:
+            integrals = wait_integrals(trajectory, starts, ends)
+        integrals = integrals.reshape(rows + (2, len(starts)))
     for step in steps:
         if isinstance(step, _Block):
             state = free_evolve(state, step, model, offset=offset,
@@ -432,6 +446,14 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
             _apply_pulse(state, *step)
     return (state if state.shape == shape
             else np.array(np.broadcast_to(state, shape)))
+
+
+def wait_integrals(trajectory: NoiseTrajectory, starts, ends) -> np.ndarray:
+    """Int offset dt and Int offset^2 dt over each merged wait [starts[w],
+    ends[w]] (``_compile`` gives the bounds), shape (rows..., 2, W), from
+    one call of each trajectory integral for all the waits."""
+    return np.stack((trajectory.integral(starts, ends),
+                     trajectory.square_integral(starts, ends)), axis=-2)
 
 
 def analytic_phase(n_echo: int, tau: float, model: IonModel) -> float:

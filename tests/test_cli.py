@@ -293,6 +293,21 @@ def test_fit_csv_negative_tau_total_exits_2(runner, tmp_path):
     assert "line 9, tau_total: must be >= 0, got '-1e-3'" in err["message"]
 
 
+@pytest.mark.parametrize("n_echo", ["-3", "0", "1", "7"])
+def test_fit_csv_n_echo_below_2_or_odd_exits_2(runner, tmp_path, n_echo):
+    # any integer was taken as part of the cell key and written back, and
+    # the fit exited 0 with the same Theta
+    data = tmp_path / "campaign.csv"
+    data.write_text(small_campaign_csv("n_echo", poison=n_echo))
+    res = runner.invoke(main, ["fit", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert (f"line 9, n_echo: must be even and >= 2, got '{n_echo}'"
+            in err["message"])
+
+
 @pytest.fixture(scope="module")
 def campaign_table(tmp_path_factory):
     """A small seeded campaign.csv, as (header, rows) of split fields, and
@@ -347,7 +362,7 @@ def test_fit_csv_mutations_exit_cleanly(campaign_table, tmp_path_factory,
         + data.draw(st.lists(st.sampled_from([
             "drop_rows", "duplicate_row", "bad_field", "bad_count",
             "repeat_phase", "drop_reference", "repeat_column",
-            "negative_tau"]), max_size=2))))
+            "negative_tau", "bad_n_echo"]), max_size=2))))
     for kind in kinds:
         n = len(rows)
 
@@ -398,12 +413,18 @@ def test_fit_csv_mutations_exit_cleanly(campaign_table, tmp_path_factory,
             for row in rows:
                 if row[col("tau_total")] == tau:
                     row[col("tau_total")] = "-" + tau
+        elif kind == "bad_n_echo":   # every row of one cell
+            key = cell(rows[pick()])
+            n_echo = data.draw(st.sampled_from(["-3", "0", "1", "7"]))
+            for row in rows:
+                if cell(row) == key:
+                    row[col("n_echo")] = n_echo
     end = "\r\n" if "crlf" in kinds else "\n"
     text = end.join(",".join(row) for row in [header] + rows) + end
     res, fit = _fit_text(tmp_path_factory.mktemp("mutated"), text.encode())
     assert res.exit_code in (0, 2, 4), (kinds, res.output)
     assert "Traceback" not in res.output, kinds
-    if {"repeat_column", "negative_tau"} & set(kinds):
+    if {"repeat_column", "negative_tau", "bad_n_echo"} & set(kinds):
         assert res.exit_code == 2, (kinds, res.output)
     if res.exit_code == 2:
         message = one_json_error(res)["message"]
@@ -977,6 +998,21 @@ def test_exit_code_table(runner, tmp_path, case):
     err = one_json_error(res)
     assert err["exit_code"] == code
     assert err["error_type"] == error_type
+
+
+@pytest.mark.parametrize("command, workers", [
+    ("run-campaign", "-4"), ("run-campaign", "0"),
+    ("reproduce-paper", "-4"), ("reproduce-paper", "0")])
+def test_workers_below_1_exits_2(runner, tmp_path, command, workers):
+    # --workers -4 ran and exited 0
+    out = tmp_path / "o"
+    res = runner.invoke(main, [command, "--workers", workers,
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    err = one_json_error(res)
+    assert err["error_type"] == "ConfigError"
+    assert err["message"] == f"--workers must be >= 1, got {workers}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

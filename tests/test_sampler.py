@@ -258,10 +258,14 @@ def test_batched_scan_matches_per_point_loop(n_echo, tau, noise, n_phases,
         per_point_scan(*args, **kwargs)
 
 
-def test_random_walk_scan_holds_one_point_at_a_time():
+def test_random_walk_scan_holds_one_point_at_a_time(monkeypatch):
     """A time-varying scan's traced peak does not grow with its points:
-    each point's walk, wait integrals and state are let go before the
-    next point's walk is drawn."""
+    each worker lets its point's walk, wait integrals and state go before
+    it draws the next point's walk.  So on a pool of any size, a scan of
+    8 points peaks below one point's peak per worker.  (One point's peak
+    is measured inline and counted once per worker: a pooled scan of as
+    many points as workers reaches that sum only when the workers'
+    block peaks coincide, which they do in some runs only.)"""
     walk = am.NoiseModel(kind="random_walk", drift_rate_sigma=1e-6,
                          step_dt=1e-5)   # 200 segments over 16 waits
 
@@ -274,7 +278,65 @@ def test_random_walk_scan_holds_one_point_at_a_time():
         finally:
             tracemalloc.stop()
 
-    assert peak(8) <= 1.25 * peak(2)
+    monkeypatch.setattr(sp, "_cpu_count", lambda: 1)
+    peak(1)   # fills the caches
+    one_point = peak(1)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sp, "_cpu_count", lambda: workers)
+        assert peak(8) <= 1.25 * workers * one_point, workers
+
+
+# the drift_fringe benchmark's walk: 400 segments over 33 merged waits
+DRIFT = am.NoiseModel(kind="random_walk", drift_rate_sigma=2e-6,
+                      step_dt=1e-5)
+# one row, part of a block, one block, one block and a row, 7 blocks and a
+# part
+BLOCK_SHOTS = [1, 255, 256, 257, 2000]
+
+
+@pytest.mark.parametrize("shots", BLOCK_SHOTS)
+def test_random_walk_scan_is_the_same_on_any_pool(monkeypatch, shots):
+    """The points of a random-walk scan give the same dataset inline and
+    on pools of 2 and 3 workers, with 3 points and so one idle worker
+    or a worker with two points."""
+    det = sp.DetectionModel(eps_bright=0.02, eps_dark=0.05)
+    scans = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sp, "_cpu_count", lambda: workers)
+        scans.append(sp.run_fringe_scan(
+            32, 4e-3 / 64, MODEL, DRIFT, sp.default_phi_grid(3), shots, 29,
+            detection=det, seed_context=(5,)))
+    assert scans[0] == scans[1] == scans[2]
+    assert len({p.k_D for p in scans[0].points}) > 1 or shots == 1
+
+
+@pytest.mark.parametrize("shots", BLOCK_SHOTS)
+def test_walk_integrals_by_blocks_match_the_whole_walk(monkeypatch, shots):
+    """A random-walk point draws and integrates its walk one block of
+    ``SQUARE_BLOCK_ROWS`` rows at a time: the wait integrals it runs the
+    sequence on are, bit for bit, those of its whole walk drawn in one
+    call from its generator."""
+    got, run = [], sp.run_sequence
+
+    def record(*args, integrals, **kwargs):
+        got.append(integrals)
+        return run(*args, integrals=integrals, **kwargs)
+
+    monkeypatch.setattr(sp, "run_sequence", record)
+    monkeypatch.setattr(sp, "_cpu_count", lambda: 1)   # points in order
+    sp.run_fringe_scan(32, 4e-3 / 64, MODEL, DRIFT, sp.default_phi_grid(2),
+                       shots, 31, seed_context=(1,))
+    _, _, (starts, ends) = sp._scan_sequence(32, 4e-3 / 64)
+    assert len(got) == 2
+    for point, integrals in enumerate(got):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            sp._entropy(31, (1,), point)))
+        whole = am.sample_noise_trajectory(DRIFT, 4e-3, rng, n_shots=shots)
+        assert integrals.shape == (shots, 2, len(starts))
+        assert integrals[:, 0].tobytes() == \
+            whole.integral(starts, ends).tobytes()
+        assert integrals[:, 1].tobytes() == \
+            whole.square_integral(starts, ends).tobytes()
 
 
 # -- expected counts: shots are i.i.d., so a point's count is

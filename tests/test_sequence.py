@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -578,6 +579,30 @@ def test_run_sequence_rejects_mismatched_shapes(initial, values, tau, named):
         sq.run_sequence(initial, seq, MODEL, tr)
     for shape in named:
         assert str(shape) in str(info.value)
+
+
+def test_run_sequence_takes_a_walk_or_its_wait_integrals():
+    """A walk's ``wait_integrals`` run the sequence to the walk's states,
+    bit for bit, on a batch or a single state; they are checked like the
+    walk: one row per state row, and one column per merged wait."""
+    from ddquad.errors import SimulationError
+    seq = sq.build_quadrupole_dd_sequence(4, 1e-4)
+    _, starts, ends = sq._compile(seq.elements)
+    walk = am.NoiseModel(kind="random_walk", drift_rate_sigma=1e-6,
+                         step_dt=3e-5)
+    tr = am.sample_noise_trajectory(walk, 8e-4, 5, n_shots=6)
+    integrals = sq.wait_integrals(tr, starts, ends)
+    assert integrals.shape == (6, 2, len(starts))
+    for initial in (sq.initial_state(), np.tile(sq.initial_state(), (6, 1))):
+        want = sq.run_sequence(initial, seq, MODEL, tr)
+        got = sq.run_sequence(initial, seq, MODEL, integrals=integrals)
+        assert got.tobytes() == want.tobytes()
+    for kwargs, message in (
+            (dict(trajectory=tr, integrals=integrals), "not both"),
+            (dict(integrals=integrals[:, :, 1:]), "(6, 2, 4)"),
+            (dict(integrals=integrals[:5]), "(5, 2)")):
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            sq.run_sequence(np.ones((6, 8)), seq, MODEL, **kwargs)
 
 
 @pytest.mark.parametrize("call, named", [
