@@ -371,17 +371,21 @@ def _compile(elements: tuple) -> tuple:
                   for s in steps if s), tuple(starts), tuple(ends))
 
 
-def _check_shapes(state: np.ndarray, values: tuple = ()) -> None:
+def _check_shapes(state: np.ndarray, values: tuple = (),
+                  inner: int = 1) -> None:
     """A state's last axis holds the 8 amplitudes, and a batch of states
-    has one row each of trajectory values of shape ``values``."""
+    has one row each of trajectory values of shape ``values``, or of
+    wait integrals (``inner`` = 2 axes per row)."""
     if state.ndim == 0 or state.shape[-1] != 8:
         raise SimulationError(
             f"state has shape {state.shape}; its last axis must "
             "hold the 8 amplitudes")
-    if state.ndim > 1 and values[:-1] and state.shape[:-1] != values[:-1]:
+    rows = values[:-inner]
+    if state.ndim > 1 and rows and state.shape[:-1] != rows:
+        what = "trajectory values" if inner == 1 else "wait integrals"
         raise SimulationError(
             f"states of shape {state.shape} need one trajectory row "
-            f"each; the trajectory values have shape {values}")
+            f"each; the {what} have shape {values}")
 
 
 def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
@@ -417,20 +421,20 @@ def run_sequence(initial: np.ndarray, seq: PulseSequence, model: IonModel,
     if integrals is None:
         if trajectory is None:
             trajectory = zero_trajectory()
-        per_row = trajectory.values.shape          # (rows..., segments)
+        values, inner = trajectory.values.shape, 1   # (rows..., segments)
     else:
         if integrals.shape[-2:] != (2, len(starts)):
             raise SimulationError(
                 f"wait integrals of shape {integrals.shape} need last axes "
                 f"(2, {len(starts)}), one column per merged wait")
-        per_row = integrals.shape[:-1]             # (rows..., 2)
-    _check_shapes(state, per_row)
-    rows = per_row[:-1]
+        values, inner = integrals.shape, 2           # (rows..., 2, W)
+    _check_shapes(state, values, inner)
+    rows = values[:-inner]
     if state.ndim == 1 and rows == (1,):
         rows = ()   # a one-row batched trajectory drives a single state
     shape = np.broadcast_shapes(state.shape, rows + (8,))
     offset = None
-    if integrals is None and per_row[-1] == 1:     # the constant offset v
+    if integrals is None and values[-1] == 1:     # the constant offset v
         v = trajectory.values.reshape(rows)
         offset = np.stack((v, v ** 2), axis=-1)
     else:

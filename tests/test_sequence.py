@@ -600,7 +600,8 @@ def test_run_sequence_takes_a_walk_or_its_wait_integrals():
     for kwargs, message in (
             (dict(trajectory=tr, integrals=integrals), "not both"),
             (dict(integrals=integrals[:, :, 1:]), "(6, 2, 4)"),
-            (dict(integrals=integrals[:5]), "(5, 2)")):
+            (dict(integrals=integrals[:5]), "wait integrals have shape "
+                                            "(5, 2, 5)")):
         with pytest.raises(SimulationError, match=re.escape(message)):
             sq.run_sequence(np.ones((6, 8)), seq, MODEL, **kwargs)
 

@@ -50,7 +50,7 @@ def summarize(rev: list, change: list, better: str, bound: float) -> dict:
     q_change = statistics.quantiles(change, n=4, method="inclusive")
     med_rev, med_change = statistics.median(rev), statistics.median(change)
     iqr = q_rev[2] - q_rev[0]
-    gap = sign * (med_rev - med_change)          # > 0: the change is better
+    gap = sign * (med_rev - med_change) + 0.0    # > 0: the change is better
     wins = sum(sign * (r - c) > 0 for r, c in zip(rev, change))
     worse = -gap / abs(med_rev) if med_rev else -gap
     every_run_better = (max(change) < min(rev) if better == "lower"
