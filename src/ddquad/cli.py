@@ -380,7 +380,8 @@ def run_campaign_cmd(seed, config_path, out, sets, workers):
                             detection=cfg.detection)
     csv_text = campaign_to_csv(campaign)
     _write_csv(out_dir / "campaign.csv", csv_text)
-    (out_dir / "campaign.json").write_text(campaign_to_json(campaign))
+    (out_dir / "campaign.json").write_text(campaign_to_json(
+        campaign, cfg.plan, model, cfg.noise, cfg.seed, cfg.detection))
     result = _fit_outputs(cfg, model, campaign, csv_text, out_dir, chash)
     click.echo(f"wrote campaign + fit + figure tables to {out_dir}")
     click.echo(_theta_text(result))

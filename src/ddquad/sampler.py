@@ -76,6 +76,7 @@ class FringePoint:
 @dataclass(frozen=True)
 class FringeDataset:
     points: tuple
+    # run_fringe_scan's {"exact": ...}; empty for a fringe read from CSV
     context: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -93,9 +94,13 @@ class FringeDataset:
 
 @dataclass(frozen=True)
 class CampaignCell:
+    """One cell of a campaign: the key of its campaign.csv rows, its
+    n_echo-pulse echo fringe and its tau = 0 reference fringe."""
+
     beta_nominal: float
     dEz_dz: float
     tau_total: float
+    n_echo: int
     fringe: FringeDataset
     reference_fringe: FringeDataset
 
@@ -108,8 +113,6 @@ class CampaignDataset:
     two datasets of the same cells fit to the same bytes."""
 
     cells: tuple
-    plan_snapshot: dict = field(default_factory=dict, compare=False)
-    model_snapshot: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(sorted(
@@ -251,7 +254,7 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
             uniforms < np.reshape(p, (phi_grid.size, -1)), axis=1).tolist()
     points = tuple(FringePoint(phi_laser=float(phi), n_shots=shots_per_point,
                                k_D=k) for phi, k in zip(phi_grid, counts))
-    return FringeDataset(points, context={"n_echo": n_echo, "exact": exact})
+    return FringeDataset(points, context={"exact": exact})
 
 
 def _map_points(fn, *args) -> list:
@@ -339,28 +342,9 @@ def run_campaign(plan: CampaignPlan, model: IonModel, noise: NoiseModel,
                     seed_context=(2 * idx + 1,))
                 cells.append(CampaignCell(
                     beta_nominal=beta, dEz_dz=gradient, tau_total=tau_total,
-                    fringe=fringe, reference_fringe=reference))
-    return CampaignDataset(tuple(cells),
-                           plan_snapshot=plan_snapshot(plan, rng_seed),
-                           model_snapshot=model_snapshot(model, noise, detection))
-
-
-def plan_snapshot(plan: CampaignPlan, seed) -> dict:
-    d = asdict(plan)
-    d["seed"] = int(seed)
-    return d
-
-
-def model_snapshot(model: IonModel, noise: NoiseModel,
-                   detection: DetectionModel | None) -> dict:
-    return {
-        "species": asdict(model.species),
-        "trap": asdict(model.trap),
-        "field": asdict(model.field_cfg),
-        "theta": model.theta,
-        "noise": asdict(noise),
-        "detection": asdict(detection) if detection else None,
-    }
+                    n_echo=plan.n_echo, fringe=fringe,
+                    reference_fringe=reference))
+    return CampaignDataset(tuple(cells))
 
 
 CSV_COLUMNS = ["beta_nominal", "dEz_dz", "tau_total", "n_echo", "phi_laser",
@@ -373,11 +357,10 @@ def campaign_to_csv(campaign: CampaignDataset) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for cell in campaign.cells:
-        n_echo = cell.fringe.context.get("n_echo", 0)
         for is_ref, fringe in ((0, cell.fringe), (1, cell.reference_fringe)):
             for pt in fringe.points:
                 writer.writerow([repr(cell.beta_nominal), repr(cell.dEz_dz),
-                                 repr(cell.tau_total), n_echo,
+                                 repr(cell.tau_total), cell.n_echo,
                                  repr(pt.phi_laser), pt.n_shots, repr(pt.k_D),
                                  is_ref])
     return buf.getvalue()
@@ -436,11 +419,10 @@ def campaign_from_csv(text: str) -> CampaignDataset:
             raise ValueError(
                 f"cell (beta={beta}, dEz_dz={grad}, tau_total={tau_total}) "
                 "is missing its signal or reference fringe")
-        ctx = {"n_echo": n_echo}
         cells.append(CampaignCell(
             beta_nominal=beta, dEz_dz=grad, tau_total=tau_total,
-            fringe=FringeDataset(_by_phase(sig), context=ctx),
-            reference_fringe=FringeDataset(_by_phase(ref), context=ctx)))
+            n_echo=n_echo, fringe=FringeDataset(_by_phase(sig)),
+            reference_fringe=FringeDataset(_by_phase(ref))))
     return CampaignDataset(tuple(cells))
 
 
@@ -473,11 +455,21 @@ def _flag(text: str) -> int:
     return int(text)
 
 
-def campaign_to_json(campaign: CampaignDataset) -> str:
-    """Provenance document: plan, model snapshot, and all counts."""
+def campaign_to_json(campaign: CampaignDataset, plan: CampaignPlan,
+                     model: IonModel, noise: NoiseModel, rng_seed,
+                     detection: DetectionModel | None = None) -> str:
+    """Provenance document: the plan, seed and model a campaign was run
+    with, and all its counts."""
     doc = {
-        "plan": campaign.plan_snapshot,
-        "model": campaign.model_snapshot,
+        "plan": {**asdict(plan), "seed": int(rng_seed)},
+        "model": {
+            "species": asdict(model.species),
+            "trap": asdict(model.trap),
+            "field": asdict(model.field_cfg),
+            "theta": model.theta,
+            "noise": asdict(noise),
+            "detection": asdict(detection) if detection else None,
+        },
         "cells": [{
             "beta_nominal": c.beta_nominal,
             "dEz_dz": c.dEz_dz,

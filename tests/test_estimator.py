@@ -602,7 +602,7 @@ def test_one_call_resample_draws_as_the_scalar_loop(data_seed, seed, n_cells,
             for j in range(n_points)))
 
     camp = CampaignDataset(tuple(
-        CampaignCell(0.1 * i, 1e8, 1e-3, fringe(), fringe())
+        CampaignCell(0.1 * i, 1e8, 1e-3, 8, fringe(), fringe())
         for i in range(n_cells)))
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = [p.k_D for p in

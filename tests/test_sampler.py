@@ -90,7 +90,7 @@ def test_shot_statistics_binomial():
     assert np.std(ks) == pytest.approx(math.sqrt(400 * 0.25), rel=0.15)
 
 
-def test_campaign_shapes_and_context():
+def test_campaign_shapes_and_n_echo():
     plan = sp.CampaignPlan(beta_list=(0.0, 0.8), gradient_list=(1e8,),
                            tau_total_list=(1e-3, 2e-3), n_echo=4,
                            shots_per_point=50, n_phases=6)
@@ -98,14 +98,12 @@ def test_campaign_shapes_and_context():
     assert len(camp.cells) == 4
     cell = camp.cells[0]
     assert len(cell.fringe.points) == 6
-    assert cell.fringe.context["n_echo"] == 4
+    assert cell.n_echo == 4
     # reference fringe runs at tau = 0: the first cell, plan index 0, on
     # seed substream 2 * 0 + 1
     assert cell.reference_fringe == sp.run_fringe_scan(
         4, 0.0, sp._cell_model(MODEL, 0.0, 1e8), NONE,
         sp.default_phi_grid(6), 50, 9, seed_context=(1,))
-    assert camp.plan_snapshot["seed"] == 9
-    assert camp.model_snapshot["theta"] == MODEL.theta
 
 
 def test_campaign_holds_its_cells_in_key_order():
@@ -453,8 +451,7 @@ def campaigns(draw):
                          min_size=1, max_size=4, unique=True))
     return sp.CampaignDataset(tuple(
         sp.CampaignCell(beta_nominal=beta, dEz_dz=grad, tau_total=tau_total,
-                        fringe=replace(draw(fringes(exact)),
-                                       context={"n_echo": n_echo}),
+                        n_echo=n_echo, fringe=draw(fringes(exact)),
                         reference_fringe=draw(fringes(exact)))
         for beta, grad, tau_total in keys))
 
@@ -471,15 +468,32 @@ def test_csv_round_trip_property(camp):
                 [type(p.k_D) for p in b.points]
 
 
+def test_csv_round_trip_keeps_each_cells_n_echo():
+    # a campaign built without run_campaign: each cell's n_echo is its own
+    # field, written to and read back from its campaign.csv rows
+    fringe = sp.FringeDataset((sp.FringePoint(0.0, 10, 3),
+                               sp.FringePoint(2.0, 10, 7)))
+    camp = sp.CampaignDataset((
+        sp.CampaignCell(beta_nominal=0.1, dEz_dz=1e8, tau_total=1e-3,
+                        n_echo=4, fringe=fringe, reference_fringe=fringe),
+        sp.CampaignCell(beta_nominal=0.1, dEz_dz=1e8, tau_total=2e-3,
+                        n_echo=8, fringe=fringe, reference_fringe=fringe)))
+    assert sp.campaign_from_csv(sp.campaign_to_csv(camp)) == camp
+
+
 def test_json_snapshot_complete():
     import json
     plan = sp.CampaignPlan(beta_list=(0.1,), gradient_list=(1e8,),
                            tau_total_list=(1e-3,), n_echo=2,
                            shots_per_point=20, n_phases=6)
-    camp = sp.run_campaign(plan, MODEL, NOISE, 2)
-    doc = json.loads(sp.campaign_to_json(camp))
+    det = sp.DetectionModel(eps_bright=0.02)
+    camp = sp.run_campaign(plan, MODEL, NOISE, 2, detection=det)
+    doc = json.loads(sp.campaign_to_json(camp, plan, MODEL, NOISE, 2, det))
     assert doc["plan"]["n_echo"] == 2
+    assert doc["plan"]["seed"] == 2
+    assert doc["model"]["theta"] == MODEL.theta
     assert doc["model"]["noise"]["kind"] == "quasi_static"
+    assert doc["model"]["detection"]["eps_bright"] == 0.02
     assert len(doc["cells"]) == 1
     assert len(doc["cells"][0]["fringe"]) == 6
 
