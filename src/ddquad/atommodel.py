@@ -93,6 +93,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "quasi_static", "random_walk"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.sigma_B, self.drift_rate_sigma,
+                                       self.step_dt))):
+            raise ValueError("noise parameters must be finite")
         if self.sigma_B < 0 or self.drift_rate_sigma < 0:
             raise ValueError("noise sigmas must be >= 0")
         if self.kind == "random_walk" and self.step_dt <= 0:
@@ -169,7 +172,7 @@ class NoiseTrajectory:
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if edges.ndim != 1 or len(edges) != values.shape[-1] + 1:
             raise ValueError("edges must have one more entry than segments")
-        if np.any(np.diff(edges) <= 0):
+        if not np.all(np.diff(edges) > 0):    # NaN fails this, too
             raise ValueError("edges must be strictly increasing")
         if edges[0] != 0.0:
             # the executor takes a one-segment trajectory's value as

@@ -127,6 +127,22 @@ def test_validation_errors():
         am.NoiseModel(kind="quasi_static", sigma_B=-1.0)
 
 
+
+@pytest.mark.parametrize("make", [
+    lambda: am.NoiseTrajectory([0.0, math.nan, 1.0], [0.0, 1e-7]),
+    lambda: am.NoiseModel(kind="quasi_static", sigma_B=math.nan),
+    lambda: am.NoiseModel(kind="random_walk", drift_rate_sigma=math.nan),
+    lambda: am.NoiseModel(kind="random_walk", drift_rate_sigma=1e-6,
+                          step_dt=math.nan),
+    lambda: am.NoiseModel(kind="quasi_static", sigma_B=math.inf),
+], ids=["edge", "sigma_B", "drift_rate_sigma", "step_dt", "inf_sigma_B"])
+def test_noise_layer_rejects_non_finite_parameters(make):
+    # a NaN edge gave NaN integrals and a non-finite state with no error;
+    # a NaN sigma gave an all-zero fringe, a NaN step_dt an error in ceil
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_trajectory_integrals_exact():
     tr = am.NoiseTrajectory([0.0, 1.0, 3.0, 4.0], [2.0, -1.0, 0.5])
     assert tr.integral(0.0, 4.0) == pytest.approx(2.0 - 2.0 + 0.5)
