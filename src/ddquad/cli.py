@@ -368,8 +368,8 @@ def _check_workers(workers: int) -> None:
 @_common
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Accepted for compatibility; must be >= 1. Cells run "
-                   "serially, and a random-walk scan's points on one thread "
-                   "per CPU.")
+                   "serially, and a long random-walk scan's points on one "
+                   "thread per CPU.")
 def run_campaign_cmd(seed, config_path, out, sets, workers):
     """Simulate the full (beta, gradient, tau_total) campaign and fit it."""
     _check_workers(workers)
@@ -411,8 +411,8 @@ def fit_cmd(seed, config_path, out, sets, data_path):
               help="Number of independently seeded campaign replications.")
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Accepted for compatibility; must be >= 1. Cells run "
-                   "serially, and a random-walk scan's points on one thread "
-                   "per CPU.")
+                   "serially, and a long random-walk scan's points on one "
+                   "thread per CPU.")
 @click.option("--no-noise", is_flag=True,
               help="Disable field noise, detection errors and shot noise "
                    "(exact probabilities): deterministic identifiability run.")

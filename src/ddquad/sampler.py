@@ -13,9 +13,12 @@ trajectories in blocks of ``SQUARE_BLOCK_ROWS`` shots, which are the
 draws of one call since numpy fills rows in order, and takes each
 block's wait integrals as it is drawn; the sequence then runs on all
 its shots from those integrals, up to its detection probabilities.
-These points run on a thread pool of one worker per CPU (inline on one
-CPU), with their results kept in point order: each draws only from its
-own generator, so nothing depends on the pool.  One-segment
+These points run on a thread pool of one worker per CPU, with their
+results kept in point order: each draws only from its own generator, so
+nothing depends on the pool.  They run inline on one CPU, and where each
+point draws fewer than ``POOL_MIN_NORMALS`` normals (shots x segments):
+the pool pays only when a point's draws, which release the GIL, outweigh
+its work that holds the GIL.  One-segment
 trajectories are drawn in point order and concatenated, and the
 sequence runs once on every point's shots stacked.  A scan without a
 wait (the tau = 0 reference) runs the sequence on one noise-free row
@@ -186,9 +189,10 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
       at a time, then runs the prefix on all its shots from those
       integrals, then its own row of the stacked closing pulse, and
       keeps only its detection probabilities.  The points run on a
-      thread pool of one worker per CPU, at most one per point (inline
-      on one CPU), so each worker holds one point's wait integrals and
-      state, and one block of its walk;
+      thread pool of one worker per CPU, at most one per point, so each
+      worker holds one point's wait integrals and state, and one block
+      of its walk; they run inline on one CPU, or where each point draws
+      fewer than ``POOL_MIN_NORMALS`` normals;
     - one segment (no noise, a quasi-static offset, or a walk shorter
       than one step): the points' offsets are concatenated into one
       trajectory, and the prefix runs once on every point's shots,
@@ -220,7 +224,8 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
         np.random.default_rng(np.random.SeedSequence(words)) for words in
         _entropy(rng_seed, seed_context, np.arange(phi_grid.size))]
     duration = 2.0 * n_echo * tau
-    if rngs and noise.segments(duration) > 1:
+    segments = noise.segments(duration)
+    if rngs and segments > 1:
         def walk_point(rng, u_point):
             """A time-varying point's detection probabilities, its walk
             drawn and integrated one block of rows at a time."""
@@ -233,7 +238,7 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
                 init, prefix, model, integrals=integrals), columns, u_point),
                 detection)
 
-        p = _map_points(walk_point, rngs, u_t)
+        p = _map_points(walk_point, shots_per_point * segments, rngs, u_t)
     else:   # stacked rows, or one noise-free row per point
         # at tau = 0, drawn only to keep the detection draws in place
         offsets = [sample_noise_trajectory(noise, duration, rng,
@@ -257,13 +262,23 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
     return FringeDataset(points, context={"exact": exact})
 
 
-def _map_points(fn, *args) -> list:
+# Fewest normals a random-walk point draws (shots x segments) for its
+# scan's points to run on the pool.  Single 8-point scans on a 2-core x86
+# host, one BLAS thread: the pool lost or tied up to 50k normals per
+# point (12k: 8.4 against 8.2 ms inline) and won 9-10 of 11 runs from
+# 60k on (800k, drift_fringe's: 114 against 210 ms).
+POOL_MIN_NORMALS = 60_000
+
+
+def _map_points(fn, normals: int, *args) -> list:
     """``fn`` over the points' arguments, results in point order: on a
     thread pool of one worker per CPU, at most one per point, or inline
-    on one CPU.  Each point draws only from its own generator, so no
-    result depends on the pool; numpy draws and integrates with the GIL
+    on one CPU or where each point draws fewer than ``POOL_MIN_NORMALS``
+    normals.  Each point draws only from its own generator, so no result
+    depends on the pool; numpy draws and integrates with the GIL
     released, so the workers overlap."""
-    workers = min(_cpu_count(), len(args[0]))
+    workers = min(_cpu_count(), len(args[0])) \
+        if normals >= POOL_MIN_NORMALS else 1
     if workers < 2:
         return list(map(fn, *args))
     # imported here only: it adds 4-7 ms to every start-up

@@ -276,6 +276,7 @@ def test_random_walk_scan_holds_one_point_at_a_time(monkeypatch):
         finally:
             tracemalloc.stop()
 
+    monkeypatch.setattr(sp, "POOL_MIN_NORMALS", 0)   # any walk on the pool
     monkeypatch.setattr(sp, "_cpu_count", lambda: 1)
     peak(1)   # fills the caches
     one_point = peak(1)
@@ -298,6 +299,7 @@ def test_random_walk_scan_is_the_same_on_any_pool(monkeypatch, shots):
     on pools of 2 and 3 workers, with 3 points and so one idle worker
     or a worker with two points."""
     det = sp.DetectionModel(eps_bright=0.02, eps_dark=0.05)
+    monkeypatch.setattr(sp, "POOL_MIN_NORMALS", 0)   # any walk on the pool
     scans = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(sp, "_cpu_count", lambda: workers)
@@ -306,6 +308,31 @@ def test_random_walk_scan_is_the_same_on_any_pool(monkeypatch, shots):
             detection=det, seed_context=(5,)))
     assert scans[0] == scans[1] == scans[2]
     assert len({p.k_D for p in scans[0].points}) > 1 or shots == 1
+
+
+def test_random_walk_scan_below_the_pool_size_runs_inline(monkeypatch):
+    """A walk of fewer than ``POOL_MIN_NORMALS`` normals per point, as
+    run-campaign's default random walk (300 shots x 40 segments), starts
+    no pool on two CPUs; the same scan above it starts one, with the
+    same dataset."""
+    import concurrent.futures
+    started = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(sp, "_cpu_count", lambda: 2)
+    walk = am.NoiseModel(kind="random_walk", drift_rate_sigma=2e-6)
+    assert 300 * walk.segments(4e-3) < sp.POOL_MIN_NORMALS
+    args = (8, 4e-3 / 16, MODEL, walk, sp.default_phi_grid(8), 300, 3)
+    inline = sp.run_fringe_scan(*args)
+    assert started == []
+    monkeypatch.setattr(sp, "POOL_MIN_NORMALS", 0)
+    assert sp.run_fringe_scan(*args) == inline
+    assert started == [2]
 
 
 @pytest.mark.parametrize("shots", BLOCK_SHOTS)
