@@ -265,8 +265,8 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
 # Fewest normals a random-walk point draws (shots x segments) for its
 # scan's points to run on the pool.  Single 8-point scans on a 2-core x86
 # host, one BLAS thread: the pool lost or tied up to 50k normals per
-# point (12k: 8.4 against 8.2 ms inline) and won 9-10 of 11 runs from
-# 60k on (800k, drift_fringe's: 114 against 210 ms).
+# point (12k: 8.4 against 8.2 ms inline), won 9-10 of 11 runs at 60k,
+# and every run from 120k on (800k, drift_fringe's: 114 against 210 ms).
 POOL_MIN_NORMALS = 60_000
 
 

@@ -127,7 +127,6 @@ def test_validation_errors():
         am.NoiseModel(kind="quasi_static", sigma_B=-1.0)
 
 
-
 @pytest.mark.parametrize("make", [
     lambda: am.NoiseTrajectory([0.0, math.nan, 1.0], [0.0, 1e-7]),
     lambda: am.NoiseModel(kind="quasi_static", sigma_B=math.nan),
