@@ -263,11 +263,12 @@ def run_fringe_scan(n_echo: int, tau: float, model: IonModel, noise: NoiseModel,
 
 
 # Fewest normals a random-walk point draws (shots x segments) for its
-# scan's points to run on the pool.  Single 8-point scans on a 2-core x86
-# host, one BLAS thread: the pool lost or tied up to 50k normals per
-# point (12k: 8.4 against 8.2 ms inline), won 9-10 of 11 runs at 60k,
-# and every run from 120k on (800k, drift_fringe's: 114 against 210 ms).
-POOL_MIN_NORMALS = 60_000
+# scan's points to run on the pool: where the two cost the same.  Single
+# 8-point scans on a 2-core x86 host, one BLAS thread: the pool lost at
+# 12k (9.8 against 5.9 ms inline) and, in 8 of 26 runs, at 60k; it tied
+# at 80k (17.4 against 17.9 ms) and won from 90k on (800k, drift_fringe's:
+# 111 against 184 ms).
+POOL_MIN_NORMALS = 80_000
 
 
 def _map_points(fn, normals: int, *args) -> list:
@@ -277,8 +278,8 @@ def _map_points(fn, normals: int, *args) -> list:
     normals.  Each point draws only from its own generator, so no result
     depends on the pool; numpy draws and integrates with the GIL
     released, so the workers overlap."""
-    workers = min(_cpu_count(), len(args[0])) \
-        if normals >= POOL_MIN_NORMALS else 1
+    workers = (min(_cpu_count(), len(args[0]))
+               if normals >= POOL_MIN_NORMALS else 1)
     if workers < 2:
         return list(map(fn, *args))
     # imported here only: it adds 4-7 ms to every start-up

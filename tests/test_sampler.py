@@ -310,7 +310,7 @@ def test_random_walk_scan_is_the_same_on_any_pool(monkeypatch, shots):
     assert len({p.k_D for p in scans[0].points}) > 1 or shots == 1
 
 
-def test_random_walk_scan_below_the_pool_size_runs_inline(monkeypatch):
+def test_random_walk_scan_below_pool_min_normals_runs_inline(monkeypatch):
     """A walk of fewer than ``POOL_MIN_NORMALS`` normals per point, as
     run-campaign's default random walk (300 shots x 40 segments), starts
     no pool on two CPUs; the same scan above it starts one, with the
