@@ -13,9 +13,9 @@ Under glibc a command first raises malloc's mmap and trim thresholds
 once per process, so that each fringe scan reuses the heap the last one
 freed instead of faulting it in again; no computed number changes.  On
 a 2-core x86 host that cut a warm drift_fringe op's minor faults from
-about 2,560 to under 50 and its time by about 6%, and a paper
-campaign's faults from about 7,900 to under 10, with no visible change
-in its time.
+about 2,550 to under 50 and a paper campaign's from about 7,870 to
+under 10; the time gain was 6% on drift_fringe in one run of ten
+benchmark pairs, and none visible in another or on paper_campaign.
 """
 
 from __future__ import annotations
