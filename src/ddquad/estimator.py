@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import attrgetter
@@ -687,14 +688,16 @@ def bootstrap_ci(campaign: CampaignDataset, n_resamples: int, seed: int,
 
 def _resample_campaign(campaign: CampaignDataset,
                        rng: np.random.Generator) -> CampaignDataset:
-    """Per-point binomial counts, in one draw over the campaign's
-    integer-count points (each cell's signal, then reference points);
-    exact-probability points (real-valued counts) pass through."""
+    """Per-point binomial counts, in one draw over the campaign's sampled
+    points (each cell's signal, then reference points): those whose
+    ``k_D`` is an integer type.  Exact-probability points pass through,
+    real-valued counts that happen to be whole (n p = 3.0) included."""
     points = [p for c in campaign.cells
               for fr in (c.fringe, c.reference_fringe) for p in fr.points]
     n = np.array([p.n_shots for p in points], dtype=np.int64)
     k = np.array([p.k_D for p in points], dtype=float)
-    drawn = k == np.floor(k)
+    drawn = np.array([isinstance(p.k_D, numbers.Integral) for p in points],
+                     dtype=bool)
     draws = iter(rng.binomial(n[drawn], k[drawn] / n[drawn]).tolist())
     counts = iter([next(draws) if d else p.k_D for p, d in zip(points, drawn)])
 

@@ -462,7 +462,7 @@ def _parse(row: dict, name: str, line: int, parse=float):
 
 def _count(text: str):
     """An integer count, or real-valued n * p in exact mode."""
-    return int(text) if text.isdigit() else float(text)
+    return int(text) if text.strip().isdigit() else float(text)
 
 
 def _flag(text: str) -> int:

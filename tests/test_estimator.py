@@ -10,11 +10,12 @@ from scipy.optimize import minimize
 from ddquad import estimator as est
 from ddquad.atommodel import (FieldConfig, IonModel, IonSpecies, NoiseModel,
                               TrapConfig, arm_phase_rate, quadrupole_geometry)
+from ddquad.config import paper_scenario
 from ddquad.errors import (DegenerateDataError, FitConvergenceError,
                            NonIdentifiableError)
 from ddquad.sampler import (CampaignCell, CampaignDataset, CampaignPlan,
-                            FringeDataset, FringePoint, default_phi_grid,
-                            run_campaign)
+                            FringeDataset, FringePoint, campaign_from_csv,
+                            campaign_to_csv, default_phi_grid, run_campaign)
 from ddquad.sequence import analytic_phase
 from bounds import cramer_rao_phase_bound
 
@@ -578,7 +579,7 @@ def scalar_resample(campaign, rng):
     """The counts resampled one point at a time: the loop that
     ``_resample_campaign``'s single draw replaced."""
     return [int(rng.binomial(p.n_shots, p.k_D / p.n_shots))
-            if float(p.k_D).is_integer() else p.k_D
+            if isinstance(p.k_D, int) else p.k_D
             for p in campaign_points(campaign)]
 
 
@@ -586,8 +587,8 @@ def scalar_resample(campaign, rng):
        st.integers(1, 4), st.integers(1, 8))
 def test_one_call_resample_draws_as_the_scalar_loop(data_seed, seed, n_cells,
                                                     n_points):
-    # counts at p = 0 and p = 1, counts held as floats, and exact-mode
-    # points (real-valued n p) that pass through undrawn
+    # counts at p = 0 and p = 1, and exact-mode points (real-valued n p,
+    # whole or not) that pass through undrawn
     rng = np.random.default_rng(data_seed)
 
     def fringe():
@@ -610,6 +611,22 @@ def test_one_call_resample_draws_as_the_scalar_loop(data_seed, seed, n_cells,
     want = scalar_resample(camp, want_rng)
     assert [(type(k), k) for k in got] == [(type(k), k) for k in want]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_resample_passes_whole_exact_counts_through():
+    # the seed-11 paper campaign in exact mode, read back from its CSV:
+    # 1% detection errors put 120 of its 960 points at k_D = 3.0 or 297.0,
+    # real-valued n p that a test for integral values redrew
+    cfg = paper_scenario(11)
+    camp = campaign_from_csv(campaign_to_csv(run_campaign(
+        replace(cfg.plan, exact_probabilities=True), cfg.ion_model(),
+        cfg.noise, cfg.seed, detection=cfg.detection)))
+    points = campaign_points(camp)
+    assert sum(float(p.k_D).is_integer() for p in points) == 120
+    resampled = campaign_points(
+        est._resample_campaign(camp, np.random.default_rng(0)))
+    assert [(type(p.k_D), p.k_D) for p in resampled] == \
+        [(type(p.k_D), p.k_D) for p in points]
 
 
 @pytest.mark.parametrize("failures", [5, 6])

@@ -444,6 +444,16 @@ def test_csv_round_trip():
     assert sp.campaign_to_csv(back) == text
 
 
+@pytest.mark.parametrize("text, want", [
+    ("5", 5), (" 5", 5), ("5 ", 5), ("3.0", 3.0), (" 297.0", 297.0),
+    ("1e2", 100.0)])
+def test_csv_count_is_an_int_only_when_written_as_one(text, want):
+    # a sampled count reads back as an int, padded or not; an exact-mode
+    # n p stays a float even when it is whole
+    got = sp._count(text)
+    assert (type(got), got) == (type(want), want)
+
+
 def test_csv_cell_without_reference_is_a_value_error():
     plan = sp.CampaignPlan(beta_list=(0.0,), gradient_list=(1e8,),
                            tau_total_list=(1e-3,), n_echo=4,

@@ -3,7 +3,8 @@
 Runs one fixed list of CLI commands in-process, in a fresh temporary
 directory, and records for each its exit code and the sha256 of its
 stdout, of its stderr and of every file it writes, together with the
-Python, numpy and platform strings of the host.
+host's Python and numpy versions, numpy's BLAS build, machine type and
+C library.  The kernel build is left out: it does not change a float.
 
     python3 tools/identity.py --update   # rewrite IDENTITY.json
     python3 tools/identity.py --check    # list every digest that differs
@@ -69,8 +70,11 @@ def _sha(data: bytes) -> str:
 
 
 def host() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": sys.version, "numpy": np.__version__,
-            "platform": platform.platform()}
+            "blas": f"{blas['name']} {blas['version']}",
+            "machine": platform.machine(),
+            "libc": " ".join(platform.libc_ver())}
 
 
 def digests() -> dict:
