@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
-    "identity", Path(__file__).resolve().parent.parent / "tools" / "identity.py")
+    "identity",
+    Path(__file__).resolve().parent.parent / "tools" / "identity.py")
 identity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(identity)
 

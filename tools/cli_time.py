@@ -14,9 +14,8 @@ the verdict of ``pairs.py``'s ``summarize``, against the bound of
 ``op_p50_s`` in ``BENCHMARK.json``.
 
 Unlike ``bench/run.py``, the command runs under the caller's environment,
-with no BLAS thread pin, and each run pays a cold start: imports, the
-first call's caches and the malloc pin included.  A nonzero exit stops
-the tool.
+with no BLAS thread pin, and each run pays a cold start: imports and the
+first call's caches included.  A nonzero exit stops the tool.
 """
 
 from __future__ import annotations
